@@ -4,10 +4,11 @@
 //! the live [`ClusterState`] — per-board liveness, queue depth, backlog
 //! estimate (oracle accumulator or online observation, per
 //! [`DispatchMode`](crate::state::DispatchMode)), in-flight taxa and
-//! utilisation — plus this job's per-board profiled estimates
-//! ([`JobEstimates`]). They never see the future of the arrival stream,
-//! and they must place the job on a board that is currently *placeable*
-//! — up and not blacked out by an active chaos clause (see
+//! utilisation — plus this job's per-architecture-class profiled
+//! estimates ([`JobEstimates`]). They never see the future of the
+//! arrival stream, and they must place the job on a board that is
+//! currently *placeable* — up and not blacked out by an active chaos
+//! clause (see
 //! [`ClusterState::placeable`]).
 //!
 //! Every decision made here is observable after the fact: when a
@@ -22,40 +23,57 @@ use crate::index::DispatchIndex;
 use crate::job::JobSpec;
 use crate::state::ClusterState;
 
-/// Per-board estimates for the job being placed. Values are profiled
-/// per *architecture* and fanned out to boards by the kernel; when the
-/// scenario enables observed-service feedback
+/// Estimates for the job being placed, one slot per architecture class:
+/// board `b`'s values sit at index [`ClusterState::arch_class`]`(b)`.
+/// Values are profiled per architecture, so the kernel fills them in
+/// O(architectures) per admission; when the scenario enables
+/// observed-service feedback
 /// ([`Scenario::with_feedback`](crate::kernel::Scenario::with_feedback)),
 /// service estimates already carry the learned per-(taxon,
 /// architecture) correction, so every dispatcher prices decisions off
 /// what the fleet has actually observed.
 #[derive(Clone, Debug)]
 pub struct JobEstimates {
-    /// Estimated service time of *this* job on each board, seconds.
+    /// Estimated service time of *this* job per class, seconds.
     pub service_s: Vec<f64>,
-    /// Estimated energy of *this* job on each board, Joules.
+    /// Estimated energy of *this* job per class, Joules.
     pub energy_j: Vec<f64>,
-    /// Per board: does the policy cache hold a fresh entry for this
-    /// job's taxon on the board's architecture?
+    /// Per class: does the policy cache hold a fresh entry for this
+    /// job's taxon on the class's architecture?
     pub warm: Vec<bool>,
 }
 
 impl JobEstimates {
-    /// An all-zero scratch sized for `n_boards` boards. The kernel
-    /// allocates one per run and refills it in place per arrival, so
-    /// estimating costs no allocation however many jobs stream through.
-    pub fn zeroed(n_boards: usize) -> Self {
+    /// An all-zero scratch sized for `n_arch` architecture classes. The
+    /// kernel allocates one per run and refills it in place per
+    /// arrival, so estimating costs no allocation however many jobs
+    /// stream through.
+    pub fn zeroed(n_arch: usize) -> Self {
         JobEstimates {
-            service_s: vec![0.0; n_boards],
-            energy_j: vec![0.0; n_boards],
-            warm: vec![false; n_boards],
+            service_s: vec![0.0; n_arch],
+            energy_j: vec![0.0; n_arch],
+            warm: vec![false; n_arch],
         }
+    }
+
+    /// Estimated service time of this job on board `b`, seconds.
+    #[inline]
+    pub fn service_on(&self, state: &ClusterState, b: usize) -> f64 {
+        self.service_s[state.arch_class(b)]
+    }
+
+    /// Does the policy cache hold a fresh entry for this job on board
+    /// `b`'s architecture?
+    #[inline]
+    pub fn warm_on(&self, state: &ClusterState, b: usize) -> bool {
+        self.warm[state.arch_class(b)]
     }
 
     /// Estimated completion time of this job on board `b` given the
     /// state's backlog estimate.
+    #[inline]
     pub fn est_finish_s(&self, state: &ClusterState, b: usize) -> f64 {
-        state.now_s + state.backlog_s(b) + self.service_s[b]
+        state.now_s + state.backlog_s(b) + self.service_on(state, b)
     }
 }
 
@@ -123,7 +141,7 @@ impl LeastLoaded {
                 consider(&mut best, b);
             }
         }
-        match idx.stale_view(state.now_s.to_bits(), |b| state.backlog_s(b).to_bits()) {
+        match state.stale_view() {
             None => {
                 for b in idx.stale_iter() {
                     consider(&mut best, b);
@@ -191,8 +209,8 @@ pub struct EnergyAware {
 impl EnergyAware {
     /// Indexed pick. The scan's key over the feasible set (boards
     /// within `min_backlog + service` of the fleet-minimum backlog) is
-    /// `(energy, now + backlog + service, board)`; estimates are
-    /// fanned per architecture class, so within a class the energy
+    /// `(energy, now + backlog + service, board)`; estimates are per
+    /// architecture class, so within a class the energy
     /// term is constant and the finish term is monotone in backlog —
     /// each class's winner is in the head equal-finish group of its
     /// ordered set (or its lowest-indexed zero-class board, which is
@@ -204,7 +222,7 @@ impl EnergyAware {
     /// class) or, for small sets, an exact walk; candidates compare
     /// with the exact scan key.
     fn pick_indexed(&self, state: &ClusterState, est: &JobEstimates, idx: &DispatchIndex) -> usize {
-        let stale_view = idx.stale_view(state.now_s.to_bits(), |b| state.backlog_s(b).to_bits());
+        let stale_view = state.stale_view();
         let mut min_backlog = if idx.has_zero() { 0.0 } else { f64::INFINITY };
         if let Some(b) = idx.ordered_iter().next() {
             min_backlog = min_backlog.min(state.backlog_s(b));
@@ -225,15 +243,17 @@ impl EnergyAware {
         }
         let mut best: Option<(f64, f64, usize)> = None;
         let consider = |best: &mut Option<(f64, f64, usize)>, b: usize| {
+            let a = state.arch_class(b);
             let bl = state.backlog_s(b);
-            if bl <= min_backlog + est.service_s[b] {
-                let key = (est.energy_j[b], state.now_s + bl + est.service_s[b], b);
+            if bl <= min_backlog + est.service_s[a] {
+                let key = (est.energy_j[a], state.now_s + bl + est.service_s[a], b);
                 if best.map(|k| key < k).unwrap_or(true) {
                     *best = Some(key);
                 }
             }
         };
-        for a in 0..idx.n_arch() {
+        for a in 0..state.n_arch() {
+            let svc = est.service_s[a];
             if let Some(b) = idx.zero_min_arch(a) {
                 consider(&mut best, b);
             }
@@ -242,11 +262,11 @@ impl EnergyAware {
                 let bl0 = state.backlog_s(b0);
                 // Backlog is non-decreasing along the class order:
                 // when the head is infeasible, so is every later board.
-                if bl0 <= min_backlog + est.service_s[b0] {
-                    let f0 = state.now_s + bl0 + est.service_s[b0];
+                if bl0 <= min_backlog + svc {
+                    let f0 = state.now_s + bl0 + svc;
                     consider(&mut best, b0);
                     for b in it {
-                        if state.now_s + state.backlog_s(b) + est.service_s[b] != f0 {
+                        if state.now_s + state.backlog_s(b) + svc != f0 {
                             break;
                         }
                         consider(&mut best, b);
@@ -261,25 +281,24 @@ impl EnergyAware {
                 }
             }
             Some(view) => {
-                for a in 0..idx.n_arch() {
+                for a in 0..state.n_arch() {
+                    let svc = est.service_s[a];
                     let mut it = view.arch(a).iter();
                     if let Some(&(bl0, b0)) = it.next() {
-                        let b0 = b0 as usize;
                         let bl0 = f64::from_bits(bl0);
                         // Backlog is non-decreasing along the view
                         // order and energy/service are per-class
                         // constants, so the class winner is in the
                         // head equal-finish group — and when the head
                         // is infeasible, so is every later board.
-                        if bl0 <= min_backlog + est.service_s[b0] {
-                            let f0 = state.now_s + bl0 + est.service_s[b0];
-                            consider(&mut best, b0);
+                        if bl0 <= min_backlog + svc {
+                            let f0 = state.now_s + bl0 + svc;
+                            consider(&mut best, b0 as usize);
                             for &(bl, b) in it {
-                                let b = b as usize;
-                                if state.now_s + f64::from_bits(bl) + est.service_s[b] != f0 {
+                                if state.now_s + f64::from_bits(bl) + svc != f0 {
                                     break;
                                 }
-                                consider(&mut best, b);
+                                consider(&mut best, b as usize);
                             }
                         }
                     }
@@ -306,8 +325,9 @@ impl EnergyAware {
         let mut best: Option<(f64, f64, usize)> = None;
         for b in state.placeable_boards() {
             let bl = self.backlog[b];
-            if bl <= min_backlog + est.service_s[b] {
-                let key = (est.energy_j[b], state.now_s + bl + est.service_s[b], b);
+            let svc = est.service_on(state, b);
+            if bl <= min_backlog + svc {
+                let key = (est.energy_j[state.arch_class(b)], state.now_s + bl + svc, b);
                 if best.map(|k| key < k).unwrap_or(true) {
                     best = Some(key);
                 }
@@ -374,7 +394,7 @@ impl PhaseAware {
     }
 
     /// Indexed pick. Pass 1's effective key is `(finish, board)`;
-    /// estimates are fanned per architecture class, so within a class
+    /// estimates are per architecture class, so within a class
     /// the finish is monotone in backlog and the class champion is in
     /// the head equal-finish group of its ordered set (or its
     /// lowest-indexed zero-class board — zero backlogs tie on finish).
@@ -395,8 +415,8 @@ impl PhaseAware {
         est: &JobEstimates,
         idx: &DispatchIndex,
     ) -> usize {
-        let stale_view = idx.stale_view(state.now_s.to_bits(), |b| state.backlog_s(b).to_bits());
-        let na = idx.n_arch();
+        let stale_view = state.stale_view();
+        let na = state.n_arch();
         if self.champ.len() != na {
             self.champ.resize(na, None);
         }
@@ -464,7 +484,7 @@ impl PhaseAware {
             }
         }
         let (best_finish, overall_b) = overall.expect("at least one board is placeable");
-        let tie_band = 0.02 * est.service_s[overall_b];
+        let tie_band = 0.02 * est.service_on(state, overall_b);
         let thresh = best_finish + tie_band;
         let prefers_big = Self::prefers_big(job);
         let full_key = |b: usize, f: f64| {
@@ -472,7 +492,7 @@ impl PhaseAware {
                 Some(big) => (state.spec.big_rich(b) != big) as u8 as f64,
                 None => 0.0,
             };
-            (mismatch, !est.warm[b] as u8 as f64, f, b as f64)
+            (mismatch, !est.warm_on(state, b) as u8 as f64, f, b as f64)
         };
         let mut best: Option<((f64, f64, f64, f64), usize)> = None;
         for a in 0..na {
@@ -522,7 +542,7 @@ impl PhaseAware {
             }
         }
         assert!(overall != usize::MAX, "at least one board is placeable");
-        let tie_band = 0.02 * est.service_s[overall];
+        let tie_band = 0.02 * est.service_on(state, overall);
         let prefers_big = Self::prefers_big(job);
         // Pass 2: argmin over the tie band. The key ends in `b`, so
         // keys are unique and this matches the old min-by exactly.
@@ -534,7 +554,7 @@ impl PhaseAware {
                     Some(big) => (state.spec.big_rich(b) != big) as u8 as f64,
                     None => 0.0,
                 };
-                let key = (mismatch, !est.warm[b] as u8 as f64, f, b as f64);
+                let key = (mismatch, !est.warm_on(state, b) as u8 as f64, f, b as f64);
                 if best.map(|(k, _)| key < k).unwrap_or(true) {
                     best = Some((key, b));
                 }
@@ -640,19 +660,47 @@ mod tests {
         est: JobEstimates,
     }
 
+    /// XU4, RK3399 and TK1 boards in a repeating seven-board layout,
+    /// built from the public `boards` field. First appearance numbers
+    /// the classes RK3399 (0), TK1 (1), XU4 (2) — neither board parity
+    /// nor constructor order — so a board→class mix-up reads the wrong
+    /// estimate slot. TK1 and XU4 are both big-rich.
+    fn three_arch(n: usize) -> ClusterSpec {
+        use astro_hw::boards::BoardSpec;
+        let layout: [fn() -> BoardSpec; 7] = [
+            BoardSpec::rk3399,
+            BoardSpec::rk3399,
+            BoardSpec::jetson_tk1,
+            BoardSpec::odroid_xu4,
+            BoardSpec::jetson_tk1,
+            BoardSpec::odroid_xu4,
+            BoardSpec::odroid_xu4,
+        ];
+        ClusterSpec {
+            boards: (0..n).map(|b| layout[b % layout.len()]()).collect(),
+        }
+    }
+
     impl Fixture {
         // Board 0: XU4 (big-rich), board 1: RK3399 (LITTLE-rich), ...
         fn new(n: usize) -> Self {
+            Self::with_cluster(ClusterSpec::heterogeneous(n))
+        }
+
+        /// Idle boards, unit estimates on every architecture class.
+        fn with_cluster(cluster: ClusterSpec) -> Self {
+            let n = cluster.len();
+            let k = cluster.arch_keys().len();
             Fixture {
-                cluster: ClusterSpec::heterogeneous(n),
+                cluster,
                 busy: vec![0.0; n],
                 dispatched: vec![0; n],
                 down: Vec::new(),
                 blackout: Vec::new(),
                 est: JobEstimates {
-                    service_s: vec![1.0; n],
-                    energy_j: vec![1.0; n],
-                    warm: vec![false; n],
+                    service_s: vec![1.0; k],
+                    energy_j: vec![1.0; k],
+                    warm: vec![false; k],
                 },
             }
         }
@@ -725,7 +773,8 @@ mod tests {
     #[test]
     fn energy_aware_picks_cheapest_among_uncongested() {
         let mut f = Fixture::new(4);
-        f.est.energy_j = vec![4.0, 1.5, 3.0, 2.0];
+        // XU4 boards (0, 2) cost 4 J, RK3399 boards (1, 3) 1.5 J.
+        f.est.energy_j = vec![4.0, 1.5];
         assert_eq!(
             EnergyAware::default().pick(&f.state(), &job(JobClass::Mixed), &f.est),
             1
@@ -740,7 +789,7 @@ mod tests {
 
     #[test]
     fn phase_aware_matches_class_to_cluster_shape() {
-        let mut f = Fixture::new(4);
+        let f = Fixture::new(4);
         assert!(f.cluster.big_rich(PhaseAware::default().pick(
             &f.state(),
             &job(JobClass::CpuHeavy),
@@ -751,12 +800,14 @@ mod tests {
             &job(JobClass::Synchronised),
             &f.est
         )));
-        // Warm boards win ties within the preferred side.
-        f.est.warm = vec![false, false, true, false];
-        assert_eq!(
-            PhaseAware::default().pick(&f.state(), &job(JobClass::CpuHeavy), &f.est),
-            2
-        );
+        // Warm boards win ties within the preferred side: with two
+        // big-rich architectures, the first XU4 (board 3) beats the
+        // lower-indexed TK1 (board 2) once only XU4 is warm.
+        let mut f = Fixture::with_cluster(three_arch(7));
+        let cpu = job(JobClass::CpuHeavy);
+        assert_eq!(PhaseAware::default().pick(&f.state(), &cpu, &f.est), 2);
+        f.est.warm = vec![false, false, true];
+        assert_eq!(PhaseAware::default().pick(&f.state(), &cpu, &f.est), 3);
     }
 
     #[test]
@@ -768,10 +819,38 @@ mod tests {
         assert!(!f.cluster.big_rich(pick), "should spill to LITTLE-rich");
     }
 
+    /// Per-class estimates expanded to one entry per board, each board's
+    /// class found by position of its key in [`ClusterSpec::arch_keys`]
+    /// — independently of the state's board→class map, so the reference
+    /// oracles below catch a mix-up in that map.
+    struct PerBoard {
+        service_s: Vec<f64>,
+        energy_j: Vec<f64>,
+        warm: Vec<bool>,
+    }
+
+    impl PerBoard {
+        fn new(spec: &ClusterSpec, est: &JobEstimates) -> Self {
+            let keys = spec.arch_keys();
+            let class: Vec<usize> = (0..spec.len())
+                .map(|b| keys.iter().position(|&k| k == spec.arch_key(b)).unwrap())
+                .collect();
+            PerBoard {
+                service_s: class.iter().map(|&a| est.service_s[a]).collect(),
+                energy_j: class.iter().map(|&a| est.energy_j[a]).collect(),
+                warm: class.iter().map(|&a| est.warm[a]).collect(),
+            }
+        }
+
+        fn est_finish_s(&self, state: &ClusterState, b: usize) -> f64 {
+            state.now_s + state.backlog_s(b) + self.service_s[b]
+        }
+    }
+
     /// The pre-scratch energy-aware pick, verbatim: collect the
     /// feasible set into a Vec, then min-by over it. Kept as the
     /// reference the allocation-free rewrite must match pick-for-pick.
-    fn energy_aware_ref(state: &ClusterState, est: &JobEstimates) -> usize {
+    fn energy_aware_ref(state: &ClusterState, est: &PerBoard) -> usize {
         let min_backlog = state
             .placeable_boards()
             .map(|b| state.backlog_s(b))
@@ -792,7 +871,7 @@ mod tests {
 
     /// The pre-scratch phase-aware pick, verbatim: argmin over an
     /// iterator min-by, then a collected tie Vec.
-    fn phase_aware_ref(state: &ClusterState, job: &JobSpec, est: &JobEstimates) -> usize {
+    fn phase_aware_ref(state: &ClusterState, job: &JobSpec, est: &PerBoard) -> usize {
         let overall = argmin_placeable(state, |b| (est.est_finish_s(state, b), b as f64));
         let tie_band = 0.02 * est.service_s[overall];
         let best_finish = est.est_finish_s(state, overall);
@@ -825,11 +904,14 @@ mod tests {
             .expect("tie set contains the global best")
     }
 
-    /// The allocation-free rewrites must agree with the old collecting
-    /// implementations on every pick — including engineered exact
+    /// The allocation-free rewrites — the scan, and the indexed pick
+    /// over the same state — must agree with the old collecting
+    /// implementations on every pick, including engineered exact
     /// finish-time ties, where only the board-index tail of the key
     /// separates candidates. Sweeps seeded pseudo-random fixtures with
-    /// clustered values so ties and tie-band edges actually occur.
+    /// clustered values so ties and tie-band edges actually occur, on
+    /// two- and three-architecture layouts with random per-class
+    /// estimates.
     #[test]
     fn scratch_dispatchers_match_reference_picks() {
         let mut lcg = 0x2545_f491_4f6c_dd1du64;
@@ -843,38 +925,49 @@ mod tests {
         let mut checked = 0usize;
         for case in 0..400 {
             let n = 1 + (next() % 12) as usize;
-            let mut f = Fixture::new(n);
+            let mut f = Fixture::with_cluster(if case % 2 == 0 {
+                ClusterSpec::heterogeneous(n)
+            } else {
+                three_arch(n)
+            });
             for b in 0..n {
                 // Quantised so distinct boards often collide exactly.
                 f.busy[b] = (next() % 4) as f64 * 5.0;
                 f.dispatched[b] = (next() % 3) as usize;
-                f.est.service_s[b] = 1.0 + (next() % 3) as f64;
-                f.est.energy_j[b] = (next() % 4) as f64;
-                f.est.warm[b] = next() % 2 == 0;
                 if next() % 5 == 0 {
                     f.down.push(b);
                 } else if next() % 5 == 0 {
                     f.blackout.push(b);
                 }
             }
+            for a in 0..f.est.service_s.len() {
+                f.est.service_s[a] = 1.0 + (next() % 3) as f64;
+                f.est.energy_j[a] = (next() % 4) as f64;
+                f.est.warm[a] = next() % 2 == 0;
+            }
             let st = f.state();
             if !st.any_placeable() {
                 continue;
             }
+            let mut indexed = st.clone();
+            indexed.enable_dispatch_index();
+            let per_board = PerBoard::new(&f.cluster, &f.est);
             let mut energy = EnergyAware::default();
             let mut phase = PhaseAware::default();
             for class in JobClass::ALL {
                 let j = job(class);
-                assert_eq!(
-                    energy.pick(&st, &j, &f.est),
-                    energy_aware_ref(&st, &f.est),
-                    "energy-aware diverged (case {case}, class {class:?})"
-                );
-                assert_eq!(
-                    phase.pick(&st, &j, &f.est),
-                    phase_aware_ref(&st, &j, &f.est),
-                    "phase-aware diverged (case {case}, class {class:?})"
-                );
+                for s in [&st, &indexed] {
+                    assert_eq!(
+                        energy.pick(s, &j, &f.est),
+                        energy_aware_ref(&st, &per_board),
+                        "energy-aware diverged (case {case}, class {class:?})"
+                    );
+                    assert_eq!(
+                        phase.pick(s, &j, &f.est),
+                        phase_aware_ref(&st, &j, &per_board),
+                        "phase-aware diverged (case {case}, class {class:?})"
+                    );
+                }
                 checked += 1;
             }
         }
@@ -906,19 +999,19 @@ mod tests {
         for mode in [DispatchMode::Online, DispatchMode::Oracle] {
             for case in 0..8 {
                 let n = 2 + (next() % 9) as usize;
-                let cluster = ClusterSpec::heterogeneous(n);
+                let cluster = if case % 2 == 0 {
+                    ClusterSpec::heterogeneous(n)
+                } else {
+                    three_arch(n)
+                };
                 let mut st = ClusterState::new(&cluster, mode);
                 st.now_s = 10.0;
                 st.enable_dispatch_index();
-                // Estimates must be architecture-consistent (the kernel
-                // fans them per arch class): heterogeneous clusters
-                // alternate XU4 / RK3399 by board parity.
-                let arch_svc = [1.0 + (next() % 3) as f64 * 0.5, 1.0 + (next() % 3) as f64];
-                let arch_energy = [1.0 + (next() % 2) as f64, 1.0 + (next() % 2) as f64];
+                let k = st.n_arch();
                 let est = JobEstimates {
-                    service_s: (0..n).map(|b| arch_svc[b % 2]).collect(),
-                    energy_j: (0..n).map(|b| arch_energy[b % 2]).collect(),
-                    warm: (0..n).map(|b| b % 2 == case % 2).collect(),
+                    service_s: (0..k).map(|_| 1.0 + (next() % 3) as f64 * 0.5).collect(),
+                    energy_j: (0..k).map(|_| 1.0 + (next() % 2) as f64).collect(),
+                    warm: (0..k).map(|_| next() % 2 == 0).collect(),
                 };
                 let mut blk = vec![false; n];
                 for _ in 0..250 {
@@ -1057,11 +1150,10 @@ mod tests {
             st.boards[b].dispatched = (next() % 4) as usize;
             st.refresh_dispatch_index(b);
         }
-        let arch_svc = [1.5, 1.5];
         let est = JobEstimates {
-            service_s: (0..n).map(|b| arch_svc[b % 2]).collect(),
-            energy_j: (0..n).map(|b| 1.0 + (b % 2) as f64).collect(),
-            warm: (0..n).map(|b| b % 2 == 0).collect(),
+            service_s: vec![1.5, 1.5],
+            energy_j: vec![1.0, 2.0],
+            warm: vec![true, false],
         };
         let mut max_stale = 0usize;
         let mut checked = 0usize;

@@ -151,10 +151,6 @@ pub(crate) struct DispatchIndex {
     pub(crate) enabled: bool,
     /// Current class of each board (`class[b]` mirrors set membership).
     class: Vec<BoardClass>,
-    /// Architecture-class id per board, first-appearance order.
-    arch_of: Vec<u16>,
-    /// Distinct architecture classes.
-    n_arch: usize,
     /// Zero-class boards by `(dispatched bits, board)`.
     zero: BTreeSet<(u64, u32)>,
     /// Zero-class boards per architecture class, by board index.
@@ -180,13 +176,11 @@ pub(crate) struct DispatchIndex {
 }
 
 impl DispatchIndex {
-    /// Reset to an empty, enabled index over `arch_of.len()` boards.
-    pub(crate) fn reset(&mut self, arch_of: Vec<u16>, n_arch: usize) {
-        let n = arch_of.len();
+    /// Reset to an empty, enabled index over `n` boards in `n_arch`
+    /// architecture classes.
+    pub(crate) fn reset(&mut self, n: usize, n_arch: usize) {
         self.enabled = true;
         self.class = vec![BoardClass::None; n];
-        self.arch_of = arch_of;
-        self.n_arch = n_arch;
         self.zero = BTreeSet::new();
         self.zero_arch = vec![BTreeSet::new(); n_arch];
         self.ordered = BTreeSet::new();
@@ -199,9 +193,9 @@ impl DispatchIndex {
         self.stale_rev += 1;
     }
 
-    /// Remove board `b` from whatever sets its current class filed it
-    /// in, then file it under `class`.
-    pub(crate) fn set_class(&mut self, b: usize, class: BoardClass) {
+    /// Remove board `b`, of architecture class `a`, from whatever sets
+    /// its current class filed it in, then file it under `class`.
+    pub(crate) fn set_class(&mut self, b: usize, a: usize, class: BoardClass) {
         // Any refile touching the stale class invalidates the cached
         // view — including an identical reclassification: a queue
         // mutation moves a stale board's backlog without moving its
@@ -217,7 +211,6 @@ impl DispatchIndex {
             return;
         }
         let bu = b as u32;
-        let a = self.arch_of[b] as usize;
         match self.class[b] {
             BoardClass::None => {}
             BoardClass::Zero { disp_bits } => {
@@ -279,12 +272,6 @@ impl DispatchIndex {
         }
     }
 
-    /// Distinct architecture classes.
-    #[inline]
-    pub(crate) fn n_arch(&self) -> usize {
-        self.n_arch
-    }
-
     /// Any zero-class (backlog exactly zero) board?
     #[inline]
     pub(crate) fn has_zero(&self) -> bool {
@@ -333,10 +320,12 @@ impl DispatchIndex {
     /// backlog bits (the same value the pick's key expressions read);
     /// it is only invoked on a rebuild — when the clock has moved or a
     /// stale board was refiled since the view was last built.
+    /// `arch_of` is the board→class map the boards were filed by.
     pub(crate) fn stale_view(
         &self,
         now_bits: u64,
         backlog_bits: impl Fn(usize) -> u64,
+        arch_of: &[u16],
     ) -> Option<Ref<'_, StaleView>> {
         if self.stale.len() <= STALE_SCAN_MAX {
             return None;
@@ -351,8 +340,9 @@ impl DispatchIndex {
         v.now_bits = now_bits;
         v.rev = self.stale_rev;
         v.by_bl.clear();
-        if v.by_bl_arch.len() != self.n_arch {
-            v.by_bl_arch.resize(self.n_arch, Vec::new());
+        let n_arch = self.zero_arch.len();
+        if v.by_bl_arch.len() != n_arch {
+            v.by_bl_arch.resize(n_arch, Vec::new());
         }
         for arch in &mut v.by_bl_arch {
             arch.clear();
@@ -363,7 +353,7 @@ impl DispatchIndex {
         v.by_bl.sort_unstable();
         for i in 0..v.by_bl.len() {
             let (bits, b) = v.by_bl[i];
-            v.by_bl_arch[self.arch_of[b as usize] as usize].push((bits, b));
+            v.by_bl_arch[arch_of[b as usize] as usize].push((bits, b));
         }
         drop(v);
         Some(self.stale_view.borrow())
@@ -386,11 +376,12 @@ impl DispatchIndex {
 mod tests {
     use super::*;
 
-    fn index(n: usize) -> DispatchIndex {
+    /// Two architecture classes, alternating by parity: the index and
+    /// the board→class map its callers pass in.
+    fn index(n: usize) -> (DispatchIndex, Vec<u16>) {
         let mut idx = DispatchIndex::default();
-        // Two architecture classes, alternating by parity.
-        idx.reset((0..n).map(|b| (b % 2) as u16).collect(), 2);
-        idx
+        idx.reset(n, 2);
+        (idx, (0..n).map(|b| (b % 2) as u16).collect())
     }
 
     /// The view only engages past `STALE_SCAN_MAX`, orders by exact
@@ -399,29 +390,22 @@ mod tests {
     #[test]
     fn stale_view_engages_sorts_and_caches() {
         let n = STALE_SCAN_MAX + 4;
-        let mut idx = index(n);
+        let (mut idx, arch_of) = index(n);
+        let stale = |b: usize| BoardClass::Stale {
+            lapse_bits: b as u64,
+        };
         for b in 0..STALE_SCAN_MAX {
-            idx.set_class(
-                b,
-                BoardClass::Stale {
-                    lapse_bits: b as u64,
-                },
-            );
+            idx.set_class(b, b % 2, stale(b));
         }
         // At the threshold: callers must walk the exact iterator.
-        assert!(idx.stale_view(1, |_| 0).is_none());
+        assert!(idx.stale_view(1, |_| 0, &arch_of).is_none());
         for b in STALE_SCAN_MAX..n {
-            idx.set_class(
-                b,
-                BoardClass::Stale {
-                    lapse_bits: b as u64,
-                },
-            );
+            idx.set_class(b, b % 2, stale(b));
         }
         assert_eq!(idx.stale_len(), n);
         // Backlog descending in board index → the view must re-sort.
         let bl = |b: usize| (n - b) as u64;
-        let view = idx.stale_view(1, bl).expect("past the threshold");
+        let view = idx.stale_view(1, bl, &arch_of).expect("past the threshold");
         let all: Vec<(u64, u32)> = view.all().to_vec();
         assert_eq!(all.len(), n);
         assert!(all.windows(2).all(|w| w[0] <= w[1]), "sorted by backlog");
@@ -433,37 +417,39 @@ mod tests {
         drop(view);
         // Same clock, same revision: the rebuild closure must not run.
         let cached = idx
-            .stale_view(1, |_| panic!("cache hit must not rebuild"))
+            .stale_view(1, |_| panic!("cache hit must not rebuild"), &arch_of)
             .expect("cached");
         assert_eq!(cached.all(), &all[..]);
         drop(cached);
         // A clock move alone invalidates (stale backlogs are
         // clock-dependent).
-        let moved = idx.stale_view(2, |b| b as u64).expect("rebuilt");
+        let moved = idx.stale_view(2, |b| b as u64, &arch_of).expect("rebuilt");
         assert_eq!(moved.all()[0], (0, 0));
         drop(moved);
         // A refile under the *same* lapse key still invalidates: the
         // board's backlog may have moved even though its key did not.
-        idx.set_class(3, BoardClass::Stale { lapse_bits: 3 });
-        let rebuilt = idx.stale_view(2, |b| (n - b) as u64).expect("rebuilt");
+        idx.set_class(3, 1, BoardClass::Stale { lapse_bits: 3 });
+        let rebuilt = idx
+            .stale_view(2, |b| (n - b) as u64, &arch_of)
+            .expect("rebuilt");
         assert_eq!(rebuilt.all()[0], (1, (n - 1) as u32));
         drop(rebuilt);
         // Leaving the class shrinks the set below the threshold + 1;
         // dropping to the threshold disengages the view entirely.
         for b in 0..4 {
-            idx.set_class(b, BoardClass::None);
+            idx.set_class(b, b % 2, BoardClass::None);
         }
         assert_eq!(idx.stale_len(), n - 4);
-        assert!(idx.stale_view(2, |_| 0).is_none());
+        assert!(idx.stale_view(2, |_| 0, &arch_of).is_none());
     }
 
     /// The stale set itself stays ordered by `(lapse time, board)` so
     /// the fallback exact walk and rebuild order are deterministic.
     #[test]
     fn stale_set_orders_by_lapse_time() {
-        let mut idx = index(6);
+        let (mut idx, _) = index(6);
         for (b, lapse) in [(4usize, 7u64), (1, 3), (5, 3), (0, 9)] {
-            idx.set_class(b, BoardClass::Stale { lapse_bits: lapse });
+            idx.set_class(b, b % 2, BoardClass::Stale { lapse_bits: lapse });
         }
         let walked: Vec<usize> = idx.stale_iter().collect();
         assert_eq!(walked, vec![1, 5, 4, 0]);

@@ -541,69 +541,23 @@ pub struct KernelStats {
     pub par_advances: u64,
 }
 
-/// Board-architecture lookup tables, computed once per run so the
-/// per-arrival estimate work is O(architectures), not O(boards).
-struct ArchMap {
-    /// Distinct architecture keys, first-appearance order.
-    keys: Vec<&'static str>,
-    /// Architecture index of every board.
-    of_board: Vec<usize>,
-    /// A representative board index per architecture.
-    representative: Vec<usize>,
-}
-
-impl ArchMap {
-    fn new(cluster: &crate::cluster::ClusterSpec) -> Self {
-        let keys = cluster.arch_keys();
-        let of_board = (0..cluster.len())
-            .map(|b| {
-                keys.iter()
-                    .position(|&k| k == cluster.arch_key(b))
-                    .expect("every board's arch is in arch_keys")
-            })
-            .collect();
-        let representative = keys
-            .iter()
-            .map(|k| cluster.representative_board_idx(k))
-            .collect();
-        ArchMap {
-            keys,
-            of_board,
-            representative,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-}
-
 /// Per-run scratch for estimate construction, refilled in place per
-/// arrival so estimating allocates nothing however many jobs stream
-/// through. The per-architecture arrays are sized to the cluster's
-/// distinct architecture count — any number of architectures works.
+/// admission so estimating allocates nothing however many jobs stream
+/// through. Both parts hold one slot per architecture class of the
+/// run's [`ClusterState`].
 struct EstScratch {
-    /// Per-board estimates handed to dispatchers (feedback-corrected).
+    /// Estimates handed to dispatchers (feedback-corrected).
     est: JobEstimates,
-    /// Uncorrected per-architecture profiled walls — what policy
-    /// resolution and the admission guard reason about.
+    /// Uncorrected profiled walls — what policy resolution and the
+    /// admission guard reason about.
     base_s: Vec<f64>,
-    /// Corrected per-architecture service estimates.
-    service_s: Vec<f64>,
-    /// Per-architecture energy estimates.
-    energy_j: Vec<f64>,
-    /// Per-architecture warm-cache bits.
-    warm: Vec<bool>,
 }
 
 impl EstScratch {
-    fn new(n_boards: usize, n_arches: usize) -> Self {
+    fn new(n_arches: usize) -> Self {
         EstScratch {
-            est: JobEstimates::zeroed(n_boards),
+            est: JobEstimates::zeroed(n_arches),
             base_s: vec![0.0; n_arches],
-            service_s: vec![0.0; n_arches],
-            energy_j: vec![0.0; n_arches],
-            warm: vec![false; n_arches],
         }
     }
 }
@@ -688,7 +642,6 @@ pub struct ResidentKernel<'a, 'r> {
     machine_exec: MachineExecutor,
     session: Option<ReplaySession<'r>>,
     progs: ProgramSet,
-    arches: ArchMap,
     profiles: ProfileTable,
     state: ClusterState<'a>,
     shards: ShardSet,
@@ -834,7 +787,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             );
         }
 
-        let arches = ArchMap::new(sim.cluster);
         let profiles = ProfileTable::new();
         let mut state = ClusterState::new(sim.cluster, scenario.dispatch);
         // Indexed argmin dispatch: the kernel maintains the index at
@@ -849,7 +801,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         let feedback = scenario.feedback.then(ServiceFeedback::default);
         let outcomes: Vec<JobOutcome> = Vec::with_capacity(if retain { cursor.total() } else { 0 });
         // Per-arrival scratch, refilled in place (no per-event allocs).
-        let scratch = EstScratch::new(n_boards, arches.len());
+        let scratch = EstScratch::new(state.n_arch());
 
         // The control queue: churn first (so a down-at-t beats an
         // arrival at the same t), then the compiled chaos events in
@@ -896,7 +848,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             machine_exec,
             session,
             progs,
-            arches,
             profiles,
             state,
             shards,
@@ -942,7 +893,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             machine_exec,
             session,
             progs,
-            arches,
             profiles,
             state,
             shards,
@@ -1106,7 +1056,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     scenario.policy,
                     &job,
                     module,
-                    &*arches,
+                    &*state,
                     feedback.as_ref(),
                     &mut *scratch,
                 );
@@ -1136,23 +1086,19 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     &job,
                     module,
                     b,
-                    scratch.base_s[arches.of_board[b]],
+                    scratch.base_s[state.arch_class(b)],
                     &mut *train_time_s,
                     &mut *train_energy_j,
                     &mut *guard_bypasses,
                 );
-                ensure_static_build(&mut *progs, module, &job, &schedule, &*arches, b);
+                let arch = sim.cluster.arch_key(b);
+                ensure_static_build(&mut *progs, module, &job, &schedule, arch);
                 // The corrupted profiled estimate is what the job
                 // is admitted with — and what the feedback layer
                 // later compares observed service against, which
                 // is exactly how the EWMA learns the 1/mf repair.
                 let profiled_s = profiled_s * mf;
-                let svc_est = corrected(
-                    profiled_s,
-                    feedback.as_ref(),
-                    &job,
-                    arches.keys[arches.of_board[b]],
-                );
+                let svc_est = corrected(profiled_s, feedback.as_ref(), &job, arch);
 
                 // Oracle accumulator: batch stage-1 semantics.
                 let acc = &mut state.boards[b].oracle_busy_until_s;
@@ -1163,7 +1109,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     job,
                     slo_s,
                     schedule,
-                    sched_arch: sim.cluster.arch_key(b),
+                    sched_arch: arch,
                     est_service_s: svc_est,
                     profiled_s,
                     penalty_s: 0.0,
@@ -1203,7 +1149,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                         &mut *shards,
                         &mut *progs,
                         &*modules,
-                        &*arches,
                         feedback.as_ref(),
                         &*chaos,
                         &mut *stats,
@@ -1323,7 +1268,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                         &mut *shards,
                         &mut *progs,
                         &*modules,
-                        &*arches,
                         feedback.as_ref(),
                         &*chaos,
                         qj,
@@ -1710,13 +1654,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         }
         let ctrl = EventQueue::decode(&mut dec, n_boards, n_clauses)?;
         let mut stats = dec_kernel_stats(&mut dec)?;
+        let arch_keys = self.sim.cluster.arch_keys();
         let mut boards = Vec::with_capacity(n_boards);
         for _ in 0..n_boards {
             boards.push(BoardState::decode(
-                &mut dec,
-                &self.arches.keys,
-                n_boards,
-                n_clauses,
+                &mut dec, &arch_keys, n_boards, n_clauses,
             )?);
         }
         // Queued jobs must name workloads this kernel compiled modules
@@ -1743,7 +1685,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         let messages = dec.u64()?;
         let chaos_stats = dec_chaos_stats(&mut dec, &self.chaos.stats)?;
         let feedback = if dec.bool()? {
-            Some(ServiceFeedback::decode(&mut dec, &self.arches.keys)?)
+            Some(ServiceFeedback::decode(&mut dec, &arch_keys)?)
         } else {
             None
         };
@@ -1752,7 +1694,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 "feedback section does not match the scenario",
             ));
         }
-        let cache = PolicyCache::decode(&mut dec, &self.arches.keys)?;
+        let cache = PolicyCache::decode(&mut dec, &arch_keys)?;
         let train_time_s = dec.f64()?;
         let train_energy_j = dec.f64()?;
         let guard_bypasses = dec.u64()?;
@@ -1828,8 +1770,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     module,
                     &q.job,
                     &q.schedule,
-                    &self.arches,
-                    b,
+                    self.sim.cluster.arch_key(b),
                 );
             }
         }
@@ -1840,12 +1781,12 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
 impl FleetSim<'_> {
     // ---- admission ----------------------------------------------------------
 
-    /// Refill `scratch` with per-board estimates for `job` (and the
-    /// uncorrected per-architecture profiled walls); returns the
-    /// resolved SLO. Profiled values are computed once per
-    /// *architecture* and fanned out to boards, so an arrival costs
-    /// O(architectures) profile lookups however many boards the
-    /// cluster has. Read-only on the cache (peeks, no accounting).
+    /// Refill `scratch` with `job`'s estimates, one slot per
+    /// architecture class of `state` (and the uncorrected profiled
+    /// walls); returns the resolved SLO. Each class is profiled on its
+    /// first board, so an admission costs O(architectures) however many
+    /// boards the cluster has. Read-only on the cache (peeks, no
+    /// accounting).
     #[allow(clippy::too_many_arguments)]
     fn estimates_into(
         &self,
@@ -1855,33 +1796,20 @@ impl FleetSim<'_> {
         policy: PolicyMode,
         job: &JobSpec,
         module: &Module,
-        arches: &ArchMap,
+        state: &ClusterState,
         feedback: Option<&ServiceFeedback>,
         scratch: &mut EstScratch,
     ) -> f64 {
         let slo_s = job.slo_tightness * self.best_cold_wall(exec, profiles, &job.workload, module);
-        debug_assert_eq!(scratch.base_s.len(), arches.len());
-        for a in 0..arches.len() {
-            let arch = arches.keys[a];
-            let (wall, energy, warm) = self.estimate_on(
-                exec,
-                profiles,
-                cache,
-                policy,
-                job,
-                module,
-                arches.representative[a],
-            );
+        debug_assert_eq!(scratch.base_s.len(), state.n_arch());
+        for a in 0..state.n_arch() {
+            let b = state.arch_first_board(a);
+            let (wall, energy, warm) =
+                self.estimate_on(exec, profiles, cache, policy, job, module, b);
             scratch.base_s[a] = wall;
-            scratch.service_s[a] = corrected(wall, feedback, job, arch);
-            scratch.energy_j[a] = energy;
-            scratch.warm[a] = warm;
-        }
-        for b in 0..arches.of_board.len() {
-            let a = arches.of_board[b];
-            scratch.est.service_s[b] = scratch.service_s[a];
-            scratch.est.energy_j[b] = scratch.energy_j[a];
-            scratch.est.warm[b] = scratch.warm[a];
+            scratch.est.service_s[a] = corrected(wall, feedback, job, self.cluster.arch_key(b));
+            scratch.est.energy_j[a] = energy;
+            scratch.est.warm[a] = warm;
         }
         slo_s
     }
@@ -2086,7 +2014,6 @@ impl FleetSim<'_> {
         shards: &mut ShardSet,
         progs: &mut ProgramSet,
         modules: &BTreeMap<&'static str, Module>,
-        arches: &ArchMap,
         feedback: Option<&ServiceFeedback>,
         chaos: &CompiledChaos,
         qj: QueuedJob,
@@ -2101,7 +2028,7 @@ impl FleetSim<'_> {
             scenario.policy,
             &qj.job,
             &modules[qj.job.workload.name],
-            arches,
+            state,
             feedback,
             scratch,
         );
@@ -2134,7 +2061,7 @@ impl FleetSim<'_> {
         // preemptive migrations (max_migrations) do not consume it.
         qj.redispatches += 1;
         let module = &modules[qj.job.workload.name];
-        ensure_static_build(progs, module, &qj.job, &qj.schedule, arches, b);
+        ensure_static_build(progs, module, &qj.job, &qj.schedule, qj.sched_arch);
         // Oracle accumulators track redistributed work too (the oracle
         // still books what it re-plans, it just never observes reality).
         let acc = &mut state.boards[b].oracle_busy_until_s;
@@ -2172,7 +2099,6 @@ impl FleetSim<'_> {
         shards: &mut ShardSet,
         progs: &mut ProgramSet,
         modules: &BTreeMap<&'static str, Module>,
-        arches: &ArchMap,
         feedback: Option<&ServiceFeedback>,
         chaos: &CompiledChaos,
         stats: &mut KernelStats,
@@ -2212,12 +2138,8 @@ impl FleetSim<'_> {
                             module,
                             b2,
                         );
-                        let wall = corrected(
-                            wall * mf,
-                            feedback,
-                            &qj.job,
-                            arches.keys[arches.of_board[b2]],
-                        );
+                        let wall =
+                            corrected(wall * mf, feedback, &qj.job, self.cluster.arch_key(b2));
                         // The job keeps its already-accumulated penalty
                         // on the target board, so the prediction must
                         // carry it — or a re-migration could be
@@ -2249,7 +2171,7 @@ impl FleetSim<'_> {
                             mf,
                         );
                         let module = &modules[qj2.job.workload.name];
-                        ensure_static_build(progs, module, &qj2.job, &qj2.schedule, arches, b2);
+                        ensure_static_build(progs, module, &qj2.job, &qj2.schedule, qj2.sched_arch);
                         state.boards[b2].dispatched += 1;
                         shards.deliver(
                             &mut state.boards,
@@ -2342,20 +2264,20 @@ fn corrected(
     }
 }
 
-/// Make sure the static build a queued job will run is compiled into
-/// the program memo before the job reaches a shard (shards only read).
+/// Make sure the static build a queued job will run on an `arch` board
+/// is compiled into the program memo before the job reaches a shard
+/// (shards only read).
 fn ensure_static_build(
     progs: &mut ProgramSet,
     module: &Module,
     job: &JobSpec,
     schedule: &Option<(astro_core::schedule::StaticSchedule, u32)>,
-    arches: &ArchMap,
-    b: usize,
+    arch: &'static str,
 ) {
     if let Some((st, version)) = schedule {
         let key = (
             crate::sim::sk(job.workload.name),
-            crate::sim::sk(arches.keys[arches.of_board[b]]),
+            crate::sim::sk(arch),
             *version,
         );
         progs

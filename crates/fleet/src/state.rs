@@ -21,10 +21,10 @@
 //!   bursts, estimate error and board churn.
 
 use crate::cluster::ClusterSpec;
-use crate::index::{BoardClass, DispatchIndex};
+use crate::index::{BoardClass, DispatchIndex, StaleView};
 use crate::job::{JobOutcome, JobSpec, Taxon};
 use astro_core::schedule::StaticSchedule;
-use std::cell::Cell;
+use std::cell::{Cell, Ref};
 use std::collections::VecDeque;
 
 /// What backlog estimate dispatchers observe.
@@ -416,8 +416,10 @@ impl BoardState {
 /// Placeability — the one predicate every dispatcher scans per
 /// arrival — is mirrored into a dense `Vec<bool>` maintained at
 /// liveness/blackout edges, so the scan walks a flat byte array
-/// instead of striding through [`BoardState`] structs; a live count
-/// makes [`ClusterState::any_placeable`] O(1).
+/// instead of striding through [`BoardState`] structs; live counts
+/// make [`ClusterState::any_placeable`] and [`ClusterState::any_up`]
+/// O(1). The state also owns the crate's one board→architecture-class
+/// map ([`ClusterState::arch_class`]).
 #[derive(Clone, Debug)]
 pub struct ClusterState<'a> {
     /// The static board specs.
@@ -433,6 +435,12 @@ pub struct ClusterState<'a> {
     placeable: Vec<bool>,
     /// How many entries of `placeable` are true.
     n_placeable: usize,
+    /// How many boards are up, maintained by [`ClusterState::set_up`].
+    n_up: usize,
+    /// Architecture class of every board.
+    arch_of: Vec<u16>,
+    /// Lowest-indexed board of every class.
+    arch_first: Vec<usize>,
     /// Incrementally maintained argmin index over placeable boards
     /// (see [`crate::index`]). Disabled unless the owner opts in with
     /// [`ClusterState::rebuild_dispatch_index`] and repairs it at every
@@ -444,6 +452,19 @@ pub struct ClusterState<'a> {
 impl<'a> ClusterState<'a> {
     /// Fresh state: every board up, idle and empty at time zero.
     pub fn new(spec: &'a ClusterSpec, mode: DispatchMode) -> Self {
+        let mut arch_first: Vec<usize> = Vec::new();
+        let arch_of = (0..spec.len())
+            .map(|b| {
+                let a = arch_first
+                    .iter()
+                    .position(|&f| spec.arch_key(f) == spec.arch_key(b))
+                    .unwrap_or_else(|| {
+                        arch_first.push(b);
+                        arch_first.len() - 1
+                    });
+                u16::try_from(a).expect("fewer than 65536 architectures")
+            })
+            .collect();
         ClusterState {
             spec,
             mode,
@@ -451,8 +472,33 @@ impl<'a> ClusterState<'a> {
             boards: (0..spec.len()).map(|_| BoardState::new()).collect(),
             placeable: vec![true; spec.len()],
             n_placeable: spec.len(),
+            n_up: spec.len(),
+            arch_of,
+            arch_first,
             index: DispatchIndex::default(),
         }
+    }
+
+    /// Architecture class of board `b`: the slot holding `b`'s values
+    /// in a [`JobEstimates`](crate::dispatch::JobEstimates). Classes
+    /// number the distinct architecture keys in order of first
+    /// appearance over the boards, as [`ClusterSpec::arch_keys`] lists
+    /// them.
+    #[inline]
+    pub fn arch_class(&self, b: usize) -> usize {
+        self.arch_of[b] as usize
+    }
+
+    /// Number of architecture classes.
+    #[inline]
+    pub fn n_arch(&self) -> usize {
+        self.arch_first.len()
+    }
+
+    /// Lowest-indexed board of class `a` — the board the kernel
+    /// profiles the class on.
+    pub(crate) fn arch_first_board(&self, a: usize) -> usize {
+        self.arch_first[a]
     }
 
     /// Enable the dispatch index and (re)build it from the current
@@ -460,10 +506,12 @@ impl<'a> ClusterState<'a> {
     /// [`ClusterState`]'s own mutators must be followed by
     /// [`ClusterState::refresh_dispatch_index`] on the touched board,
     /// and every clock move must go through the kernel's advance path —
-    /// the contract the event kernel upholds. Indexed picks also assume
-    /// the estimates handed to dispatchers are fanned out per
-    /// architecture class (identical values for boards sharing an
-    /// architecture key), which the kernel's estimate path guarantees.
+    /// the contract the event kernel upholds. Indexed picks rely on
+    /// estimates being constant within an architecture class, which
+    /// holds by construction: a
+    /// [`JobEstimates`](crate::dispatch::JobEstimates) has one slot per
+    /// class, read through [`ClusterState::arch_class`] — the same map
+    /// the index files boards by.
     ///
     /// Fleets smaller than `INDEX_MIN_BOARDS` (32, in `crate::index`)
     /// keep the index disabled — a linear scan over a few dozen boards
@@ -479,20 +527,7 @@ impl<'a> ClusterState<'a> {
     /// fleet size. Tests use this to exercise the indexed paths on
     /// small hand-built clusters.
     pub(crate) fn enable_dispatch_index(&mut self) {
-        let mut keys: Vec<&'static str> = Vec::new();
-        let arch_of = (0..self.len())
-            .map(|b| {
-                let k = self.spec.arch_key(b);
-                match keys.iter().position(|&x| x == k) {
-                    Some(i) => i as u16,
-                    None => {
-                        keys.push(k);
-                        (keys.len() - 1) as u16
-                    }
-                }
-            })
-            .collect();
-        self.index.reset(arch_of, keys.len());
+        self.index.reset(self.len(), self.n_arch());
         for b in 0..self.len() {
             self.refresh_dispatch_index(b);
         }
@@ -517,6 +552,18 @@ impl<'a> ClusterState<'a> {
         } else {
             None
         }
+    }
+
+    /// The index's stale-class view at the current clock, or `None`
+    /// when the stale set is small enough to walk exactly (see
+    /// [`DispatchIndex::stale_view`]).
+    #[inline]
+    pub(crate) fn stale_view(&self) -> Option<Ref<'_, StaleView>> {
+        self.index.stale_view(
+            self.now_s.to_bits(),
+            |b| self.backlog_s(b).to_bits(),
+            &self.arch_of,
+        )
     }
 
     /// Classify board `b` for the dispatch index from its live state
@@ -567,7 +614,7 @@ impl<'a> ClusterState<'a> {
             return;
         }
         let class = self.classify_board(b);
-        self.index.set_class(b, class);
+        self.index.set_class(b, self.arch_class(b), class);
     }
 
     /// Advance the virtual clock to at least `time_s`, sweeping the
@@ -593,7 +640,14 @@ impl<'a> ClusterState<'a> {
     /// Set board `b`'s liveness, keeping the placeability mirror in
     /// sync. The only sanctioned way to flip `up`.
     pub(crate) fn set_up(&mut self, b: usize, up: bool) {
-        self.boards[b].up = up;
+        if up != self.boards[b].up {
+            self.boards[b].up = up;
+            if up {
+                self.n_up += 1;
+            } else {
+                self.n_up -= 1;
+            }
+        }
         self.refresh_placeable(b);
     }
 
@@ -628,19 +682,19 @@ impl<'a> ClusterState<'a> {
 
     /// Replace every board with checkpoint-restored state, then rebuild
     /// the derived structures that are *not* serialised: the dense
-    /// placeability mirror, its live count, and the dispatch index.
+    /// placeability mirror, the live counts, and the dispatch index.
     /// The caller must have set `now_s` to the checkpoint's clock
     /// first — index classification is clock-dependent.
     pub(crate) fn restore_boards(&mut self, boards: Vec<BoardState>) {
         assert_eq!(boards.len(), self.len(), "restore with matching fleet size");
         self.boards = boards;
         self.n_placeable = 0;
+        self.n_up = 0;
         for b in 0..self.boards.len() {
             let s = &self.boards[b];
             self.placeable[b] = s.up && s.blackouts == 0;
-            if self.placeable[b] {
-                self.n_placeable += 1;
-            }
+            self.n_placeable += self.placeable[b] as usize;
+            self.n_up += s.up as usize;
         }
         if self.index.enabled {
             self.enable_dispatch_index();
@@ -670,9 +724,9 @@ impl<'a> ClusterState<'a> {
         (0..self.len()).filter(|&b| self.boards[b].up)
     }
 
-    /// Is any board up?
+    /// Is any board up? O(1): a maintained count.
     pub fn any_up(&self) -> bool {
-        self.boards.iter().any(|b| b.up)
+        self.n_up > 0
     }
 
     /// May the dispatcher place new work on board `b`? Up *and* not
@@ -934,6 +988,61 @@ mod tests {
         assert!(!st.any_placeable());
         st.remove_blackout(2);
         assert!(st.any_placeable());
+    }
+
+    #[test]
+    fn up_count_tracks_set_up_and_restore() {
+        let spec = ClusterSpec::heterogeneous(3);
+        let mut st = ClusterState::new(&spec, DispatchMode::Online);
+        assert!(st.any_up());
+        st.set_up(0, false);
+        st.set_up(0, false); // a repeated edge must not count twice
+        st.set_up(1, false);
+        assert!(st.any_up());
+        st.set_up(2, false);
+        assert!(!st.any_up());
+        st.set_up(1, true);
+        st.set_up(1, true);
+        assert!(st.any_up());
+        st.set_up(1, false);
+        assert!(!st.any_up());
+        // Restore recounts from the restored boards.
+        let mut boards: Vec<BoardState> = (0..3).map(|_| BoardState::new()).collect();
+        boards[0].up = false;
+        boards[1].up = false;
+        st.restore_boards(boards);
+        assert!(st.any_up());
+        st.set_up(2, false);
+        assert!(!st.any_up(), "restore counted exactly one board up");
+        let boards = (0..3)
+            .map(|_| {
+                let mut s = BoardState::new();
+                s.up = false;
+                s
+            })
+            .collect();
+        st.restore_boards(boards);
+        assert!(!st.any_up());
+    }
+
+    #[test]
+    fn arch_classes_number_keys_by_first_appearance() {
+        use astro_hw::boards::BoardSpec;
+        let spec = ClusterSpec {
+            boards: vec![
+                BoardSpec::rk3399(),
+                BoardSpec::jetson_tk1(),
+                BoardSpec::rk3399(),
+                BoardSpec::odroid_xu4(),
+                BoardSpec::jetson_tk1(),
+            ],
+        };
+        let st = ClusterState::new(&spec, DispatchMode::Online);
+        assert_eq!(st.n_arch(), spec.arch_keys().len());
+        let classes: Vec<usize> = (0..spec.len()).map(|b| st.arch_class(b)).collect();
+        assert_eq!(classes, vec![0, 1, 0, 2, 1]);
+        let first: Vec<usize> = (0..3).map(|a| st.arch_first_board(a)).collect();
+        assert_eq!(first, vec![0, 1, 3]);
     }
 
     #[test]

@@ -18,11 +18,60 @@
 //! which needs crate-private state.
 
 use astro_fleet::{
-    ArrivalProcess, ChaosSchedule, ChurnEvent, ClusterSpec, Dispatcher, EnergyAware, FleetOutcome,
-    FleetParams, FleetSim, LeastLoaded, PhaseAware, PolicyCache, PolicyMode, Scenario,
+    ArrivalProcess, ChaosSchedule, ChurnEvent, ClusterSpec, ClusterState, Dispatcher, EnergyAware,
+    FleetOutcome, FleetParams, FleetSim, JobEstimates, JobSpec, LeastLoaded, PhaseAware,
+    PolicyCache, PolicyMode, Scenario,
 };
+use astro_hw::boards::BoardSpec;
 use astro_workloads::{InputSize, Workload};
 use proptest::prelude::*;
+
+/// XU4, RK3399 and TK1 boards in a repeating seven-board layout, built
+/// from the public `boards` field. First appearance numbers the
+/// architecture classes RK3399, TK1, XU4 — neither board parity nor
+/// constructor order — so a board→class mix-up reads the wrong
+/// estimate slot.
+fn three_arch(n: usize) -> ClusterSpec {
+    let layout: [fn() -> BoardSpec; 7] = [
+        BoardSpec::rk3399,
+        BoardSpec::rk3399,
+        BoardSpec::jetson_tk1,
+        BoardSpec::odroid_xu4,
+        BoardSpec::jetson_tk1,
+        BoardSpec::odroid_xu4,
+        BoardSpec::odroid_xu4,
+    ];
+    ClusterSpec {
+        boards: (0..n).map(|b| layout[b % layout.len()]()).collect(),
+    }
+}
+
+/// Checks the estimate contract on every pick, then delegates: one
+/// estimate slot per architecture class, and a board→class map that
+/// agrees with the cluster's own first-appearance key order.
+struct ClassChecked(Box<dyn Dispatcher>);
+
+impl Dispatcher for ClassChecked {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn pick(&mut self, state: &ClusterState, job: &JobSpec, est: &JobEstimates) -> usize {
+        let keys = state.spec.arch_keys();
+        assert_eq!(state.n_arch(), keys.len());
+        assert_eq!(est.service_s.len(), keys.len());
+        assert_eq!(est.energy_j.len(), keys.len());
+        assert_eq!(est.warm.len(), keys.len());
+        for b in 0..state.len() {
+            assert_eq!(
+                keys[state.arch_class(b)],
+                state.spec.arch_key(b),
+                "board {b} maps to the wrong architecture class"
+            );
+        }
+        self.0.pick(state, job, est)
+    }
+}
 
 fn pool() -> Vec<Workload> {
     ["swaptions", "bfs"]
@@ -76,10 +125,16 @@ fn dispatcher(pick: u8) -> Box<dyn Dispatcher> {
 /// and a misprofile window that makes service estimates systematically
 /// wrong — the feedback layer then shifts estimates mid-run, which is
 /// what populates the Stale class (lapsed in-flight estimates with
-/// work still queued).
+/// work still queued). Runs on the alternating two-architecture fleet
+/// and on the three-architecture layout.
 #[test]
 fn deep_queue_churn_chaos_stress() {
-    let cluster = ClusterSpec::heterogeneous(64);
+    for cluster in [ClusterSpec::heterogeneous(64), three_arch(64)] {
+        deep_queue_churn_chaos_stress_on(&cluster);
+    }
+}
+
+fn deep_queue_churn_chaos_stress_on(cluster: &ClusterSpec) {
     let jobs = ArrivalProcess::Bursty {
         rate_jobs_per_s: 400_000.0,
         burst: 32,
@@ -114,9 +169,10 @@ fn deep_queue_churn_chaos_stress() {
             let mut params = FleetParams::new(23);
             params.backend = astro_fleet::BackendKind::Replay;
             params.shards = shards;
-            let sim = FleetSim::new(&cluster, params);
+            let sim = FleetSim::new(cluster, params);
             let mut cache = PolicyCache::new(0);
-            let out = sim.run(&jobs, &mut *dispatcher(pick), &mut cache, &scenario);
+            let mut d = ClassChecked(dispatcher(pick));
+            let out = sim.run(&jobs, &mut d, &mut cache, &scenario);
             assert_eq!(
                 out.outcomes.len() + out.dropped.len(),
                 1_200,
@@ -217,9 +273,14 @@ proptest! {
         dispatcher_pick in 0u8..3,
         churn_raw in prop::collection::vec((0usize..24, 5u32..60, 5u32..30, 0u8..2), 0..4),
         seed in 0u64..500,
+        three_arch_bit in 0u8..2,
     ) {
         let online = online_bit == 1;
-        let cluster = ClusterSpec::heterogeneous(n_boards);
+        let cluster = if three_arch_bit == 1 {
+            three_arch(n_boards)
+        } else {
+            ClusterSpec::heterogeneous(n_boards)
+        };
         let jobs = ArrivalProcess::Poisson { rate_jobs_per_s: rate }
             .generate(n_jobs, &pool(), InputSize::Test, (2.0, 8.0), seed);
         let horizon = jobs.last().unwrap().arrival_s;
@@ -281,7 +342,8 @@ proptest! {
             params.shards = shards;
             let sim = FleetSim::new(&cluster, params);
             let mut cache = PolicyCache::new(0);
-            let out = sim.run(&jobs, &mut *dispatcher(dispatcher_pick), &mut cache, &scenario);
+            let mut d = ClassChecked(dispatcher(dispatcher_pick));
+            let out = sim.run(&jobs, &mut d, &mut cache, &scenario);
             prop_assert_eq!(out.outcomes.len() + out.dropped.len(), n_jobs);
             let fp = fingerprint(&out);
             match &reference {
