@@ -11,24 +11,30 @@ use crate::program::{CallSite, CompiledProgram, CompiledTerm, Segment, WorkChunk
 use crate::thread::{next_address, Frame, SimThread};
 use astro_hw::cache::{AccessOutcome, CacheHierarchy};
 use astro_hw::cores::CoreSpec;
-use astro_ir::{BranchBehavior, InstrClass};
+use astro_ir::{BranchBehavior, FunctionId, InstrClass, LibCall};
 use rand::Rng;
 
 /// Why a slice ended.
-#[derive(Clone, Debug, PartialEq)]
-pub enum StopReason {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum StopReason<'p> {
     /// Budget exhausted; the thread is still runnable.
     Budget,
-    /// An engine-handled call was reached (position already advanced
-    /// past it).
-    EngineCall(CallSite),
+    /// An engine-handled library call was reached (position already
+    /// advanced past it); `imms` borrows the call site's constant
+    /// arguments from the program.
+    EngineCall {
+        /// The routine.
+        callee: LibCall,
+        /// The call site's constant arguments.
+        imms: &'p [i64],
+    },
     /// The thread's outermost frame returned.
     Finished,
 }
 
 /// Accounting for one slice.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SliceOutcome {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SliceOutcome<'p> {
     /// Cycles spent executing instructions.
     pub exec_cycles: f64,
     /// Cycles spent stalled on L2/DRAM.
@@ -40,62 +46,62 @@ pub struct SliceOutcome {
     /// L1 misses among them.
     pub mem_misses: u64,
     /// Why the slice stopped.
-    pub stop: StopReason,
+    pub stop: StopReason<'p>,
 }
 
-impl SliceOutcome {
+impl SliceOutcome<'_> {
     /// Total cycles (execution + stalls).
     pub fn total_cycles(&self) -> f64 {
         self.exec_cycles + self.stall_cycles
     }
 }
 
-/// Maximum call depth (workloads are non-recursive by construction; this
-/// guards against accidental cycles).
-const MAX_DEPTH: usize = 64;
+/// What one core model charges for one program's work: the core's
+/// spec, plus every work chunk's execution cycles, summed once per
+/// program and core kind rather than once per executed chunk.
+#[derive(Clone, Debug)]
+pub struct CoreCosts<'s> {
+    /// The core model.
+    pub spec: &'s CoreSpec,
+    /// Execution cycles of chunk `id` (see [`WorkChunk::id`]).
+    chunk_cycles: Vec<f64>,
+}
 
-fn cost_work(
-    w: &WorkChunk,
-    spec: &CoreSpec,
-    cache: &mut CacheHierarchy,
-    prog: &CompiledProgram,
-    frame: &mut Frame,
-    rng: &mut rand::rngs::SmallRng,
-    out: &mut SliceOutcome,
-) {
+impl<'s> CoreCosts<'s> {
+    /// Cost every work chunk of `prog` on `spec`.
+    pub fn new(prog: &CompiledProgram, spec: &'s CoreSpec) -> Self {
+        let mut chunk_cycles = vec![0.0; prog.num_chunks as usize];
+        for seg in prog
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .flat_map(|b| &b.segments)
+        {
+            if let Segment::Work(w) = seg {
+                chunk_cycles[w.id as usize] = exec_cycles(w, spec);
+            }
+        }
+        CoreCosts { spec, chunk_cycles }
+    }
+}
+
+/// A chunk's execution cycles on `spec`: the class sum, left to right.
+fn exec_cycles(w: &WorkChunk, spec: &CoreSpec) -> f64 {
     let mut exec = 0.0;
     for (ci, &n) in w.class_counts.iter().enumerate() {
         if n == 0 {
             continue;
         }
-        let class = CLASSES[ci];
-        exec += n as f64 * spec.cpi.cpi(class);
+        exec += n as f64 * spec.cpi.cpi(CLASSES[ci]);
     }
-    out.exec_cycles += exec;
-    out.instrs += w.instrs as u64;
-
-    // Drive the cache with one access per memory instruction.
-    if w.mem_ops > 0 {
-        let func = prog.func(frame.func);
-        for _ in 0..w.mem_ops {
-            let addr = next_address(func, frame, rng);
-            out.mem_accesses += 1;
-            match cache.access(addr) {
-                AccessOutcome::L1 => {}
-                AccessOutcome::L2 => {
-                    out.mem_misses += 1;
-                    out.stall_cycles += spec.l2_hit_cycles;
-                }
-                AccessOutcome::Dram => {
-                    out.mem_misses += 1;
-                    out.stall_cycles += spec.dram_cycles;
-                }
-            }
-        }
-    }
+    exec
 }
 
-/// Class table in [`class_index`] order.
+/// Maximum call depth (workloads are non-recursive by construction; this
+/// guards against accidental cycles).
+const MAX_DEPTH: usize = 64;
+
+/// Class table in [`class_index`](crate::program::class_index) order.
 const CLASSES: [InstrClass; 7] = [
     InstrClass::IntAlu,
     InstrClass::IntMulDiv,
@@ -106,99 +112,150 @@ const CLASSES: [InstrClass; 7] = [
     InstrClass::CallOverhead,
 ];
 
+/// How the innermost frame's run ended.
+enum FrameExit<'p> {
+    /// A direct call to this function.
+    Call(FunctionId),
+    /// The frame returned.
+    Ret,
+    /// The slice ends here.
+    Stop(StopReason<'p>),
+}
+
 /// Run `thread` for up to `budget_cycles` of core cycles.
-pub fn run_slice(
-    prog: &CompiledProgram,
+///
+/// The accounting lives in locals and the innermost frame's position in
+/// `bb`/`seg`, written back only when the frame is left, so the loop
+/// over segments touches no memory it does not have to. Cycles are
+/// summed in execution order, exactly as the slice retires them.
+pub fn run_slice<'p>(
+    prog: &'p CompiledProgram,
     thread: &mut SimThread,
-    spec: &CoreSpec,
+    costs: &CoreCosts,
     cache: &mut CacheHierarchy,
     budget_cycles: f64,
-) -> SliceOutcome {
-    let mut out = SliceOutcome {
-        exec_cycles: 0.0,
-        stall_cycles: 0.0,
-        instrs: 0,
-        mem_accesses: 0,
-        mem_misses: 0,
-        stop: StopReason::Budget,
-    };
+) -> SliceOutcome<'p> {
+    let spec = costs.spec;
+    let SimThread { id, stack, rng, .. } = thread;
+    let mut exec_cycles = 0.0;
+    let mut stall_cycles = 0.0;
+    let mut instrs = 0u64;
+    let mut mem_accesses = 0u64;
+    let mut mem_misses = 0u64;
 
-    loop {
-        if out.total_cycles() >= budget_cycles {
-            out.stop = StopReason::Budget;
-            return out;
-        }
-        let Some(frame) = thread.stack.last_mut() else {
-            out.stop = StopReason::Finished;
-            return out;
+    let stop = loop {
+        let Some(frame) = stack.last_mut() else {
+            break StopReason::Finished;
         };
         let func = prog.func(frame.func);
-        let block = &func.blocks[frame.block.0 as usize];
-
-        if frame.seg < block.segments.len() {
-            let seg_idx = frame.seg;
-            frame.seg += 1;
-            match &block.segments[seg_idx] {
-                Segment::Work(w) => {
-                    cost_work(w, spec, cache, prog, frame, &mut thread.rng, &mut out);
-                }
-                Segment::Call(CallSite::Direct(callee)) => {
-                    assert!(
-                        thread.stack.len() < MAX_DEPTH,
-                        "call depth exceeded: recursive workload?"
-                    );
-                    let entry = prog.func(*callee).entry;
-                    let cursor = (thread.id.0 as u64) * 8191;
-                    thread.stack.push(Frame::enter(*callee, entry, cursor));
-                }
-                Segment::Call(site @ CallSite::Lib { .. }) => {
-                    out.stop = StopReason::EngineCall(site.clone());
-                    return out;
-                }
+        let (mut bb, mut seg) = (frame.block, frame.seg);
+        let exit = loop {
+            if exec_cycles + stall_cycles >= budget_cycles {
+                break FrameExit::Stop(StopReason::Budget);
             }
-        } else {
-            // Terminator: one control instruction, then transfer.
-            out.exec_cycles += spec.cpi.control;
-            out.instrs += 1;
-            match block.term {
-                CompiledTerm::Jump(t) => {
-                    frame.block = t;
-                    frame.seg = 0;
-                }
-                CompiledTerm::Branch {
-                    then_bb,
-                    else_bb,
-                    behavior,
-                } => {
-                    let take_then = match behavior {
-                        BranchBehavior::Prob(p) => thread.rng.gen::<f64>() < p,
-                        BranchBehavior::Counted(n) => {
-                            let key = frame.block.0;
-                            let remaining = frame
-                                .loop_counters
-                                .entry(key)
-                                .or_insert_with(|| n.saturating_sub(1));
-                            if *remaining > 0 {
-                                *remaining -= 1;
-                                true
-                            } else {
-                                frame.loop_counters.remove(&key);
-                                false
+            let block = &func.blocks[bb.0 as usize];
+            if let Some(segment) = block.segments.get(seg) {
+                seg += 1;
+                match segment {
+                    Segment::Work(w) => {
+                        exec_cycles += costs.chunk_cycles[w.id as usize];
+                        instrs += w.instrs as u64;
+                        // Drive the cache with one access per memory
+                        // instruction.
+                        for _ in 0..w.mem_ops {
+                            let addr = next_address(func, frame, rng);
+                            mem_accesses += 1;
+                            match cache.access(addr) {
+                                AccessOutcome::L1 => {}
+                                AccessOutcome::L2 => {
+                                    mem_misses += 1;
+                                    stall_cycles += spec.l2_hit_cycles;
+                                }
+                                AccessOutcome::Dram => {
+                                    mem_misses += 1;
+                                    stall_cycles += spec.dram_cycles;
+                                }
                             }
                         }
-                    };
-                    frame.block = if take_then { then_bb } else { else_bb };
-                    frame.seg = 0;
-                }
-                CompiledTerm::Ret => {
-                    thread.stack.pop();
-                    if thread.stack.is_empty() {
-                        out.stop = StopReason::Finished;
-                        return out;
+                    }
+                    Segment::Call(CallSite::Direct(callee)) => break FrameExit::Call(*callee),
+                    Segment::Call(CallSite::Lib { callee, imms }) => {
+                        break FrameExit::Stop(StopReason::EngineCall {
+                            callee: *callee,
+                            imms,
+                        });
                     }
                 }
+            } else {
+                // Terminator: one control instruction, then transfer.
+                exec_cycles += spec.cpi.control;
+                instrs += 1;
+                bb = match block.term {
+                    CompiledTerm::Jump(t) => t,
+                    CompiledTerm::Branch {
+                        then_bb,
+                        else_bb,
+                        behavior,
+                    } => {
+                        let take_then = match behavior {
+                            BranchBehavior::Prob(p) => rng.gen::<f64>() < p,
+                            BranchBehavior::Counted(n) => {
+                                let counters = &mut frame.loop_counters;
+                                let i = match counters.iter().position(|&(k, _)| k == bb.0) {
+                                    Some(i) => i,
+                                    None => {
+                                        counters.push((bb.0, n.saturating_sub(1)));
+                                        counters.len() - 1
+                                    }
+                                };
+                                if counters[i].1 > 0 {
+                                    counters[i].1 -= 1;
+                                    true
+                                } else {
+                                    counters.swap_remove(i);
+                                    false
+                                }
+                            }
+                        };
+                        if take_then {
+                            then_bb
+                        } else {
+                            else_bb
+                        }
+                    }
+                    CompiledTerm::Ret => break FrameExit::Ret,
+                };
+                seg = 0;
             }
+        };
+        frame.block = bb;
+        frame.seg = seg;
+        match exit {
+            FrameExit::Call(callee) => {
+                assert!(
+                    stack.len() < MAX_DEPTH,
+                    "call depth exceeded: recursive workload?"
+                );
+                let entry = prog.func(callee).entry;
+                let cursor = (id.0 as u64) * 8191;
+                stack.push(Frame::enter(callee, entry, cursor));
+            }
+            FrameExit::Ret => {
+                stack.pop();
+                if stack.is_empty() {
+                    break StopReason::Finished;
+                }
+            }
+            FrameExit::Stop(stop) => break stop,
         }
+    };
+    SliceOutcome {
+        exec_cycles,
+        stall_cycles,
+        instrs,
+        mem_accesses,
+        mem_misses,
+        stop,
     }
 }
 
@@ -208,7 +265,7 @@ mod tests {
     use crate::program::compile;
     use crate::thread::{SimThread, ThreadId};
     use astro_hw::cache::{CacheHierarchy, CacheParams};
-    use astro_ir::{FunctionBuilder, LibCall, MemBehavior, Module, Ty, Value};
+    use astro_ir::{FunctionBuilder, MemBehavior, Module, Ty, Value};
 
     fn setup(build: impl FnOnce(&mut FunctionBuilder)) -> (CompiledProgram, SimThread) {
         let mut m = Module::new("t");
@@ -227,6 +284,19 @@ mod tests {
         CacheHierarchy::new(CacheParams::L1_32K, CacheParams::L2_512K)
     }
 
+    /// A finished slice's accounting, detached from its program.
+    fn finished(o: SliceOutcome) -> SliceOutcome<'static> {
+        assert_eq!(o.stop, StopReason::Finished);
+        SliceOutcome {
+            exec_cycles: o.exec_cycles,
+            stall_cycles: o.stall_cycles,
+            instrs: o.instrs,
+            mem_accesses: o.mem_accesses,
+            mem_misses: o.mem_misses,
+            stop: StopReason::Finished,
+        }
+    }
+
     #[test]
     fn counted_loop_executes_exact_iterations() {
         let (p, mut t) = setup(|b| {
@@ -235,7 +305,13 @@ mod tests {
             });
         });
         let spec = astro_hw::cores::CoreSpec::big_a15();
-        let out = run_slice(&p, &mut t, &spec, &mut cache(), f64::MAX);
+        let out = run_slice(
+            &p,
+            &mut t,
+            &CoreCosts::new(&p, &spec),
+            &mut cache(),
+            f64::MAX,
+        );
         assert_eq!(out.stop, StopReason::Finished);
         // Per iteration: fadd + iadd + icmp (latch) = 3 instrs + 1 branch.
         // Plus entry jump, exit-block terminator (ret), entry block br.
@@ -250,7 +326,13 @@ mod tests {
         // because both cores wait on the same DRAM.
         let wall = |build: fn(&mut FunctionBuilder), spec: &astro_hw::cores::CoreSpec| {
             let (p, mut t) = setup(build);
-            let o = run_slice(&p, &mut t, spec, &mut cache(), f64::MAX);
+            let o = run_slice(
+                &p,
+                &mut t,
+                &CoreCosts::new(&p, spec),
+                &mut cache(),
+                f64::MAX,
+            );
             o.total_cycles() / (spec.freq_ghz * 1e9)
         };
         let compute = |b: &mut FunctionBuilder| {
@@ -285,12 +367,18 @@ mod tests {
             });
         });
         let spec = astro_hw::cores::CoreSpec::big_a15();
-        let out = run_slice(&p, &mut t, &spec, &mut cache(), 1000.0);
+        let out = run_slice(&p, &mut t, &CoreCosts::new(&p, &spec), &mut cache(), 1000.0);
         assert_eq!(out.stop, StopReason::Budget);
         assert!(out.total_cycles() >= 1000.0);
         assert!(out.total_cycles() < 5000.0, "overshoot bounded");
         // Resuming finishes the job with the remaining iterations.
-        let out2 = run_slice(&p, &mut t, &spec, &mut cache(), f64::MAX);
+        let out2 = run_slice(
+            &p,
+            &mut t,
+            &CoreCosts::new(&p, &spec),
+            &mut cache(),
+            f64::MAX,
+        );
         assert_eq!(out2.stop, StopReason::Finished);
     }
 
@@ -302,16 +390,28 @@ mod tests {
             b.load(Ty::I64);
         });
         let spec = astro_hw::cores::CoreSpec::big_a15();
-        let out = run_slice(&p, &mut t, &spec, &mut cache(), f64::MAX);
+        let out = run_slice(
+            &p,
+            &mut t,
+            &CoreCosts::new(&p, &spec),
+            &mut cache(),
+            f64::MAX,
+        );
         match out.stop {
-            StopReason::EngineCall(CallSite::Lib { callee, ref imms }) => {
+            StopReason::EngineCall { callee, imms } => {
                 assert_eq!(callee, LibCall::Sleep);
-                assert_eq!(imms[0], 123);
+                assert_eq!(imms, &[123]);
             }
             ref s => panic!("expected engine call, got {s:?}"),
         }
         // Continue: the remaining load then finish.
-        let out2 = run_slice(&p, &mut t, &spec, &mut cache(), f64::MAX);
+        let out2 = run_slice(
+            &p,
+            &mut t,
+            &CoreCosts::new(&p, &spec),
+            &mut cache(),
+            f64::MAX,
+        );
         assert_eq!(out2.stop, StopReason::Finished);
         assert_eq!(out2.mem_accesses, 1);
     }
@@ -331,7 +431,13 @@ mod tests {
             let p = compile(&m).unwrap();
             let mut t = SimThread::new(ThreadId(0), p.entry, astro_ir::BlockId(0), None, 3);
             let spec = astro_hw::cores::CoreSpec::big_a15();
-            run_slice(&p, &mut t, &spec, &mut cache(), f64::MAX)
+            finished(run_slice(
+                &p,
+                &mut t,
+                &CoreCosts::new(&p, &spec),
+                &mut cache(),
+                f64::MAX,
+            ))
         };
         let small = run_ws(8 * 1024); // fits L1
         let large = run_ws(8 * 1024 * 1024); // blows both levels
@@ -357,7 +463,13 @@ mod tests {
         let p = compile(&m).unwrap();
         let mut t = SimThread::new(ThreadId(0), main_id, astro_ir::BlockId(0), None, 5);
         let spec = astro_hw::cores::CoreSpec::big_a15();
-        let out = run_slice(&p, &mut t, &spec, &mut cache(), f64::MAX);
+        let out = run_slice(
+            &p,
+            &mut t,
+            &CoreCosts::new(&p, &spec),
+            &mut cache(),
+            f64::MAX,
+        );
         assert_eq!(out.stop, StopReason::Finished);
         assert!(t.stack.is_empty());
         // Each leaf call: 5*(iadd+latch add+cmp+branch) + entry br + ret ≈
@@ -383,7 +495,13 @@ mod tests {
                 });
             });
             let spec = astro_hw::cores::CoreSpec::big_a15();
-            run_slice(&p, &mut t, &spec, &mut cache(), f64::MAX)
+            finished(run_slice(
+                &p,
+                &mut t,
+                &CoreCosts::new(&p, &spec),
+                &mut cache(),
+                f64::MAX,
+            ))
         };
         let a = run();
         let b = run();

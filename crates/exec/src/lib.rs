@@ -36,7 +36,7 @@ pub mod thread;
 pub mod time;
 
 pub use executor::{BackendKind, ExecPolicy, ExecRequest, Executor, MachineExecutor};
-pub use interp::{run_slice, SliceOutcome, StopReason};
+pub use interp::{run_slice, CoreCosts, SliceOutcome, StopReason};
 pub use machine::{Machine, MachineParams};
 pub use program::{compile, CallSite, CompiledProgram, Segment, WorkChunk};
 pub use result::RunResult;

@@ -9,8 +9,8 @@
 //! Power is integrated piecewise between events from each core's current
 //! activity, reproducing what the paper's on-board sensors measure.
 
-use crate::interp::{run_slice, StopReason};
-use crate::program::{CallSite, CompiledProgram};
+use crate::interp::{run_slice, CoreCosts, SliceOutcome, StopReason};
+use crate::program::CompiledProgram;
 use crate::result::RunResult;
 use crate::runtime::{MonitorSample, RuntimeHooks};
 use crate::sched::{OsScheduler, SchedView};
@@ -21,6 +21,7 @@ use astro_compiler::ProgramPhase;
 use astro_hw::boards::BoardSpec;
 use astro_hw::cache::CacheHierarchy;
 use astro_hw::config::HwConfig;
+use astro_hw::cores::CoreKind;
 use astro_hw::counters::{HwPhase, PerfCounters};
 use astro_hw::energy::{EnergyMeter, PowerProbe};
 use astro_hw::power::CoreActivity;
@@ -62,9 +63,6 @@ pub struct MachineParams {
     /// Cost of a hybrid decision (reads performance counters — the extra
     /// runtime overhead §3.3 attributes to hybrid scheduling).
     pub hybrid_decide_cost: SimTime,
-    /// Kernel-side latency applied when the hardware configuration
-    /// changes (hotplug + task shuffling).
-    pub config_change_cost: SimTime,
     /// Minimum dwell time between configuration changes: requests that
     /// arrive earlier are dropped. Rate-limits the per-function-entry
     /// actuation of static/hybrid binaries, exactly like a hotplug
@@ -100,7 +98,6 @@ impl Default for MachineParams {
             sync_cost: SimTime::from_micros(1.5),
             intrinsic_cost: SimTime::from_micros(0.08),
             hybrid_decide_cost: SimTime::from_micros(2.5),
-            config_change_cost: SimTime::from_micros(120.0),
             min_config_dwell: SimTime::from_millis(50.0),
             max_sim_time: SimTime::from_secs(20_000.0),
             available: None,
@@ -209,13 +206,13 @@ impl PartialOrd for Event {
     }
 }
 
-struct CoreState {
+struct CoreState<'a> {
     enabled: bool,
     running: Option<ThreadId>,
     queue: VecDeque<ThreadId>,
     cache: CacheHierarchy,
     /// Outcome of the in-flight slice, applied at `SliceEnd`.
-    pending: Option<crate::interp::SliceOutcome>,
+    pending: Option<SliceOutcome<'a>>,
     pending_duration: SimTime,
     /// When the current occupant was dispatched (timeslice accounting).
     slice_start: SimTime,
@@ -233,7 +230,16 @@ struct Sim<'a> {
 
     threads: Vec<SimThread>,
     blocked_since: Vec<SimTime>,
-    cores: Vec<CoreState>,
+    cores: Vec<CoreState<'a>>,
+    /// Per-chunk cycle tables of the program on each core kind.
+    little_costs: CoreCosts<'a>,
+    big_costs: CoreCosts<'a>,
+    /// The scheduler's view, refreshed in place before each call.
+    view: SchedView,
+    /// Scratch: per-core activity for power integration.
+    acts: Vec<(CoreKind, CoreActivity)>,
+    /// Scratch: queued threads offered to the balance tick.
+    queued: Vec<(ThreadId, usize, f64)>,
     barriers: BarrierTable,
     mutexes: MutexTable,
 
@@ -301,6 +307,16 @@ impl<'a> Sim<'a> {
             threads: Vec::new(),
             blocked_since: Vec::new(),
             cores,
+            little_costs: CoreCosts::new(prog, &board.little),
+            big_costs: CoreCosts::new(prog, &board.big),
+            view: SchedView {
+                enabled: vec![false; n],
+                kind: (0..n).map(|c| board.core_kind(c)).collect(),
+                queue_len: vec![0; n],
+                busy: vec![false; n],
+            },
+            acts: Vec::with_capacity(n),
+            queued: Vec::new(),
             barriers: BarrierTable::default(),
             mutexes: MutexTable::default(),
             config,
@@ -336,14 +352,14 @@ impl<'a> Sim<'a> {
         }));
     }
 
-    fn view(&self) -> SchedView {
-        SchedView {
-            enabled: self.cores.iter().map(|c| c.enabled).collect(),
-            kind: (0..self.cores.len())
-                .map(|c| self.board.core_kind(c))
-                .collect(),
-            queue_len: self.cores.iter().map(|c| c.queue.len()).collect(),
-            busy: self.cores.iter().map(|c| c.running.is_some()).collect(),
+    /// Bring `self.view` up to date with the cores (its `kind` column
+    /// never changes).
+    fn refresh_view(&mut self) {
+        let v = &mut self.view;
+        for (c, core) in self.cores.iter().enumerate() {
+            v.enabled[c] = core.enabled;
+            v.queue_len[c] = core.queue.len();
+            v.busy[c] = core.running.is_some();
         }
     }
 
@@ -353,8 +369,8 @@ impl<'a> Sim<'a> {
         debug_assert!(to >= self.last_integration);
         let dt = (to - self.last_integration).as_secs();
         if dt > 0.0 {
-            let mut acts: Vec<(astro_hw::cores::CoreKind, CoreActivity)> =
-                Vec::with_capacity(self.cores.len());
+            let acts = &mut self.acts;
+            acts.clear();
             for (ci, core) in self.cores.iter().enumerate() {
                 let kind = self.board.core_kind(ci);
                 let act = match (&core.pending, core.enabled) {
@@ -379,7 +395,7 @@ impl<'a> Sim<'a> {
                     self.counters.capacity_cycles += (dt * spec.freq_ghz * 1e9) as u64;
                 }
             }
-            let power = self.board.power.total_power(&acts);
+            let power = self.board.power.total_power(acts);
             self.energy.integrate(power, dt);
             if let Some(probe) = &mut self.probe {
                 probe.observe(self.last_integration.as_secs(), to.as_secs(), power);
@@ -411,9 +427,9 @@ impl<'a> Sim<'a> {
     }
 
     fn enqueue(&mut self, scheduler: &mut dyn OsScheduler, tid: ThreadId) {
-        let view = self.view();
+        self.refresh_view();
         let load = self.threads[tid.0 as usize].load;
-        let core = scheduler.place(&view, tid, load);
+        let core = scheduler.place(&self.view, tid, load);
         debug_assert!(
             self.cores[core].enabled,
             "scheduler placed on disabled core"
@@ -445,14 +461,18 @@ impl<'a> Sim<'a> {
 
     /// Run one interpreter slice for `tid` on `core`.
     fn dispatch(&mut self, core: usize, tid: ThreadId, fresh: bool) {
-        let spec = self.board.core_spec(core);
+        let costs = match self.board.core_kind(core) {
+            CoreKind::Little => &self.little_costs,
+            CoreKind::Big => &self.big_costs,
+        };
+        let spec = costs.spec;
         let thread = &mut self.threads[tid.0 as usize];
         thread.state = ThreadState::Running;
         thread.core = Some(core);
         let out = run_slice(
             self.prog,
             thread,
-            spec,
+            costs,
             &mut self.cores[core].cache,
             self.params.batch_budget_cycles,
         );
@@ -558,10 +578,6 @@ impl<'a> Sim<'a> {
             self.migrations += 1;
             self.enqueue(scheduler, tid);
         }
-        // Model the hotplug latency as a scheduling delay on freed work:
-        // nothing dispatches earlier than the change completes. (Approximated
-        // by bumping slice_start; costs are small relative to checkpoints.)
-        let _ = self.params.config_change_cost;
     }
 
     // ---- monitor ------------------------------------------------------------
@@ -768,7 +784,7 @@ impl<'a> Sim<'a> {
                 self.finish_thread(scheduler, tid);
                 self.try_dispatch(core);
             }
-            StopReason::EngineCall(CallSite::Lib { callee, ref imms }) => {
+            StopReason::EngineCall { callee, imms } => {
                 // The caller keeps its core while the runtime services the
                 // call (the "syscall gap"); placement of other threads must
                 // see the core as occupied. Blocking calls release it below.
@@ -779,13 +795,10 @@ impl<'a> Sim<'a> {
                     self.try_dispatch(core);
                 }
             }
-            StopReason::EngineCall(CallSite::Direct(_)) => {
-                unreachable!("direct calls are interpreted inline")
-            }
             StopReason::Budget => {
-                let view = self.view();
+                self.refresh_view();
                 let load = self.threads[tid.0 as usize].load;
-                let target = scheduler.replace(&view, tid, load, core);
+                let target = scheduler.replace(&self.view, tid, load, core);
                 if target != core {
                     self.migrations += 1;
                     let at = self.now + SimTime::from_secs(self.board.migration_cost_s);
@@ -868,20 +881,14 @@ impl<'a> Sim<'a> {
                     self.push_event(at, EventKind::Checkpoint);
                 }
                 EventKind::Balance => {
-                    let view = self.view();
-                    let queued: Vec<(ThreadId, usize, f64)> = self
-                        .cores
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(c, cs)| {
-                            cs.queue
-                                .iter()
-                                .map(move |&t| (t, c, 0.0))
-                                .collect::<Vec<_>>()
-                        })
-                        .map(|(t, c, _)| (t, c, self.threads[t.0 as usize].load))
-                        .collect();
-                    let moves = scheduler.balance(&view, &queued);
+                    self.refresh_view();
+                    self.queued.clear();
+                    for (c, cs) in self.cores.iter().enumerate() {
+                        for &t in &cs.queue {
+                            self.queued.push((t, c, self.threads[t.0 as usize].load));
+                        }
+                    }
+                    let moves = scheduler.balance(&self.view, &self.queued);
                     for (tid, to) in moves {
                         // Remove from its current queue, append to target.
                         for cs in &mut self.cores {

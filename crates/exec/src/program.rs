@@ -8,9 +8,10 @@
 //! precomputes exactly that, so the hot simulation loop never touches
 //! the IR again.
 
+use crate::thread::AddrGen;
 use astro_ir::{
-    BlockId, BranchBehavior, FunctionId, InstrClass, InstrKind, LibCall, MemBehavior, Module,
-    Terminator, VerifyError,
+    BlockId, BranchBehavior, FunctionId, InstrClass, InstrKind, LibCall, Module, Terminator,
+    VerifyError,
 };
 
 /// Number of [`InstrClass`] variants (indexing for count arrays).
@@ -39,6 +40,9 @@ pub struct WorkChunk {
     pub instrs: u32,
     /// Cache accesses to synthesise (one per memory instruction).
     pub mem_ops: u32,
+    /// Dense index of the chunk in its program, in `0..num_chunks`:
+    /// the engine precomputes each chunk's cycles per core kind.
+    pub id: u32,
 }
 
 impl WorkChunk {
@@ -114,8 +118,8 @@ pub struct CompiledBlock {
 pub struct CompiledFunction {
     /// Source-level name (power-probe tags, debugging).
     pub name: String,
-    /// Memory behaviour annotation, consulted by the address generator.
-    pub mem: MemBehavior,
+    /// Address-stream constants from the memory behaviour annotation.
+    pub addr: AddrGen,
     /// Blocks, indexed by [`BlockId`].
     pub blocks: Vec<CompiledBlock>,
     /// Entry block.
@@ -131,6 +135,9 @@ pub struct CompiledProgram {
     pub funcs: Vec<CompiledFunction>,
     /// The entry function.
     pub entry: FunctionId,
+    /// Number of [`WorkChunk`]s across all functions (their ids are
+    /// `0..num_chunks`).
+    pub num_chunks: u32,
 }
 
 /// Which library calls the engine must see individually: everything that
@@ -149,6 +156,14 @@ pub fn compile(m: &Module) -> Result<CompiledProgram, VerifyError> {
     m.verify()?;
     let entry = m.entry.expect("verified module has entry");
 
+    let mut num_chunks = 0u32;
+    let mut push_work = |segments: &mut Vec<Segment>, chunk: WorkChunk| {
+        segments.push(Segment::Work(WorkChunk {
+            id: num_chunks,
+            ..chunk
+        }));
+        num_chunks += 1;
+    };
     let funcs = m
         .functions
         .iter()
@@ -163,19 +178,19 @@ pub fn compile(m: &Module) -> Result<CompiledProgram, VerifyError> {
                         match &ins.kind {
                             InstrKind::Call { callee, .. } => {
                                 if !chunk.is_empty() {
-                                    segments.push(Segment::Work(chunk));
+                                    push_work(&mut segments, chunk);
                                     chunk = WorkChunk::default();
                                 }
                                 // The call instruction itself costs call
                                 // overhead, folded into the next chunk.
                                 chunk.add(InstrClass::CallOverhead);
-                                segments.push(Segment::Work(chunk));
+                                push_work(&mut segments, chunk);
                                 chunk = WorkChunk::default();
                                 segments.push(Segment::Call(CallSite::Direct(*callee)));
                             }
                             InstrKind::CallLib { callee, args } if is_engine_call(*callee) => {
                                 if !chunk.is_empty() {
-                                    segments.push(Segment::Work(chunk));
+                                    push_work(&mut segments, chunk);
                                     chunk = WorkChunk::default();
                                 }
                                 let imms = args
@@ -195,7 +210,7 @@ pub fn compile(m: &Module) -> Result<CompiledProgram, VerifyError> {
                         }
                     }
                     if !chunk.is_empty() {
-                        segments.push(Segment::Work(chunk));
+                        push_work(&mut segments, chunk);
                     }
                     let term = match &b.term {
                         Terminator::Br { target } => CompiledTerm::Jump(*target),
@@ -216,7 +231,7 @@ pub fn compile(m: &Module) -> Result<CompiledProgram, VerifyError> {
                 .collect();
             CompiledFunction {
                 name: f.name.clone(),
-                mem: f.mem,
+                addr: AddrGen::new(f.mem),
                 blocks,
                 entry: f.entry,
             }
@@ -227,6 +242,7 @@ pub fn compile(m: &Module) -> Result<CompiledProgram, VerifyError> {
         name: m.name.clone(),
         funcs,
         entry,
+        num_chunks,
     })
 }
 
@@ -371,6 +387,38 @@ mod tests {
             }
             s => panic!("{s:?}"),
         }
+    }
+
+    #[test]
+    fn chunk_ids_are_dense_in_program_order() {
+        let mut m = Module::new("t");
+        let mut leaf = FunctionBuilder::new("leaf", Ty::Void);
+        leaf.counted_loop(3, |b| {
+            b.load(Ty::I64);
+        });
+        leaf.ret(None);
+        let leaf = m.add_function(leaf.finish());
+        let mut b = FunctionBuilder::new("main", Ty::Void);
+        b.load(Ty::I64);
+        b.call(leaf, &[]);
+        b.call_lib(LibCall::Sleep, &[Value::int(1)]);
+        b.load(Ty::I64);
+        b.ret(None);
+        let main = m.add_function(b.finish());
+        m.set_entry(main);
+        let p = compile(&m).unwrap();
+        let ids: Vec<u32> = p
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .flat_map(|b| &b.segments)
+            .filter_map(|s| match s {
+                Segment::Work(w) => Some(w.id),
+                Segment::Call(_) => None,
+            })
+            .collect();
+        assert!(ids.len() > 3);
+        assert_eq!(ids, (0..p.num_chunks).collect::<Vec<_>>());
     }
 
     #[test]

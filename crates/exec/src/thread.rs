@@ -2,10 +2,9 @@
 //! address generator that drives the cache model.
 
 use crate::program::CompiledFunction;
-use astro_ir::{BlockId, FunctionId, MemPattern};
+use astro_ir::{BlockId, FunctionId, MemBehavior, MemPattern};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Thread identifier (dense, assigned at spawn).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,11 +49,16 @@ pub struct Frame {
     pub block: BlockId,
     /// Next segment index within the block.
     pub seg: usize,
-    /// Remaining back-edge counts of counted loops, keyed by the block id
-    /// holding the branch.
-    pub loop_counters: HashMap<u32, u64>,
+    /// Remaining back-edge counts of the counted loops in flight, as
+    /// `(block id holding the branch, count)`. A handful at most (one
+    /// per enclosing loop), so a linear probe beats hashing.
+    pub loop_counters: Vec<(u32, u64)>,
     /// Sequential/strided address cursor for this activation.
     pub mem_cursor: u64,
+    /// `(mem_cursor · step) % working set`, kept incrementally by
+    /// [`next_address`] while `mem_cursor · step` cannot overflow;
+    /// `None` until the first access and past that point.
+    pub mem_offset: Option<u64>,
 }
 
 impl Frame {
@@ -64,8 +68,9 @@ impl Frame {
             func,
             block: entry,
             seg: 0,
-            loop_counters: HashMap::new(),
+            loop_counters: Vec::new(),
             mem_cursor: cursor_seed,
+            mem_offset: None,
         }
     }
 }
@@ -121,40 +126,96 @@ impl SimThread {
     }
 }
 
+/// A function's address-stream constants, derived once from its
+/// [`MemBehavior`] at compile time so the per-access path of
+/// sequential and strided streams needs no division.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AddrGen {
+    /// Sequential (`step` 8) or strided walk: offset
+    /// `(cursor · step) % ws`.
+    Stepped {
+        /// Working set in bytes (at least 64).
+        ws: u64,
+        /// Bytes per access (at least 1).
+        step: u64,
+        /// `step % ws`, the incremental offset advance.
+        step_mod: u64,
+        /// Largest cursor for which `cursor · step` does not overflow.
+        max_cursor: u64,
+    },
+    /// Uniformly random word over the working set.
+    Random {
+        /// Working set in bytes (at least 64).
+        ws: u64,
+    },
+}
+
+impl AddrGen {
+    /// Constants for a function with memory behaviour `mem`.
+    pub fn new(mem: MemBehavior) -> Self {
+        let ws = mem.working_set.max(64);
+        let step = match mem.pattern {
+            MemPattern::Sequential => 8,
+            MemPattern::Strided { stride } => stride.max(1),
+            MemPattern::Random => return AddrGen::Random { ws },
+        };
+        AddrGen::Stepped {
+            ws,
+            step,
+            step_mod: step % ws,
+            max_cursor: u64::MAX / step,
+        }
+    }
+}
+
 /// Synthesise the next memory address for a frame executing `func`.
 ///
 /// Every function owns a disjoint region (its id shifted high), shared by
 /// all threads running it — data-parallel workers stream the same arrays
 /// at thread-dependent offsets, which is what makes the shared-L2
 /// contention model meaningful.
+///
+/// Sequential and strided streams address `(cursor.wrapping_mul(step))
+/// % ws`. The frame keeps that offset incrementally (add `step % ws`,
+/// subtract `ws` on wrap) while `cursor · step` fits in 64 bits, and
+/// falls back to the closed form past that point, so every address is
+/// exactly the closed form's.
 #[inline]
 pub fn next_address(func: &CompiledFunction, frame: &mut Frame, rng: &mut SmallRng) -> u64 {
-    let ws = func.mem.working_set.max(64);
     let base = (frame.func.0 as u64) << 32;
-    match func.mem.pattern {
-        MemPattern::Sequential => {
-            let a = base + (frame.mem_cursor.wrapping_mul(8)) % ws;
-            frame.mem_cursor = frame.mem_cursor.wrapping_add(1);
-            a
+    match func.addr {
+        AddrGen::Stepped {
+            ws,
+            step,
+            step_mod,
+            max_cursor,
+        } => {
+            let cursor = frame.mem_cursor;
+            let off = frame
+                .mem_offset
+                .unwrap_or_else(|| cursor.wrapping_mul(step) % ws);
+            frame.mem_cursor = cursor.wrapping_add(1);
+            frame.mem_offset = (cursor < max_cursor).then(|| {
+                if off >= ws - step_mod {
+                    off - (ws - step_mod)
+                } else {
+                    off + step_mod
+                }
+            });
+            base + off
         }
-        MemPattern::Strided { stride } => {
-            let a = base + (frame.mem_cursor.wrapping_mul(stride.max(1))) % ws;
-            frame.mem_cursor = frame.mem_cursor.wrapping_add(1);
-            a
-        }
-        MemPattern::Random => base + (rng.gen::<u64>() % ws) & !7,
+        AddrGen::Random { ws } => (base + rng.gen::<u64>() % ws) & !7,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astro_ir::MemBehavior;
 
     fn cf(mem: MemBehavior) -> CompiledFunction {
         CompiledFunction {
             name: "f".into(),
-            mem,
+            addr: AddrGen::new(mem),
             blocks: vec![],
             entry: BlockId(0),
         }

@@ -75,15 +75,29 @@ impl CacheStats {
 }
 
 /// One set-associative cache with true-LRU replacement.
+///
+/// Ways fill in index order, so each set keeps a fill count instead of
+/// marking invalid ways: only its first `fill` ways are ever read, the
+/// tag and stamp arrays start as plain zeroed allocations, and `flush`
+/// resets the counts alone. A full set evicts its first way with the
+/// oldest stamp.
+///
+/// Which lines are resident, and so every hit or miss, is exactly that
+/// of a cache that marks every way invalid and fills the oldest-stamped
+/// way first: invalid ways always carry older stamps than valid ones.
 #[derive(Clone, Debug)]
 struct Cache {
     params: CacheParams,
     set_mask: u64,
     line_shift: u32,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
+    /// `set_mask.count_ones()`: shift from line number to tag.
+    tag_shift: u32,
+    /// `tags[set * ways + way]`, valid for `way < fill[set]`.
     tags: Vec<u64>,
-    /// Monotone timestamps for LRU.
+    /// Monotone LRU timestamps, parallel to `tags`.
     stamps: Vec<u64>,
+    /// Valid ways per set, filled in index order.
+    fill: Vec<u32>,
     clock: u64,
     stats: CacheStats,
 }
@@ -98,43 +112,59 @@ impl Cache {
             params,
             set_mask: sets - 1,
             line_shift: params.line_bytes.trailing_zeros(),
-            tags: vec![u64::MAX; n],
+            tag_shift: (sets - 1).count_ones(),
+            tags: vec![0; n],
             stamps: vec![0; n],
+            fill: vec![0; sets as usize],
             clock: 0,
             stats: CacheStats::default(),
         }
     }
 
     /// Look `addr` up; on miss, fill (evicting LRU). Returns hit?.
+    #[inline]
     fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.tag_shift;
         let ways = self.params.ways as usize;
+        let set = (line & self.set_mask) as usize;
         let base = set * ways;
+        let fill = self.fill[set] as usize;
+        let tags = &mut self.tags[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
 
-        let mut victim = base;
-        let mut oldest = u64::MAX;
-        for i in base..base + ways {
-            if self.tags[i] == tag {
-                self.stamps[i] = self.clock;
+        let victim = if fill < ways {
+            if let Some(w) = tags[..fill].iter().position(|&t| t == tag) {
+                stamps[w] = self.clock;
                 return true;
             }
-            if self.stamps[i] < oldest {
-                oldest = self.stamps[i];
-                victim = i;
+            self.fill[set] += 1;
+            fill
+        } else {
+            // Full set: look the tag up and track the first oldest way
+            // in one pass.
+            let (mut victim, mut oldest) = (0, u64::MAX);
+            for w in 0..ways {
+                if tags[w] == tag {
+                    stamps[w] = self.clock;
+                    return true;
+                }
+                if stamps[w] < oldest {
+                    (victim, oldest) = (w, stamps[w]);
+                }
             }
-        }
+            victim
+        };
         self.stats.misses += 1;
-        self.tags[victim] = tag;
-        self.stamps[victim] = self.clock;
+        tags[victim] = tag;
+        stamps[victim] = self.clock;
         false
     }
 
     fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
+        self.fill.fill(0);
     }
 }
 
@@ -182,6 +212,7 @@ impl CacheHierarchy {
     }
 
     /// Access `addr`, updating both levels (look-through on L1 miss).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         if self.l1.access(addr) {
             AccessOutcome::L1
