@@ -226,52 +226,15 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-fn bench_shard_window(c: &mut Criterion) {
-    use astro_fleet::{EventKind, EventQueue};
-
-    // The sharded kernel's barrier hot path: between two control
-    // events each shard drains the completions inside the window via
-    // `pop_before`, then the barrier re-peeks every queue to restore
-    // the earliest-pending bound. Modelled here over 8 shard queues
-    // holding a 1k-event window.
-    c.bench_function("shard_window_drain_merge_8x1k", |b| {
-        b.iter(|| {
-            let mut queues: Vec<EventQueue> = (0..8).map(|_| EventQueue::new()).collect();
-            for i in 0..8192u32 {
-                let t = (i as f64) * 0.37 % 97.0;
-                queues[(i % 8) as usize].push(t, EventKind::Completion { board: i % 500 });
-            }
-            // Sweep the virtual clock forward in window steps, popping
-            // each window's events and recomputing the merge bound.
-            let mut drained = 0u64;
-            let mut earliest = 0.0f64;
-            let mut horizon = 10.0f64;
-            while earliest.is_finite() {
-                for q in &mut queues {
-                    while let Some(ev) = q.pop_before(horizon) {
-                        black_box(ev);
-                        drained += 1;
-                    }
-                }
-                earliest = queues
-                    .iter()
-                    .filter_map(|q| q.peek().map(|e| e.time_s))
-                    .fold(f64::INFINITY, f64::min);
-                horizon += 10.0;
-            }
-            black_box(drained)
-        })
-    });
-
-    // The whole sharded kernel end to end at a benchable scale: 512
-    // jobs over 16 boards on the replay backend with 8 shards. Every
-    // arrival exercises the barrier's no-op fast path (the
-    // earliest-pending bound) and every completion the drain + merge,
-    // so a regression anywhere in `ShardSet::advance_all` or the
-    // control-plane interleave moves this number. Calibration is paid
-    // once outside the timed loop (the `FleetSim` owns the replay
-    // cache).
-    c.bench_function("sharded_kernel_512_jobs_16_boards_replay", |b| {
+fn bench_kernel(c: &mut Criterion) {
+    // The whole kernel end to end at a benchable scale: 512 jobs over
+    // 16 boards on the replay backend. Every arrival exercises the
+    // barrier's no-op fast path (one completion-heap peek) and every
+    // completion the drain + merge, so a regression anywhere in the
+    // completion advance or the control-plane interleave moves this
+    // number. Calibration is paid once outside the timed loop (the
+    // `FleetSim` owns the replay cache).
+    c.bench_function("kernel_512_jobs_16_boards_replay", |b| {
         use astro_fleet::{
             ArrivalProcess, BackendKind, ClusterSpec, FleetParams, FleetSim, LeastLoaded,
             PolicyCache, PolicyMode, Scenario,
@@ -281,7 +244,6 @@ fn bench_shard_window(c: &mut Criterion) {
         let cluster = ClusterSpec::heterogeneous(16);
         let mut params = FleetParams::new(7);
         params.backend = BackendKind::Replay;
-        params.shards = 8;
         let sim = FleetSim::new(&cluster, params);
         let pool: Vec<astro_workloads::Workload> = ["swaptions", "bfs"]
             .iter()
@@ -535,7 +497,7 @@ criterion_group!(
     bench_executor,
     bench_runner,
     bench_event_queue,
-    bench_shard_window,
+    bench_kernel,
     bench_dispatch_pick,
     bench_dispatch_pick_indexed,
     bench_dispatch_index_repair,

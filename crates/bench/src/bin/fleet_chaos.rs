@@ -3,7 +3,6 @@
 //! flash-crowd/diurnal traffic, all against the same seeded stream —
 //! the adversarial regime the adaptive stack must degrade gracefully
 //! in (the verdict line asserts it). `--jobs <n>`, `--boards <n>`,
-//! `--shards <k>` (default 1; any value gives identical numbers),
 //! `--seed <u64>`, `--quick` (10k jobs, 20 boards — the CI smoke
 //! configuration), `--size` (defaults to `test`) and
 //! `--backend {machine,replay}` (default `replay`). `--perf-gate`
@@ -21,7 +20,6 @@ fn main() {
         cli.count_flag("--boards", boards),
         cli.seed(),
         cli.backend_or(astro_exec::executor::BackendKind::Replay),
-        cli.count_flag("--shards", 1),
         cli.has("--perf-gate"),
     );
 }

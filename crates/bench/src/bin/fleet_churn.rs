@@ -1,9 +1,7 @@
 //! Fleet churn: online dispatch, preemptive redispatch and mid-run
-//! board churn through the sharded event kernel, with an
-//! observed-service feedback row on top of the headline scenario.
-//! `--jobs <n>`, `--boards <n>`, `--shards <k>` (default 1 — the
-//! sequential reference; any value gives identical numbers),
-//! `--seed <u64>`, `--quick` (10k jobs, 20 boards — the CI smoke
+//! board churn through the event kernel, with an observed-service
+//! feedback row on top of the headline scenario.
+//! `--jobs <n>`, `--boards <n>`, `--seed <u64>`, `--quick` (10k jobs, 20 boards — the CI smoke
 //! configuration), `--size` (defaults to `test`) and
 //! `--backend {machine,replay}` (default `replay` — a 100k-job churn
 //! run is only tractable on calibrated trace composition). Count
@@ -18,6 +16,5 @@ fn main() {
         cli.count_flag("--boards", boards),
         cli.seed(),
         cli.backend_or(astro_exec::executor::BackendKind::Replay),
-        cli.count_flag("--shards", 1),
     );
 }

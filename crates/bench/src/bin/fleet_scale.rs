@@ -1,9 +1,7 @@
 //! Fleet scaling: per-job cost of the execution backends (machine vs
 //! calibrated trace replay) plus a 1k → 100k job sweep of the headline
 //! scenario pair in both dispatch modes. `--jobs <n>` caps the sweep
-//! (default 100000), `--boards <n>` (default 50), `--shards <k>`
-//! (default 1 — the sequential reference; any value gives identical
-//! numbers), `--seed <u64>`, `--quick` (10k jobs, 20 boards — the CI
+//! (default 100000), `--boards <n>` (default 50), `--seed <u64>`, `--quick` (10k jobs, 20 boards — the CI
 //! smoke configuration), and `--backend {machine,replay}` (default
 //! `replay`; `machine` makes the sweep cycle-accurate, which is only
 //! tractable at the low end). Count flags reject 0 up front.
@@ -17,6 +15,5 @@ fn main() {
         cli.count_flag("--boards", boards),
         cli.seed(),
         cli.backend_or(astro_exec::executor::BackendKind::Replay),
-        cli.count_flag("--shards", 1),
     );
 }

@@ -5,8 +5,7 @@
 //! is outcome-invariant and the streamed percentiles match the
 //! post-hoc metrics. `--trace <path>` (default
 //! `<tmp>/fleet_trace.json`), `--trace-level {off,ticks,spans,full}`
-//! (default `full`), `--jobs <n>`, `--boards <n>`, `--shards <k>`
-//! (default 2), `--seed <u64>`, `--quick` (2k jobs, 10 boards — the CI
+//! (default `full`), `--jobs <n>`, `--boards <n>`, `--seed <u64>`, `--quick` (2k jobs, 10 boards — the CI
 //! smoke configuration), `--size` (defaults to `test`) and
 //! `--backend {machine,replay}` (default `replay`). Count flags reject
 //! 0 up front.
@@ -23,7 +22,6 @@ fn main() {
         cli.count_flag("--boards", boards),
         cli.seed(),
         cli.backend_or(astro_exec::executor::BackendKind::Replay),
-        cli.count_flag("--shards", 2),
         cli.trace_level().unwrap_or(astro_fleet::TraceLevel::Full),
         &trace_path,
     );

@@ -39,8 +39,7 @@ fn main() {
     astro_bench::figs::fleet::run(astro_workloads::InputSize::Test, fjobs, fboards, seed);
     println!();
     // Churn + preemption through the event kernel, on the replay
-    // backend so the batch stays fast. Shards = 2 exercises the
-    // sharded plane; the numbers are identical to shards = 1.
+    // backend so the batch stays fast.
     let (cjobs, cboards) = cli.pick((2_000, 10), (10_000, 20));
     astro_bench::figs::fleet_churn::run(
         astro_workloads::InputSize::Test,
@@ -48,7 +47,6 @@ fn main() {
         cboards,
         seed,
         astro_exec::executor::BackendKind::Replay,
-        2,
     );
     println!();
     // The flight recorder over the same churn shape plus chaos
@@ -60,7 +58,6 @@ fn main() {
         cboards,
         seed,
         astro_exec::executor::BackendKind::Replay,
-        2,
         astro_fleet::TraceLevel::Full,
         &std::env::temp_dir().join("fleet_trace.json"),
     );

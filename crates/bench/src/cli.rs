@@ -128,8 +128,8 @@ impl Cli {
     /// A *count* flag: like [`Cli::flag`] but rejects `0` with a clear
     /// error at parse time. Use for flags where zero would only blow
     /// up later and further from the user's mistake — `--jobs 0` has
-    /// no stream to simulate, `--boards 0` no fleet, `--shards 0` no
-    /// event queue to own the boards.
+    /// no stream to simulate, `--boards 0` no fleet, `--days 0` no
+    /// horizon to span.
     pub fn count_flag(&self, name: &str, default: usize) -> usize {
         let n = self.flag(name, default);
         assert!(n >= 1, "{name} must be at least 1, got 0");
@@ -224,9 +224,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--shards must be at least 1")]
-    fn zero_shards_is_an_error() {
-        cli(&["--shards", "0"]).count_flag("--shards", 8);
+    #[should_panic(expected = "--days must be at least 1")]
+    fn zero_days_is_an_error() {
+        cli(&["--days", "0"]).count_flag("--days", 3);
     }
 
     #[test]

@@ -85,8 +85,7 @@ fn chaos_schedule(n_boards: usize, horizon: f64) -> ChaosSchedule {
 /// Run the chaos experiment: `n_jobs` over `n_boards` under the
 /// composed adversarial schedule, comparing oracle/online dispatch
 /// with and without preemption and observed-service feedback.
-/// `shards` selects the execution-plane partition (results identical
-/// for any value). Panics if online+feedback fails to degrade
+/// Panics if online+feedback fails to degrade
 /// gracefully versus the oracle-cold baseline. `perf_gate` turns the
 /// printed wall-throughput comparison against the PR 8 baseline into
 /// a hard assertion — CI passes it with the `--quick` configuration
@@ -97,20 +96,18 @@ pub fn run(
     n_boards: usize,
     seed: u64,
     backend: BackendKind,
-    shards: usize,
     perf_gate: bool,
 ) {
     println!(
         "=== Fleet chaos: {n_jobs} tenant jobs over {n_boards} boards under correlated \
-         outages + throttles + blackout + misprofile + flash crowd (seed {seed}, backend {}, \
-         shards {shards}) ===\n",
+         outages + throttles + blackout + misprofile + flash crowd (seed {seed}, backend {}) \
+         ===\n",
         backend.name()
     );
     let cluster = ClusterSpec::heterogeneous(n_boards);
     let mut params = FleetParams::new(seed);
     params.size = size;
     params.backend = backend;
-    params.shards = shards;
     params.train.episodes = 4;
     params.refresh_episodes = 2;
     params.train.reward.gamma = 6.0;

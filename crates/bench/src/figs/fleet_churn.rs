@@ -49,27 +49,17 @@ fn churn_waves(n_boards: usize) -> (Vec<usize>, Vec<usize>) {
 /// Run the churn experiment: `n_jobs` over `n_boards` with a mid-run
 /// outage of ~30% of the fleet, comparing oracle/online dispatch with
 /// and without preemptive redispatch, plus the observed-service
-/// feedback layer on top of the headline. `shards` selects the
-/// kernel's execution-plane partition (results are identical for any
-/// value; 1 is the sequential reference).
-pub fn run(
-    size: InputSize,
-    n_jobs: usize,
-    n_boards: usize,
-    seed: u64,
-    backend: BackendKind,
-    shards: usize,
-) {
+/// feedback layer on top of the headline.
+pub fn run(size: InputSize, n_jobs: usize, n_boards: usize, seed: u64, backend: BackendKind) {
     println!(
         "=== Fleet churn: {n_jobs} tenant jobs over {n_boards} boards with a mid-run \
-         outage (seed {seed}, backend {}, shards {shards}) ===\n",
+         outage (seed {seed}, backend {}) ===\n",
         backend.name()
     );
     let cluster = ClusterSpec::heterogeneous(n_boards);
     let mut params = FleetParams::new(seed);
     params.size = size;
     params.backend = backend;
-    params.shards = shards;
     params.train.episodes = 4;
     params.refresh_episodes = 2;
     params.train.reward.gamma = 6.0;

@@ -1,31 +1,23 @@
 //! Fleet scale ceiling: one million tenant jobs over five hundred
-//! boards through the sharded kernel, with observed-service feedback
+//! boards through the event kernel, with observed-service feedback
 //! closing the dispatch loop.
 //!
-//! This is the figure the sharded kernel exists for. The PR 4 kernel
-//! funnelled every board's events through one heap, so wall-clock
-//! grew with board count; the sharded kernel partitions board state
-//! into `K` shards advanced between control events and merged at
-//! barriers, and its per-arrival estimate work is O(architectures)
-//! instead of O(boards). The figure runs the same scenario twice —
-//! `--shards 1` (the PR 4 single-loop kernel, byte-for-byte) and
-//! `--shards K` — then:
+//! The kernel's per-arrival estimate work is O(architectures) and its
+//! dispatch pick O(log boards), so wall clock grows with the job count,
+//! not the fleet. The figure runs the scenario once with telemetry off
+//! and reports:
 //!
-//! * verifies the two runs are **byte-identical** (shard count is an
-//!   execution strategy, not a semantics knob), via a bitwise
-//!   fingerprint over every outcome;
-//! * reports the wall-clock ratio. On a multi-core host the shard
-//!   advances fan out across OS threads; on a single-core host the
-//!   ratio is ~1x by construction — the printed worker count says
-//!   which regime you are looking at;
-//! * reports the feedback layer's mispredict accounting: how wrong
-//!   profiled estimates were against observed service, and how much
-//!   of that error the EWMA correction absorbed.
+//! * simulation throughput, with the execution plane's advance count
+//!   and completions per advance (how much work each barrier window
+//!   carries);
+//! * the price of the flight recorder, from a second leg with it on,
+//!   checked bitwise against the untraced run;
+//! * the feedback layer's mispredict accounting: how wrong profiled
+//!   estimates were against observed service, and how much of that
+//!   error the EWMA correction absorbed.
 //!
 //! All printed simulation metrics are seed-deterministic; wall-clock
-//! timing, the speedup ratio and the "fanned out" advance counter
-//! (which depends on the worker budget, i.e. the host's core count)
-//! vary with the machine.
+//! timing varies with the machine.
 
 use crate::figs::fleet::{mean_cold_service_s, tenant_pool};
 use astro_fleet::{
@@ -36,14 +28,14 @@ use astro_workloads::InputSize;
 use std::time::Instant;
 
 /// Telemetry-off simulation throughput recorded for PR 8 in
-/// `BENCH_fleet.json` under the CI configuration (`--quick --shards 4`:
-/// 50k jobs, 100 boards, replay backend). The perf gate holds this
+/// `BENCH_fleet.json` under the CI configuration (`--quick`: 50k jobs,
+/// 100 boards, replay backend). The perf gate holds this
 /// figure's hot path to within [`PERF_GATE_TOLERANCE`] of it.
 const PR8_QUICK_BASELINE_JPS: f64 = 350_000.0;
 
 /// Telemetry-off simulation throughput recorded for PR 9 in
-/// `BENCH_fleet.json` under the CI mid configuration (`--gate
-/// --shards 8`: 200k jobs, 2000 boards, replay backend). Before the
+/// `BENCH_fleet.json` under the CI mid configuration (`--gate`: 200k
+/// jobs, 2000 boards, replay backend). Before the
 /// indexed dispatch path this configuration was dominated by the
 /// O(boards) pick per arrival; the gate holds the O(log B) claim at a
 /// board count where backsliding to a linear pick would roughly halve
@@ -102,36 +94,24 @@ fn fingerprint(out: &FleetOutcome) -> u64 {
 }
 
 /// Run the million-job experiment: `n_jobs` over `n_boards` on
-/// `backend`, comparing `--shards 1` against `--shards <shards>` for
-/// wall clock and byte equality, then a third leg with the flight
+/// `backend` with telemetry off, then a second leg with the flight
 /// recorder on at `trace_level` to price the telemetry overhead
-/// (fingerprint-checked against the untraced run). `workers` caps the
-/// OS threads shard advances may use (0 = the machine's available
-/// parallelism). `perf_gate` turns the printed baseline comparison
-/// into a hard assertion — CI passes it with the `--quick`
-/// configuration the recorded baseline was measured at.
-#[allow(clippy::too_many_arguments)]
+/// (fingerprint-checked against the untraced run). `perf_gate` turns
+/// the printed baseline comparison into a hard assertion — CI passes
+/// it at the `--quick` and `--gate` configurations the recorded
+/// baselines were measured at.
 pub fn run(
     size: InputSize,
     n_jobs: usize,
     n_boards: usize,
     seed: u64,
     backend: BackendKind,
-    shards: usize,
-    workers: usize,
     trace_level: TraceLevel,
     perf_gate: bool,
 ) {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    };
     println!(
-        "=== Fleet million: {n_jobs} tenant jobs over {n_boards} boards, sharded kernel \
-         (seed {seed}, backend {}, shards {shards}, workers {workers}) ===\n",
+        "=== Fleet million: {n_jobs} tenant jobs over {n_boards} boards \
+         (seed {seed}, backend {}) ===\n",
         backend.name()
     );
     let cluster = ClusterSpec::heterogeneous(n_boards);
@@ -141,7 +121,6 @@ pub fn run(
     params.train.episodes = 4;
     params.refresh_episodes = 2;
     params.train.reward.gamma = 6.0;
-    params.shard_workers = workers;
     let pool = tenant_pool();
 
     let mean_service = mean_cold_service_s(&cluster, &pool, &params);
@@ -169,14 +148,11 @@ pub fn run(
     let scenario = Scenario::online(PolicyMode::Warm).with_feedback();
     let staleness = (n_jobs / 4).max(8) as u32;
 
-    // One replay backend shared by every leg: calibrations are a pure
-    // function of (workload, architecture, engine parameters), all
-    // identical across legs here, so sharing is bit-neutral. Every
-    // (pool workload, architecture) pair is recorded here, before any
-    // leg is timed, so every leg measures the same hot path and the
-    // speedup line compares like with like.
-    let shared_replay = FleetSim::new(&cluster, params.clone()).replay_handle();
-    if let Some(replay) = &shared_replay {
+    // One simulator, so one replay backend, for both legs. Every (pool
+    // workload, architecture) pair is calibrated here, before either
+    // leg is timed, so both legs measure the same hot path.
+    let sim = FleetSim::new(&cluster, params);
+    if let Some(replay) = sim.replay_handle() {
         let t0 = Instant::now();
         for key in cluster.arch_keys() {
             let board = cluster.representative_board(key);
@@ -190,71 +166,29 @@ pub fn run(
             t0.elapsed().as_secs_f64()
         );
     }
-    let run_with = |k: usize| -> (FleetOutcome, f64) {
-        let mut p = params.clone();
-        p.shards = k;
-        let sim = match &shared_replay {
-            Some(r) => FleetSim::with_replay(&cluster, p, r.clone()),
-            None => FleetSim::new(&cluster, p),
-        };
-        let mut cache = PolicyCache::new(staleness);
-        let t0 = Instant::now();
-        let out = sim.run(&jobs, &mut PhaseAware::default(), &mut cache, &scenario);
-        (out, t0.elapsed().as_secs_f64())
-    };
-
-    let (base, wall_1) = run_with(1);
+    let mut cache = PolicyCache::new(staleness);
+    let t0 = Instant::now();
+    let base = sim.run(&jobs, &mut PhaseAware::default(), &mut cache, &scenario);
+    let wall = t0.elapsed().as_secs_f64();
+    let k = base.kernel;
     println!(
-        "shards 1   (the PR 4 single-loop kernel): {wall_1:>6.2} s wall  \
-         ({:.1} k jobs/s of simulation throughput)",
-        n_jobs as f64 / wall_1 / 1e3
-    );
-    let (sharded, wall_k) = run_with(shards);
-    let k = sharded.kernel;
-    println!(
-        "shards {:<3} ({} advances, {} fanned out, {} messages): {wall_k:>6.2} s wall  \
-         ({:.1} k jobs/s)",
-        k.shards,
+        "telemetry off ({} advances, {:.2} completions per advance, {} messages): \
+         {wall:>6.2} s wall  ({:.1} k jobs/s of simulation throughput)\n",
         k.advances,
-        k.par_advances,
+        k.completions as f64 / k.advances.max(1) as f64,
         k.messages,
-        n_jobs as f64 / wall_k / 1e3
-    );
-    println!(
-        "speedup vs shards 1: {:.2}x  (workers {workers}; ~1x expected on a single-core host)\n",
-        wall_1 / wall_k
+        n_jobs as f64 / wall / 1e3
     );
 
-    let identical = fingerprint(&base) == fingerprint(&sharded);
-    println!(
-        "byte-determinism: shards 1 vs shards {} outcomes {}",
-        k.shards,
-        if identical {
-            "IDENTICAL (bitwise fingerprint match)"
-        } else {
-            "DIVERGED — sharding bug"
-        }
-    );
-    assert!(
-        identical,
-        "sharded kernel diverged from the sequential kernel"
-    );
-
-    // Telemetry leg: the same sharded configuration with the flight
-    // recorder on. At `ticks` (the default) this prices the streaming
-    // digests and per-tick gauge walk without retaining per-job trace
-    // events — the right level for a million-job run; `--trace-level
-    // full` would hold millions of spans in memory.
-    let mut p = params.clone();
-    p.shards = shards;
-    let tsim = match &shared_replay {
-        Some(r) => FleetSim::with_replay(&cluster, p, r.clone()),
-        None => FleetSim::new(&cluster, p),
-    };
+    // Telemetry leg: the same configuration with the flight recorder
+    // on. At `ticks` (the default) this prices the streaming digests
+    // and per-tick gauge walk without retaining per-job trace events —
+    // the right level for a million-job run; `--trace-level full`
+    // would hold millions of spans in memory.
     let mut cache = PolicyCache::new(staleness);
     let mut recorder = FlightRecorder::new(trace_level);
     let t0 = Instant::now();
-    let traced = tsim.run_traced(
+    let traced = sim.run_traced(
         &jobs,
         &mut PhaseAware::default(),
         &mut cache,
@@ -262,7 +196,7 @@ pub fn run(
         &mut recorder,
     );
     let wall_t = t0.elapsed().as_secs_f64();
-    let telemetry_identical = fingerprint(&sharded) == fingerprint(&traced);
+    let telemetry_identical = fingerprint(&base) == fingerprint(&traced);
     println!(
         "telemetry '{}' ({} windows, {} digest samples): {wall_t:>6.2} s wall  ({:.1} k jobs/s; \
          {:+.1}% vs telemetry off);  outcomes {}",
@@ -270,7 +204,7 @@ pub fn run(
         recorder.windows().len(),
         recorder.latency_digest().count(),
         n_jobs as f64 / wall_t / 1e3,
-        (wall_t / wall_k - 1.0) * 100.0,
+        (wall_t / wall - 1.0) * 100.0,
         if telemetry_identical {
             "IDENTICAL with tracing on"
         } else {
@@ -283,12 +217,12 @@ pub fn run(
     );
 
     // The perf gate (ROADMAP: hold the hot path): the telemetry-off
-    // sharded leg vs the throughput recorded in BENCH_fleet.json.
+    // leg vs the throughput recorded in BENCH_fleet.json.
     // Advisory outside `--perf-gate`, and only meaningful at the two
     // configurations a baseline was measured under: `--quick` (the PR
     // 8 smoke floor) and `--gate` (the PR 9 mid leg that prices the
     // indexed dispatch path at 2000 boards).
-    let jps_off = n_jobs as f64 / wall_k;
+    let jps_off = n_jobs as f64 / wall;
     let (baseline, baseline_name, tolerance) = if (n_jobs, n_boards) == GATE_CONFIG {
         (PR9_GATE_BASELINE_JPS, "PR 9 gate", GATE_TOLERANCE)
     } else {
@@ -319,7 +253,7 @@ pub fn run(
         );
     }
 
-    let m = &sharded.metrics;
+    let m = &base.metrics;
     println!(
         "\nphase-aware/warm/online+fb over {} completed jobs:  p50 {:.3} ms  p95 {:.3} ms  \
          p99 {:.3} ms  p99/SLO {:.2}  SLO miss {:.1}%  energy {:.1} J  mean util {:.2}",
@@ -335,11 +269,11 @@ pub fn run(
     println!(
         "policy cache: {} hits / {} misses / {} refreshes;  calibrations {};  \
          guard bypasses {}",
-        sharded.cache.hits,
-        sharded.cache.misses,
-        sharded.cache.stale_refreshes,
-        sharded.calibrations,
-        sharded.guard_bypasses
+        base.cache.hits,
+        base.cache.misses,
+        base.cache.stale_refreshes,
+        base.calibrations,
+        base.guard_bypasses
     );
     let fb = &m.feedback;
     println!(

@@ -1,8 +1,7 @@
 //! Resident service mode: the streaming kernel at horizons the batch
 //! design cannot reach — 100M jobs over 5000 boards in O(boards)
 //! memory by default, with a mid-run checkpoint priced and, at CI
-//! scale, a full checkpoint → kill → resume cycle proven bit-identical
-//! for every shard count.
+//! scale, a full checkpoint → kill → resume cycle proven bit-identical.
 //!
 //! Four legs:
 //!
@@ -16,11 +15,11 @@
 //!   O(boards) budget that does **not** scale with the job count: the
 //!   retained design at 100M jobs would hold gigabytes of outcomes
 //!   before metrics were even computed.
-//! * **Checkpoint → kill → resume sweep** (CI scale): for K ∈
-//!   {1, 2, 4, 7}, step partway, checkpoint, *drop the kernel*, build
-//!   a fresh simulator/cursor/dispatcher/cache, restore, run to
-//!   completion — every resumed fingerprint must equal the
-//!   uninterrupted K=1 reference bit for bit. Skipped above 1M jobs
+//! * **Checkpoint → kill → resume** (CI scale): the headline leg's
+//!   mid-run image is restored into a fresh
+//!   simulator/cursor/dispatcher/cache and run to completion — the
+//!   resumed fingerprint, execution-plane counters included, must
+//!   equal an uninterrupted reference bit for bit. Skipped above 1M jobs
 //!   (the property is scale-invariant and priced by the proptest
 //!   suite; the full leg proves memory, not bitwise identity).
 //! * **Retained comparison** (≤ 1M jobs): the same scenario through
@@ -45,10 +44,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Streaming (retention-off) throughput recorded for PR 10 in
-/// `BENCH_fleet.json` under the CI configuration (`--quick --shards
-/// 4`: 50k jobs, 100 boards, replay backend). The streaming path runs
-/// the same kernel as the batch path minus outcome retention, so the
-/// floor sits at the PR 8/9 batch level.
+/// `BENCH_fleet.json` under the CI configuration (`--quick`: 50k jobs,
+/// 100 boards, replay backend). The streaming path runs the same
+/// kernel as the batch path minus outcome retention, so the floor sits
+/// at the PR 8/9 batch level.
 const PR10_QUICK_BASELINE_JPS: f64 = 300_000.0;
 
 /// Allowed fractional regression before `--perf-gate` fails the run —
@@ -60,20 +59,25 @@ const PERF_GATE_TOLERANCE: f64 = 0.35;
 
 /// Peak-RSS budget: a fixed base (binary, calibration tables, policy
 /// cache, digests) plus a per-board allowance covering queues, arenas,
-/// the dispatch index and checkpoint scratch. Deliberately generous —
-/// the claim under test is the *shape* (no term scales with the job
-/// count), and the retained design it replaces needs ~56 bytes per
-/// outcome, three orders of magnitude over this budget at 100M jobs.
-const RSS_BASE_MIB: f64 = 512.0;
-const RSS_PER_BOARD_MIB: f64 = 0.25;
+/// the dispatch index and checkpoint scratch. Set to about 4x the
+/// measured `VmHWM` (release build, 2-vCPU x86-64 Linux VM: 6 MiB at
+/// `--quick`, 100 boards; 13-14 MiB at `--jobs 1000000 --boards 5000`),
+/// so a per-job leak fails the run: ~40 bytes per job at a million
+/// jobs, under one byte per job at the 100M-job default. The retained
+/// design this mode replaces holds ~56 bytes per outcome.
+const RSS_BASE_MIB: f64 = 26.0;
+const RSS_PER_BOARD_MIB: f64 = 0.006;
 
 /// Checkpoint-image budget: base sections (header, cursor, stream
 /// digests, policy cache, counters) plus per-board queue/arena state.
-/// Queues are O(boards) in expectation at sub-unit utilisation.
-const CKPT_BASE_BYTES: usize = 4 << 20;
-const CKPT_PER_BOARD_BYTES: usize = 16 << 10;
+/// Queues are O(boards) in expectation at sub-unit utilisation. Set to
+/// about 4x the measured image (451,444 bytes at `--quick`, 100
+/// boards; 1,207,274 bytes, ~241 B/board, at `--jobs 1000000 --boards
+/// 5000`), which fits a ~426 KiB base plus ~154 B/board.
+const CKPT_BASE_BYTES: usize = 1792 << 10;
+const CKPT_PER_BOARD_BYTES: usize = 640;
 
-/// The checkpoint → kill → resume sweep runs the scenario 2 + 4 times;
+/// The checkpoint → kill → resume cycle runs the scenario 2 + 1 times;
 /// above this job count the full leg proves the memory claim instead
 /// and bitwise identity rides on the proptest suite and CI smoke.
 const CYCLE_MAX_JOBS: usize = 1_000_000;
@@ -99,20 +103,14 @@ fn peak_rss_mib() -> f64 {
     0.0
 }
 
-/// The shard-count-agnostic fingerprint of a streaming run: metrics,
-/// stream summary, chaos/cache/drop accounting and every kernel
-/// counter except the execution-plane ones that legitimately vary with
-/// K (shards, messages, advances).
+/// The fingerprint of a streaming run: metrics, stream summary,
+/// chaos/cache/drop accounting and every kernel counter, the
+/// execution plane's messages and advances included.
 fn fingerprint(out: &FleetOutcome) -> String {
-    let mut k = out.kernel;
-    k.shards = 0;
-    k.messages = 0;
-    k.advances = 0;
-    k.par_advances = 0;
     format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}",
         out.metrics,
-        k,
+        out.kernel,
         out.chaos,
         out.stream,
         out.dropped,
@@ -122,20 +120,16 @@ fn fingerprint(out: &FleetOutcome) -> String {
     )
 }
 
-/// A simulator at shard count `k`, adopting the shared replay
-/// calibration cache when one exists (bit-neutral; see
-/// [`FleetSim::replay_handle`]).
+/// A simulator adopting the shared replay calibration cache when one
+/// exists (bit-neutral; see [`FleetSim::replay_handle`]).
 fn sim_with<'c>(
     cluster: &'c ClusterSpec,
     params: &FleetParams,
     shared: &Option<Arc<ReplayExecutor>>,
-    k: usize,
 ) -> FleetSim<'c> {
-    let mut p = params.clone();
-    p.shards = k;
     match shared {
-        Some(r) => FleetSim::with_replay(cluster, p, r.clone()),
-        None => FleetSim::new(cluster, p),
+        Some(r) => FleetSim::with_replay(cluster, params.clone(), r.clone()),
+        None => FleetSim::new(cluster, params.clone()),
     }
 }
 
@@ -201,32 +195,22 @@ fn resumed_run(
 }
 
 /// Run the resident-service experiment: `n_jobs` streamed over
-/// `n_boards` at `shards`, the checkpoint/kill/resume sweep at CI
-/// scale, the retained comparison where affordable, and `days` of
-/// simulated diurnal + chaos traffic. `perf_gate` turns the baseline
+/// `n_boards`, the checkpoint/kill/resume cycle at CI scale, the
+/// retained comparison where affordable, and `days` of simulated
+/// diurnal + chaos traffic. `perf_gate` turns the baseline
 /// comparison into a hard assertion (CI passes it with `--quick`).
-#[allow(clippy::too_many_arguments)]
 pub fn run(
     size: InputSize,
     n_jobs: usize,
     n_boards: usize,
     seed: u64,
     backend: BackendKind,
-    shards: usize,
-    workers: usize,
     days: usize,
     perf_gate: bool,
 ) {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    };
     println!(
         "=== Fleet resident: {n_jobs} streamed jobs over {n_boards} boards \
-         (seed {seed}, backend {}, shards {shards}, workers {workers}) ===\n",
+         (seed {seed}, backend {}) ===\n",
         backend.name()
     );
     let cluster = ClusterSpec::heterogeneous(n_boards);
@@ -236,7 +220,6 @@ pub fn run(
     params.train.episodes = 4;
     params.refresh_episodes = 2;
     params.train.reward.gamma = 6.0;
-    params.shard_workers = workers;
     let pool = tenant_pool();
 
     let mean_service = mean_cold_service_s(&cluster, &pool, &params);
@@ -271,7 +254,7 @@ pub fn run(
     if shared_replay.is_some() {
         let t0 = Instant::now();
         let warm = process.generate(1_000.min(n_jobs), &pool, size, (4.0, 8.0), seed);
-        let sim = sim_with(&cluster, &params, &shared_replay, shards);
+        let sim = sim_with(&cluster, &params, &shared_replay);
         let mut cache = PolicyCache::new(staleness);
         sim.run(&warm, &mut PhaseAware::default(), &mut cache, &scenario);
         println!(
@@ -284,14 +267,14 @@ pub fn run(
     // ------------------------------------------------------------------
     // Leg 1: the streamed headline, with a mid-run checkpoint priced.
     // ------------------------------------------------------------------
-    let sim = sim_with(&cluster, &params, &shared_replay, shards);
+    let sim = sim_with(&cluster, &params, &shared_replay);
     let ckpt_at = (n_jobs / 2).max(1);
     let (streamed, wall_s, image) =
         streamed_run(&sim, &mk_cursor, &scenario, staleness, Some(ckpt_at));
     let jps = n_jobs as f64 / wall_s;
     let image = image.expect("headline leg checkpoints");
     println!(
-        "\nstreamed  (shards {shards}, retention off): {wall_s:>7.2} s wall  \
+        "\nstreamed  (retention off): {wall_s:>7.2} s wall  \
          ({:.1} k jobs/s);  {} completions, {} dropped",
         jps / 1e3,
         streamed.kernel.completions,
@@ -352,14 +335,11 @@ pub fn run(
     }
 
     // ------------------------------------------------------------------
-    // Leg 2: checkpoint → kill → resume, every shard count (CI scale).
+    // Leg 2: checkpoint → kill → resume (CI scale).
     // ------------------------------------------------------------------
     if n_jobs <= CYCLE_MAX_JOBS {
-        let reference = {
-            let sim = sim_with(&cluster, &params, &shared_replay, 1);
-            let (out, _, _) = streamed_run(&sim, &mk_cursor, &scenario, staleness, None);
-            fingerprint(&out)
-        };
+        let (reference, _, _) = streamed_run(&sim, &mk_cursor, &scenario, staleness, None);
+        let reference = fingerprint(&reference);
         // The headline leg took a checkpoint mid-run and kept going:
         // its fingerprint doubles as the non-perturbation check.
         assert_eq!(
@@ -367,21 +347,14 @@ pub fn run(
             reference,
             "taking a checkpoint perturbed the run"
         );
-        for k in [1usize, 2, 4, 7] {
-            let sim = sim_with(&cluster, &params, &shared_replay, k);
-            let (_, _, image) = streamed_run(&sim, &mk_cursor, &scenario, staleness, Some(ckpt_at));
-            let image = image.unwrap();
-            // The checkpointing kernel is dropped here — the "kill".
-            let resumed = resumed_run(&sim, &mk_cursor, &scenario, staleness, &image);
-            assert_eq!(
-                fingerprint(&resumed),
-                reference,
-                "shards {k}: resumed run diverged from the uninterrupted reference"
-            );
-            println!(
-                "checkpoint/kill/resume  shards {k}: fingerprint IDENTICAL to uninterrupted K=1"
-            );
-        }
+        // The kernel that took the image is gone — the "kill".
+        let resumed = resumed_run(&sim, &mk_cursor, &scenario, staleness, &image);
+        assert_eq!(
+            fingerprint(&resumed),
+            reference,
+            "resumed run diverged from the uninterrupted reference"
+        );
+        println!("checkpoint/kill/resume: fingerprint IDENTICAL to the uninterrupted run");
     } else {
         println!(
             "checkpoint/kill/resume sweep: skipped above {CYCLE_MAX_JOBS} jobs \
@@ -394,7 +367,6 @@ pub fn run(
     // ------------------------------------------------------------------
     if n_jobs <= CYCLE_MAX_JOBS {
         let jobs = process.generate(n_jobs, &pool, size, (4.0, 8.0), seed);
-        let sim = sim_with(&cluster, &params, &shared_replay, shards);
         let mut cache = PolicyCache::new(staleness);
         let t0 = Instant::now();
         let retained = sim.run(&jobs, &mut PhaseAware::default(), &mut cache, &scenario);
@@ -467,7 +439,6 @@ pub fn run(
             )
         }
     };
-    let sim = sim_with(&cluster, &params, &shared_replay, shards);
     let (long, wall_l, _) = streamed_run(&sim, &mk_long, &long_scenario, staleness, None);
     let m = &long.metrics;
     println!(

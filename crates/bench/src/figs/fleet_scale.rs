@@ -101,26 +101,17 @@ fn per_job_duel(cluster: &ClusterSpec, params: &FleetParams, stream: &[JobSpec])
 
 /// Run the scaling experiment. `max_jobs` caps the sweep (the full
 /// figure runs 1k → 100k); `backend` is what the sweep executes on
-/// (default replay — the point of the figure); `shards` partitions
-/// the kernel's execution plane (results identical for any value).
-pub fn run(
-    size: InputSize,
-    max_jobs: usize,
-    n_boards: usize,
-    seed: u64,
-    backend: BackendKind,
-    shards: usize,
-) {
+/// (default replay — the point of the figure).
+pub fn run(size: InputSize, max_jobs: usize, n_boards: usize, seed: u64, backend: BackendKind) {
     println!(
         "=== Fleet scale: 1k → {max_jobs} tenant jobs over {n_boards} boards \
-         (seed {seed}, backend {}, shards {shards}) ===\n",
+         (seed {seed}, backend {}) ===\n",
         backend.name()
     );
     let cluster = ClusterSpec::heterogeneous(n_boards);
     let mut params = FleetParams::new(seed);
     params.size = size;
     params.backend = backend;
-    params.shards = shards;
     params.train.episodes = 4;
     params.refresh_episodes = 2;
     params.train.reward.gamma = 6.0;

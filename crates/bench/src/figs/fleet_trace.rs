@@ -63,20 +63,18 @@ fn fingerprint(out: &FleetOutcome) -> u64 {
 /// the headline churn + preemption + feedback scenario with a light
 /// chaos garnish (throttle, blackout, misprofile, flash crowd), traced
 /// at `level`, writing Chrome-trace JSON to `trace_path`.
-#[allow(clippy::too_many_arguments)]
 pub fn run(
     size: InputSize,
     n_jobs: usize,
     n_boards: usize,
     seed: u64,
     backend: BackendKind,
-    shards: usize,
     level: TraceLevel,
     trace_path: &Path,
 ) {
     println!(
         "=== Fleet trace: flight recorder at level '{}' over {n_jobs} jobs / {n_boards} boards \
-         (seed {seed}, backend {}, shards {shards}) ===\n",
+         (seed {seed}, backend {}) ===\n",
         level.name(),
         backend.name()
     );
@@ -84,7 +82,6 @@ pub fn run(
     let mut params = FleetParams::new(seed);
     params.size = size;
     params.backend = backend;
-    params.shards = shards;
     params.train.episodes = 4;
     params.refresh_episodes = 2;
     params.train.reward.gamma = 6.0;

@@ -119,7 +119,7 @@ pub trait Executor: Send + Sync {
 
     /// Answer one request with only its `(wall_time_s, energy_j)`
     /// totals — the two numbers throughput-bound callers (the fleet
-    /// kernel's dispatch and shard paths) actually consume. Must
+    /// kernel's dispatch and completion paths) actually consume. Must
     /// return bitwise the same totals [`Executor::execute`] would;
     /// backends whose full [`RunResult`] is expensive to materialise
     /// (checkpoint vectors, power samples) override this with a path

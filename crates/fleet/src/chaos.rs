@@ -14,7 +14,7 @@
 //!   times stretch by a factor for a window. The board stays up and
 //!   keeps executing; only its speed changes, via the per-board
 //!   slowdown multiplier in [`BoardState`](crate::state::BoardState)
-//!   that the shard execution plane applies to every executor answer;
+//!   that the execution plane applies to every executor answer;
 //! * [`ChaosClause::Blackout`] — a dispatch blackout: the board is
 //!   visible and keeps draining its queue, but the dispatcher may not
 //!   place new work on it for the window;
@@ -32,11 +32,10 @@
 //! function; the compiled events are pushed onto the control queue in
 //! clause order, after churn, so ties at shared timestamps resolve by
 //! push sequence: churn < chaos (clause order) < arrival < monitor
-//! tick — pinned, the same for every shard count. Throttle and
-//! blackout state changes happen *only* at control events, so board
-//! speed is constant between any two control timestamps and the
-//! shard-invariance argument of [`crate::shard`] carries over
-//! unchanged. See DESIGN.md "Chaos engine".
+//! tick — pinned. Throttle and blackout state changes happen *only* at
+//! control events, so board speed is constant between any two control
+//! timestamps and a completion advance (see [`crate::shard`]) never
+//! sees it move. See DESIGN.md "Chaos engine".
 
 use crate::job::JobClass;
 use crate::kernel::EventKind;

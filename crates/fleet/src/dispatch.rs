@@ -1033,7 +1033,7 @@ mod tests {
                         }
                         3 => {
                             // Completion: next queued job starts, as the
-                            // shard advance loop does.
+                            // completion advance does.
                             st.boards[b].in_flight = None;
                             if let Some(q) = st.boards[b].pop_next() {
                                 let s = q.est_total_s();

@@ -25,8 +25,8 @@
 //!
 //! Updates are applied in completion-time order by the kernel's
 //! barrier merge (see [`crate::shard`]), so the learned state — and
-//! every placement downstream of it — is byte-identical for any shard
-//! count.
+//! every placement downstream of it — does not depend on the
+//! completion heap's push order.
 
 use crate::job::Taxon;
 use std::collections::BTreeMap;

@@ -1,12 +1,10 @@
 //! The discrete-event fleet kernel: a virtual-clock event loop driving
-//! online dispatch, preemptive redispatch and board churn, executed
-//! over a sharded state plane.
+//! online dispatch, preemptive redispatch and board churn.
 //!
 //! Earlier revisions planned every placement in one sequential batch
-//! pass and only then executed boards; PR 4 replaced that with a
-//! single event loop over a monotone virtual clock, and this revision
-//! splits that loop into two planes so board count stops being a
-//! sequential bottleneck:
+//! pass and only then executed boards; the kernel replaces that with a
+//! single event loop over a monotone virtual clock, split into two
+//! planes:
 //!
 //! * **The control plane** (this module) owns every decision that
 //!   reads global state: [`EventKind::Arrival`] (dispatcher invoked
@@ -18,19 +16,15 @@
 //!   dispatch observes every board at once.
 //! * **The execution plane** ([`crate::shard`]) owns everything that
 //!   is board-local: [`EventKind::Completion`] chains — a board
-//!   finishing a job and starting its next — partitioned into
-//!   [`crate::shard::ShardSet`] shards that advance independently
-//!   between control timestamps and fold back at a barrier merge.
-//!   Placements are routed to shards as typed
-//!   [`crate::shard::ShardMsg`] values.
+//!   finishing a job and starting its next — in one completion
+//!   [`EventQueue`] that advances to each control timestamp and folds
+//!   back at a barrier merge.
 //!
-//! Everything stays seed-deterministic *and shard-count-invariant*:
-//! events at equal timestamps keep the sequential kernel's order
-//! except same-time completions on different boards, which commute;
-//! every service time is a pure function of the request; and
-//! order-sensitive feedback observations are merged in (time, id)
-//! order at the barrier. `shards = 1` *is* the PR 4 kernel,
-//! byte-for-byte. [`DispatchMode::Oracle`] reproduces the original
+//! Everything stays seed-deterministic: events at equal timestamps pop
+//! in push order, every service time is a pure function of the
+//! request, and order-sensitive feedback observations are merged in
+//! (time, id) order at the barrier, which also keeps checkpoint resume
+//! bit-identical. [`DispatchMode::Oracle`] reproduces the original
 //! batch planner's placements through this same loop, so historical
 //! comparisons stay meaningful; [`DispatchMode::Online`] is the
 //! live-feedback upgrade, and [`Scenario::with_feedback`] closes the
@@ -45,7 +39,7 @@ use crate::dispatch::{Dispatcher, JobEstimates};
 use crate::feedback::ServiceFeedback;
 use crate::job::{JobOutcome, JobSpec};
 use crate::metrics::{FleetMetrics, FleetOutcome, StreamAgg};
-use crate::shard::{AdvanceCtx, AdvanceDelta, ProgramSet, ShardMsg, ShardSet};
+use crate::shard::{self, AdvanceCtx, AdvanceDelta, ProgramSet};
 use crate::sim::{FleetSim, PolicyMode, ProfileTable};
 use crate::state::{BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, QueuedJob};
 use crate::telemetry::{CompletionRecord, FlightRecorder, WindowSample};
@@ -161,8 +155,8 @@ impl Ord for Event {
 
 /// A pending-event queue: a binary heap popping the earliest timestamp
 /// first, ties broken by push order so processing is deterministic
-/// whatever the float values. The control plane keeps one for churn
-/// and monitor ticks; every shard keeps one for its boards'
+/// whatever the float values. The control plane keeps one for churn,
+/// chaos and monitor ticks; the execution plane keeps one for board
 /// completions.
 #[derive(Debug, Default)]
 pub struct EventQueue {
@@ -278,7 +272,7 @@ impl EventQueue {
     /// Every event is validated — finite non-negative timestamp, seq
     /// below `next_seq`, board and clause indices in range, and only
     /// control-plane kinds (arrivals stream through the cursor and
-    /// completions live in shard queues, never here).
+    /// completions live in the completion queue, never here).
     pub(crate) fn decode(
         dec: &mut Dec<'_>,
         n_boards: usize,
@@ -530,15 +524,11 @@ pub struct KernelStats {
     /// Chaos throttle/blackout window-edge events processed (rack
     /// outages count as board downs/ups instead).
     pub chaos_events: u64,
-    /// Shards the execution plane was partitioned into.
-    pub shards: u32,
-    /// Typed messages delivered to shards (placements, migrations,
+    /// Jobs delivered to the execution plane (placements, migrations,
     /// redistributions).
     pub messages: u64,
     /// Barrier advances of the execution plane.
     pub advances: u64,
-    /// Advances that fanned shards out across OS threads.
-    pub par_advances: u64,
 }
 
 /// Per-run scratch for estimate construction, refilled in place per
@@ -644,8 +634,7 @@ pub struct ResidentKernel<'a, 'r> {
     progs: ProgramSet,
     profiles: ProfileTable,
     state: ClusterState<'a>,
-    shards: ShardSet,
-    workers: usize,
+    completions: EventQueue,
     stats: KernelStats,
     feedback: Option<ServiceFeedback>,
     train_time_s: f64,
@@ -778,7 +767,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
 
         // Stock binaries compiled up front; static builds are compiled
         // by the control plane at dispatch/migration time. Either way
-        // the shards only ever read the memo.
+        // the execution plane only ever reads the memo.
         let mut progs = ProgramSet::default();
         for (name, module) in &modules {
             progs.cold.insert(
@@ -792,12 +781,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         // Indexed argmin dispatch: the kernel maintains the index at
         // every board mutation below, so picks stop scanning O(boards).
         state.rebuild_dispatch_index();
-        let shards = ShardSet::new(n_boards, sim.params.shards);
-        let workers = sim.params.shard_workers.max(1);
-        let stats = KernelStats {
-            shards: shards.len() as u32,
-            ..KernelStats::default()
-        };
         let feedback = scenario.feedback.then(ServiceFeedback::default);
         let outcomes: Vec<JobOutcome> = Vec::with_capacity(if retain { cursor.total() } else { 0 });
         // Per-arrival scratch, refilled in place (no per-event allocs).
@@ -850,9 +833,8 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             progs,
             profiles,
             state,
-            shards,
-            workers,
-            stats,
+            completions: EventQueue::new(),
+            stats: KernelStats::default(),
             feedback,
             train_time_s: 0.0,
             train_energy_j: 0.0,
@@ -873,9 +855,8 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
     /// Advances the kernel by exactly one control event — an arrival,
     /// a churn/chaos edge or a monitor tick, each preceded by its
     /// barrier merge — or, when no control remains, by the final drain
-    /// of every shard's completion chain. Returns `false` once the run
-    /// is complete (after which [`ResidentKernel::finish`] assembles
-    /// the outcome).
+    /// of the completion queue. Returns `false` once the run is complete
+    /// (after which [`ResidentKernel::finish`] assembles the outcome).
     pub fn step(&mut self) -> bool {
         if self.finished {
             return false;
@@ -895,8 +876,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             progs,
             profiles,
             state,
-            shards,
-            workers,
+            completions,
             stats,
             feedback,
             train_time_s,
@@ -946,52 +926,17 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             None
         };
 
-        let Some((time_s, act)) = ctl else {
-            // No control left: drain every shard's completion chain.
-            let from_s = state.now_s;
-            let wall = telemetry.stopwatch();
-            let delta = shards.advance_all(
-                &mut state.boards,
-                f64::INFINITY,
-                *workers,
-                &AdvanceCtx {
-                    exec,
-                    progs: &*progs,
-                    modules: &*modules,
-                    specs: &sim.cluster.boards,
-                    collect_observations: feedback.is_some(),
-                },
-            );
-            telemetry.lap_advance(wall);
-            let parallel = shards.last_parallel;
-            let wall = telemetry.stopwatch();
-            fold_delta(
-                delta,
-                &mut *state,
-                &mut *stats,
-                &mut *open,
-                &mut *outcomes,
-                &mut *feedback,
-                &mut **telemetry,
-                from_s,
-                f64::INFINITY,
-                parallel,
-                *retain,
-                &mut *stream,
-            );
-            telemetry.lap_merge(wall);
-            *finished = true;
-            return false;
-        };
-
         // Barrier: every completion strictly before this control
-        // event is folded in before the decision reads any state.
+        // event is folded in before the decision reads any state. With
+        // no control left, the whole completion chain drains.
+        let to_s = ctl.as_ref().map_or(f64::INFINITY, |(t, _)| *t);
         let from_s = state.now_s;
+        stats.advances += 1;
         let wall = telemetry.stopwatch();
-        let delta = shards.advance_all(
+        let delta = shard::advance(
             &mut state.boards,
-            time_s,
-            *workers,
+            &mut *completions,
+            to_s,
             &AdvanceCtx {
                 exec,
                 progs: &*progs,
@@ -1001,7 +946,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             },
         );
         telemetry.lap_advance(wall);
-        let parallel = shards.last_parallel;
         let wall = telemetry.stopwatch();
         fold_delta(
             delta,
@@ -1012,12 +956,15 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             &mut *feedback,
             &mut **telemetry,
             from_s,
-            time_s,
-            parallel,
+            to_s,
             *retain,
             &mut *stream,
         );
         telemetry.lap_merge(wall);
+        let Some((time_s, act)) = ctl else {
+            *finished = true;
+            return false;
+        };
         debug_assert!(
             time_s >= state.now_s - 1e-9,
             "virtual clock ran backwards: {} -> {}",
@@ -1116,9 +1063,12 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     migrations: 0,
                     redispatches: 0,
                 };
-                shards.deliver(
+                stats.messages += 1;
+                shard::deliver(
                     &mut state.boards,
-                    ShardMsg::Enqueue { board: b, job: qj },
+                    &mut *completions,
+                    b,
+                    qj,
                     state.now_s,
                     &AdvanceCtx {
                         exec,
@@ -1146,7 +1096,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                         &mut **cache,
                         *scenario,
                         &mut *state,
-                        &mut *shards,
+                        &mut *completions,
                         &mut *progs,
                         &*modules,
                         feedback.as_ref(),
@@ -1258,6 +1208,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                         continue;
                     }
                     stats.redistributions += 1;
+                    stats.messages += 1;
                     sim.redispatch(
                         exec,
                         &mut *profiles,
@@ -1265,7 +1216,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                         *scenario,
                         &mut **dispatcher,
                         &mut *state,
-                        &mut *shards,
+                        &mut *completions,
                         &mut *progs,
                         &*modules,
                         feedback.as_ref(),
@@ -1345,7 +1296,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             }
 
             EventKind::Completion { .. } => {
-                unreachable!("completions live on shard queues, not the control queue")
+                unreachable!("completions live on the completion queue, not the control queue")
             }
         }
         true
@@ -1394,9 +1345,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             "finish() called before the kernel drained; step() to completion first"
         );
         self.telemetry.lap_total(self.wall_run);
-        self.stats.messages = self.shards.messages;
-        self.stats.advances = self.shards.advances;
-        self.stats.par_advances = self.shards.par_advances;
         assert_eq!(self.open, 0, "kernel exited with open jobs");
         assert_eq!(
             self.stats.arrivals,
@@ -1471,10 +1419,8 @@ fn enc_kernel_stats(enc: &mut Enc, s: &KernelStats) {
     enc.u64(s.board_downs);
     enc.u64(s.board_ups);
     enc.u64(s.chaos_events);
-    enc.u32(s.shards);
     enc.u64(s.messages);
     enc.u64(s.advances);
-    enc.u64(s.par_advances);
 }
 
 fn dec_kernel_stats(dec: &mut Dec<'_>) -> Result<KernelStats, CheckpointError> {
@@ -1491,10 +1437,8 @@ fn dec_kernel_stats(dec: &mut Dec<'_>) -> Result<KernelStats, CheckpointError> {
         board_downs: dec.u64()?,
         board_ups: dec.u64()?,
         chaos_events: dec.u64()?,
-        shards: dec.u32()?,
         messages: dec.u64()?,
         advances: dec.u64()?,
-        par_advances: dec.u64()?,
     };
     if stats.dropped != stats.dropped_no_board + stats.dropped_migration_cap {
         return Err(CheckpointError::Corrupt(
@@ -1549,9 +1493,7 @@ fn dec_chaos_stats(dec: &mut Dec<'_>, fresh: &ChaosStats) -> Result<ChaosStats, 
 impl<'a, 'r> ResidentKernel<'a, 'r> {
     /// Fingerprint of everything a checkpoint's bytes implicitly assume
     /// about the kernel resuming them: fleet size, stream length,
-    /// scenario label and retention mode. Deliberately *excludes* the
-    /// shard count — the determinism contract makes a checkpoint taken
-    /// under K shards valid to resume under any K'.
+    /// scenario label and retention mode.
     fn config_fp(&self) -> u64 {
         let mut enc = Enc::new();
         enc.usize(self.state.len());
@@ -1567,14 +1509,16 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
     /// policy cache, feedback EWMAs, chaos accounting and the streaming
     /// aggregates (or retained outcomes). A kernel built over the same
     /// configuration that [`ResidentKernel::restore`]s these bytes
-    /// continues bit-identically to the uninterrupted run — under any
-    /// shard count.
+    /// continues bit-identically to the uninterrupted run, execution
+    /// counters included.
     ///
     /// What is *not* serialised is everything rebuildable: profile and
     /// calibration memos, compiled programs (warm static builds are
     /// recompiled on restore for every queued job that needs one), the
-    /// dispatch index, and telemetry (the flight recorder's
-    /// non-perturbation contract means it never affects results).
+    /// completion queue (one event per busy board, rebuilt from the
+    /// in-flight jobs), the dispatch index, and telemetry (the flight
+    /// recorder's non-perturbation contract means it never affects
+    /// results).
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         checkpoint::header(&mut enc, self.config_fp());
@@ -1592,9 +1536,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         for b in &self.state.boards {
             b.encode(&mut enc);
         }
-        enc.u64(self.shards.advances);
-        enc.u64(self.shards.par_advances);
-        enc.u64(self.shards.messages);
         enc_chaos_stats(&mut enc, &self.chaos_stats);
         match &self.feedback {
             None => enc.bool(false),
@@ -1628,11 +1569,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
 
     /// Restores a [`ResidentKernel::checkpoint`] into this kernel,
     /// which must have been built over the same configuration (cluster,
-    /// cursor, scenario, retention — fingerprinted in the header; the
-    /// shard count may differ freely). Every section is decoded and
-    /// validated into temporaries before anything is applied, so a
-    /// corrupted, truncated or mismatched checkpoint returns a
-    /// [`CheckpointError`] and leaves the kernel exactly as it was.
+    /// cursor, scenario, retention — fingerprinted in the header). Every
+    /// section is decoded and validated into temporaries before
+    /// anything is applied, so a corrupted, truncated or mismatched
+    /// checkpoint returns a [`CheckpointError`] and leaves the kernel
+    /// exactly as it was.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         let payload = checkpoint::unseal(bytes)?;
         let mut dec = Dec::new(payload);
@@ -1653,7 +1594,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             ));
         }
         let ctrl = EventQueue::decode(&mut dec, n_boards, n_clauses)?;
-        let mut stats = dec_kernel_stats(&mut dec)?;
+        let stats = dec_kernel_stats(&mut dec)?;
         let arch_keys = self.sim.cluster.arch_keys();
         let mut boards = Vec::with_capacity(n_boards);
         for _ in 0..n_boards {
@@ -1680,9 +1621,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 ));
             }
         }
-        let advances = dec.u64()?;
-        let par_advances = dec.u64()?;
-        let messages = dec.u64()?;
         let chaos_stats = dec_chaos_stats(&mut dec, &self.chaos.stats)?;
         let feedback = if dec.bool()? {
             Some(ServiceFeedback::decode(&mut dec, &arch_keys)?)
@@ -1736,16 +1674,8 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.state.now_s = now_s;
         self.state.restore_boards(boards);
         self.ctrl = ctrl;
-        // The shard count is this kernel's, not the checkpoint's: the
-        // execution plane is reconstructed, with one pending completion
-        // per busy board (same-time cross-board completions commute, so
-        // this is the only shard state the contract needs).
-        stats.shards = self.shards.len() as u32;
+        self.completions = shard::completion_queue(&self.state.boards);
         self.stats = stats;
-        self.shards = ShardSet::new(n_boards, self.sim.params.shards);
-        self.shards.restore_completions(&self.state.boards);
-        self.shards
-            .restore_counters(advances, par_advances, messages);
         self.chaos_stats = chaos_stats;
         self.feedback = feedback;
         *self.cache = cache;
@@ -2011,7 +1941,7 @@ impl FleetSim<'_> {
         scenario: &Scenario,
         dispatcher: &mut dyn Dispatcher,
         state: &mut ClusterState,
-        shards: &mut ShardSet,
+        completions: &mut EventQueue,
         progs: &mut ProgramSet,
         modules: &BTreeMap<&'static str, Module>,
         feedback: Option<&ServiceFeedback>,
@@ -2067,9 +1997,11 @@ impl FleetSim<'_> {
         let acc = &mut state.boards[b].oracle_busy_until_s;
         *acc = acc.max(state.now_s) + qj.est_total_s();
         state.boards[b].dispatched += 1;
-        shards.deliver(
+        shard::deliver(
             &mut state.boards,
-            ShardMsg::Enqueue { board: b, job: qj },
+            completions,
+            b,
+            qj,
             state.now_s,
             &AdvanceCtx {
                 exec,
@@ -2096,7 +2028,7 @@ impl FleetSim<'_> {
         cache: &mut PolicyCache,
         scenario: &Scenario,
         state: &mut ClusterState,
-        shards: &mut ShardSet,
+        completions: &mut EventQueue,
         progs: &mut ProgramSet,
         modules: &BTreeMap<&'static str, Module>,
         feedback: Option<&ServiceFeedback>,
@@ -2173,12 +2105,11 @@ impl FleetSim<'_> {
                         let module = &modules[qj2.job.workload.name];
                         ensure_static_build(progs, module, &qj2.job, &qj2.schedule, qj2.sched_arch);
                         state.boards[b2].dispatched += 1;
-                        shards.deliver(
+                        shard::deliver(
                             &mut state.boards,
-                            ShardMsg::Enqueue {
-                                board: b2,
-                                job: qj2,
-                            },
+                            completions,
+                            b2,
+                            qj2,
                             state.now_s,
                             &AdvanceCtx {
                                 exec,
@@ -2190,6 +2121,7 @@ impl FleetSim<'_> {
                         );
                         state.refresh_dispatch_index(b2);
                         stats.migrations += 1;
+                        stats.messages += 1;
                     }
                     None => {
                         t_avail = pred_finish;
@@ -2265,8 +2197,8 @@ fn corrected(
 }
 
 /// Make sure the static build a queued job will run on an `arch` board
-/// is compiled into the program memo before the job reaches a shard
-/// (shards only read).
+/// is compiled into the program memo before the job reaches the
+/// execution plane (which only reads it).
 fn ensure_static_build(
     progs: &mut ProgramSet,
     module: &Module,
@@ -2290,13 +2222,14 @@ fn ensure_static_build(
 /// Fold one barrier merge into the run accounting: completions become
 /// events, outcomes accumulate (when retained) or fold into the
 /// streaming aggregates, and feedback observations are applied in
-/// (completion time, job id) order so the learned state is identical
-/// for every shard count.
+/// (completion time, job id) order, so the learned state does not
+/// depend on the heap's push sequence (which a checkpoint restore
+/// rebuilds in board order).
 ///
 /// The flight recorder observes the merge here too — and *only* here
 /// for completion-derived telemetry: its records are sorted by the same
 /// (finish time, id) key before the hook fires, so the recorded stream
-/// is pinned for every shard count, and successive advance windows
+/// is pinned, and successive advance windows
 /// `[from_s, to_s)` are disjoint and increasing, making the whole trace
 /// monotone in sim time.
 #[allow(clippy::too_many_arguments)]
@@ -2310,21 +2243,20 @@ fn fold_delta(
     telemetry: &mut FlightRecorder,
     from_s: f64,
     to_s: f64,
-    parallel: bool,
     retain: bool,
     stream: &mut Option<StreamAgg>,
 ) {
-    // Shard threads mutate board state (completions pop queues and
+    // The advance mutates board state (completions pop queues and
     // start successors) outside the control plane's view; the boards
-    // they touched are exactly the outcome boards, so the dispatch
-    // index is repaired here, at the barrier, before any decision
-    // reads it.
+    // it touched are exactly the outcome boards, so the dispatch index
+    // is repaired here, at the barrier, before any decision reads it.
     for o in &delta.outcomes {
         state.refresh_dispatch_index(o.board);
     }
-    stats.events += delta.completions;
-    stats.completions += delta.completions;
-    *open -= delta.completions as usize;
+    let completions = delta.outcomes.len();
+    stats.events += completions as u64;
+    stats.completions += completions as u64;
+    *open -= completions;
     if telemetry.enabled() && !delta.outcomes.is_empty() {
         let mut recs: Vec<CompletionRecord> = delta
             .outcomes
@@ -2339,14 +2271,13 @@ fn fold_delta(
             })
             .collect();
         recs.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
-        telemetry.on_window(from_s, to_s, parallel, &recs);
+        telemetry.on_window(from_s, to_s, &recs);
     }
     if let Some(agg) = stream {
-        // The shard fold concatenates per-shard outcome runs, whose
-        // grouping depends on the shard count; pin the streaming fold
-        // to (finish time, id) order so digest and float-sum state is
-        // bit-identical for every shard count (barriers themselves sit
-        // at control timestamps, which are shard-count-invariant).
+        // Outcomes arrive in heap pop order, which depends on push
+        // order; pin the streaming fold to (finish time, id) order so
+        // digest and float-sum state survive a checkpoint restore
+        // bit-identically.
         delta
             .outcomes
             .sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
@@ -2490,43 +2421,19 @@ mod tests {
         )
     }
 
-    fn ckpt_params(shards: usize) -> FleetParams {
+    fn ckpt_params() -> FleetParams {
         let mut p = FleetParams::new(7);
         p.backend = BackendKind::Replay;
-        p.shards = shards;
         p
     }
 
     /// Everything the determinism contract pins across a
-    /// checkpoint/restore cycle under the *same* shard count.
+    /// checkpoint/restore cycle, execution-plane counters included.
     fn ckpt_fingerprint(out: &FleetOutcome) -> String {
         format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}",
             out.metrics,
             out.kernel,
-            out.chaos,
-            out.stream,
-            out.cache,
-            out.dropped,
-            out.guard_bypasses,
-            out.train_time_s.to_bits(),
-            out.train_energy_j.to_bits(),
-        )
-    }
-
-    /// The shard-count-agnostic slice of the fingerprint: everything
-    /// except the execution-plane counters (messages/advances vary
-    /// with K by design).
-    fn ckpt_fingerprint_any_k(out: &FleetOutcome) -> String {
-        let mut k = out.kernel;
-        k.shards = 0;
-        k.messages = 0;
-        k.advances = 0;
-        k.par_advances = 0;
-        format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}",
-            out.metrics,
-            k,
             out.chaos,
             out.stream,
             out.cache,
@@ -2544,7 +2451,7 @@ mod tests {
 
         // Uninterrupted streaming reference.
         let reference = {
-            let sim = FleetSim::new(&cluster, ckpt_params(2));
+            let sim = FleetSim::new(&cluster, ckpt_params());
             let mut cursor = ckpt_cursor();
             let mut dispatcher = PhaseAware::default();
             let mut cache = PolicyCache::new(8);
@@ -2564,7 +2471,7 @@ mod tests {
         // Interrupted run: step partway, checkpoint, keep going —
         // taking the checkpoint must not perturb the run.
         let (bytes, undisturbed) = {
-            let sim = FleetSim::new(&cluster, ckpt_params(2));
+            let sim = FleetSim::new(&cluster, ckpt_params());
             let mut cursor = ckpt_cursor();
             let mut dispatcher = PhaseAware::default();
             let mut cache = PolicyCache::new(8);
@@ -2586,9 +2493,9 @@ mod tests {
         };
         assert_eq!(ckpt_fingerprint(&reference), ckpt_fingerprint(&undisturbed));
 
-        // Restore into a fresh kernel (same config, same K) and drain.
+        // Restore into a fresh kernel (same config) and drain.
         let resumed = {
-            let sim = FleetSim::new(&cluster, ckpt_params(2));
+            let sim = FleetSim::new(&cluster, ckpt_params());
             let mut cursor = ckpt_cursor();
             let mut dispatcher = PhaseAware::default();
             let mut cache = PolicyCache::new(8);
@@ -2606,38 +2513,13 @@ mod tests {
             k.finish()
         };
         assert_eq!(ckpt_fingerprint(&reference), ckpt_fingerprint(&resumed));
-
-        // Resume under a different shard count: everything but the
-        // execution-plane counters is still bit-identical.
-        let resumed_k5 = {
-            let sim = FleetSim::new(&cluster, ckpt_params(5));
-            let mut cursor = ckpt_cursor();
-            let mut dispatcher = PhaseAware::default();
-            let mut cache = PolicyCache::new(8);
-            let mut telemetry = FlightRecorder::off();
-            let mut k = sim.resident(
-                &mut cursor,
-                &mut dispatcher,
-                &mut cache,
-                &scenario,
-                &mut telemetry,
-                false,
-            );
-            k.restore(&bytes).expect("restore under a new K succeeds");
-            k.run();
-            k.finish()
-        };
-        assert_eq!(
-            ckpt_fingerprint_any_k(&reference),
-            ckpt_fingerprint_any_k(&resumed_k5)
-        );
     }
 
     #[test]
     fn checkpoint_rejects_malformed_bytes() {
         let cluster = ClusterSpec::heterogeneous(6);
         let scenario = ckpt_scenario();
-        let sim = FleetSim::new(&cluster, ckpt_params(2));
+        let sim = FleetSim::new(&cluster, ckpt_params());
         let mut cursor = ckpt_cursor();
         let mut dispatcher = PhaseAware::default();
         let mut cache = PolicyCache::new(8);
@@ -2688,7 +2570,7 @@ mod tests {
         ));
         // A checkpoint from a different configuration is refused.
         let other = {
-            let sim2 = FleetSim::new(&cluster, ckpt_params(2));
+            let sim2 = FleetSim::new(&cluster, ckpt_params());
             let mut c2 = ckpt_cursor();
             let mut d2 = PhaseAware::default();
             let mut cache2 = PolicyCache::new(8);

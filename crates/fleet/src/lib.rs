@@ -24,13 +24,10 @@
 //! Everything is seed-deterministic: the same cluster, parameters, job
 //! stream and [`Scenario`] produce byte-identical outcomes.
 //!
-//! The kernel's state is **sharded** ([`shard`]): boards are
-//! partitioned into contiguous shards, each owning its slice of board
-//! state and its own completion event queue, advanced independently
-//! between control events and folded back at a barrier merge — so
-//! board count is no longer a sequential bottleneck and results stay
-//! byte-identical for *every* shard count (`shards = 1` is the PR 4
-//! single-loop kernel, byte-for-byte). On top of the kernel,
+//! The kernel's execution plane ([`shard`]) is one completion event
+//! queue, advanced to each control timestamp and folded back into the
+//! run state at a barrier merge before the control event reads any
+//! state. On top of the kernel,
 //! completion events feed observed service times into a
 //! per-(taxonomy, architecture) EWMA correction layer ([`feedback`])
 //! that dispatchers consult on every subsequent decision — the
@@ -41,8 +38,7 @@
 //! structured Chrome-trace spans, streaming quantile digests and
 //! per-tick gauge windows over *sim* time, plus wall-clock phase
 //! profiling — zero-cost when off, and guaranteed never to perturb
-//! outcomes (fingerprints are byte-identical with tracing on or off
-//! for every shard count).
+//! outcomes (fingerprints are byte-identical with tracing on or off).
 //!
 //! Execution goes through the pluggable
 //! [`Executor`](astro_exec::executor::Executor) contract: the default
@@ -83,7 +79,6 @@ pub use feedback::{FeedbackStats, ServiceFeedback};
 pub use job::{classify_module, taxon_of, JobClass, JobOutcome, JobSpec, Taxon};
 pub use kernel::{ChurnEvent, Event, EventKind, EventQueue, KernelStats, ResidentKernel, Scenario};
 pub use metrics::{percentile, FleetMetrics, FleetOutcome, StreamSummary, STREAM_WINDOW};
-pub use shard::{ShardMsg, ShardSet};
 pub use sim::{chunked_map, serial_map, FleetParams, FleetSim, PolicyMode};
 pub use state::{
     BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, InFlight, QueuedJob,

@@ -143,7 +143,7 @@ pub const STREAM_WINDOW: usize = 4096;
 /// metric state instead of a retained outcome vector.
 ///
 /// Counters and sums are exact (the fold order is pinned per barrier,
-/// so they are bit-identical for every shard count); percentiles come
+/// so they survive a checkpoint restore bit-identically); percentiles come
 /// from the fixed-size [`QuantileDigest`]s, within one digest bucket
 /// of the retained-outcome nearest-rank values.
 #[derive(Clone)]
@@ -381,8 +381,8 @@ pub struct FleetOutcome {
     /// [`DropReason`](crate::state::DropReason) (no board up vs
     /// redispatch cap). Dropped jobs have no [`JobOutcome`].
     pub dropped: Vec<DroppedJob>,
-    /// Event-kernel accounting for the run (including shard-plane
-    /// counters: shards, messages, advances).
+    /// Event-kernel accounting for the run (including the execution
+    /// plane's messages and advances).
     pub kernel: crate::kernel::KernelStats,
     /// Per-chaos-clause accounting (empty when the scenario carries no
     /// [`ChaosSchedule`](crate::chaos::ChaosSchedule)).

@@ -1,47 +1,23 @@
-//! The sharded execution plane of the fleet kernel.
+//! The execution plane of the fleet kernel: one completion
+//! [`EventQueue`] behind the control loop.
 //!
-//! PR 4's kernel funnelled every board's events through one binary
-//! heap: a single sequential loop whose wall-clock grows with board
-//! count. This module partitions the cluster into `K` contiguous
-//! *shards*, each owning a slice of the [`BoardState`] vector and its
-//! own [`EventQueue`] of completion events. Between two control
-//! events (arrival, monitor tick, churn) every completion is purely
-//! board-local — a board finishing a job only pops its own queue and
-//! starts its own next job — so the shards advance *independently* to
-//! the next control timestamp, fanned out across OS threads (the same
-//! scoped-thread pattern as [`chunked_map`](crate::sim::chunked_map))
-//! when the pending window is deep enough to pay for the fan-out, and
-//! their results are folded back in shard order at a **barrier
-//! merge**.
+//! Between two control events (arrival, monitor tick, churn, chaos
+//! edge) every completion is board-local: a board finishing a job only
+//! starts its own next job. So the kernel advances the completion
+//! queue to the next control timestamp in one call, and folds what it
+//! produced back into the run state at a **barrier merge** before the
+//! control event reads any state. Control decisions that place a job
+//! on a board (an arrival, a preemptive migration, a churn
+//! redistribution) reach the plane through `deliver` at the barrier,
+//! never mid-advance.
 //!
-//! Control decisions that target a board — an arrival dispatched to
-//! it, a preemptive migration landing on it, churn redistribution off
-//! a dead neighbour — are expressed as typed [`ShardMsg`] values and
-//! delivered to the owning shard at the barrier, never by reaching
-//! into a shard mid-advance.
-//!
-//! **Why any shard count produces byte-identical results.** The
-//! engine preserves the sequential kernel's semantics exactly:
-//!
-//! 1. Completions are only reordered *across* boards, and completions
-//!    on different boards commute — each touches its own board's
-//!    state, and the shared aggregates (outcome list, event counters,
-//!    open-job count) are order-insensitive (outcomes are sorted by
-//!    stream id before metrics are computed).
-//! 2. Cross-board *observed-service* feedback updates are
-//!    order-sensitive (an EWMA is not commutative), so the advance
-//!    phase records observations instead of applying them; the
-//!    barrier merge sorts them by (completion time, job id) and folds
-//!    them sequentially.
-//! 3. Control events always run on the control plane, sequentially,
-//!    in the same (time, seed-order) sequence for every `K`, against
-//!    board state that all completions before the control timestamp
-//!    have already been folded into.
-//!
-//! The only events `K > 1` may legally reorder relative to `K = 1`
-//! are same-timestamp completions on different boards — and those
-//! commute by (1). See DESIGN.md "Sharded kernel" for the full
-//! argument.
+//! The advance records completions in heap pop order, which depends
+//! on push order. The merge sorts feedback observations and streaming
+//! folds by (completion time, job id) instead, so the learned state
+//! is pinned to the simulation alone; that is what lets a checkpoint
+//! restore rebuild the queue in board order (see
+//! `completion_queue`) and still resume bit-identically. See
+//! DESIGN.md "Execution plane".
 
 use crate::job::{JobOutcome, Taxon};
 use crate::kernel::{Event, EventKind, EventQueue};
@@ -60,14 +36,14 @@ use std::collections::BTreeMap;
 /// [`sk`]: crate::sim::sk
 pub(crate) type WarmKey = (usize, usize, u32);
 
-/// The compiled-program memo the shards execute from, keyed by
+/// The compiled-program memo the execution plane runs from, keyed by
 /// [`sk`](crate::sim::sk) name addresses (probed per job start — the
 /// compiled values are pure functions of the named module and
 /// schedule, and the maps are never iterated). Populated by the
 /// control plane *at dispatch/migration time* (compilation is
 /// deterministic and memoised, so moving it off the start path changes
-/// no result); the advance phase only reads it, which is what lets
-/// shards run on plain shared references.
+/// no result); the advance phase only reads it, through a plain shared
+/// reference.
 #[derive(Default)]
 pub(crate) struct ProgramSet {
     /// Stock binaries, per workload (run under GTS).
@@ -76,21 +52,7 @@ pub(crate) struct ProgramSet {
     pub warm: BTreeMap<WarmKey, CompiledProgram>,
 }
 
-/// A typed action the control plane routes to the shard owning the
-/// target board, applied at the barrier between advances.
-#[derive(Debug)]
-pub enum ShardMsg {
-    /// Queue a dispatched/migrated/redistributed job on a board
-    /// (starting it immediately when the board is idle).
-    Enqueue {
-        /// Global board index.
-        board: usize,
-        /// The job, with schedule and estimates already resolved.
-        job: QueuedJob,
-    },
-}
-
-/// One observed completion, recorded during a shard advance and folded
+/// One observed completion, recorded during an advance and folded
 /// into the feedback layer at the barrier merge in (time, id) order.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Observation {
@@ -108,34 +70,23 @@ pub(crate) struct Observation {
     pub observed_s: f64,
 }
 
-/// What one shard produced during one advance: folded into the global
-/// run state at the barrier, in shard order.
+/// What one advance produced: folded into the run state at the
+/// barrier.
 #[derive(Default)]
 pub(crate) struct AdvanceDelta {
-    /// Completion events processed.
-    pub completions: u64,
-    /// Outcomes revealed (per-shard completion order; globally sorted
-    /// by id before metrics).
+    /// Outcomes revealed, one per completion event processed (heap
+    /// pop order; sorted by id before metrics).
     pub outcomes: Vec<JobOutcome>,
     /// Feedback observations (empty unless the scenario enables the
     /// feedback layer).
     pub observations: Vec<Observation>,
 }
 
-impl AdvanceDelta {
-    fn fold(&mut self, other: AdvanceDelta) {
-        self.completions += other.completions;
-        self.outcomes.extend(other.outcomes);
-        self.observations.extend(other.observations);
-    }
-}
-
-/// Everything a shard needs to advance: the execution backend, the
-/// compiled programs, source modules and board specs. All shared
-/// read-only across shard threads.
+/// Everything an advance needs: the execution backend, the compiled
+/// programs, source modules and board specs, all read-only.
 pub(crate) struct AdvanceCtx<'a> {
     /// The execution backend (answers are a pure function of the
-    /// request, whatever thread asks).
+    /// request).
     pub exec: &'a dyn Executor,
     /// Compiled binaries, populated at dispatch time.
     pub progs: &'a ProgramSet,
@@ -147,205 +98,47 @@ pub(crate) struct AdvanceCtx<'a> {
     pub collect_observations: bool,
 }
 
-/// Shard bookkeeping: the board partition, one completion
-/// [`EventQueue`] per shard, and fan-out accounting.
-pub struct ShardSet {
-    /// Boards per shard (the last shard may own fewer).
-    chunk: usize,
-    /// Per-shard completion queues, shard order.
-    queues: Vec<EventQueue>,
-    /// Exact earliest pending completion time across every shard
-    /// (`f64::INFINITY` when nothing is pending). The barrier's fast
-    /// path: an advance whose horizon is at or before this bound has
-    /// nothing to do on any shard, so the per-shard scan — K heap
-    /// peeks per control event, the steady-state hot path at a
-    /// million arrivals — is skipped outright.
-    earliest_s: f64,
-    /// Barrier advances performed.
-    pub advances: u64,
-    /// Advances that fanned out across OS threads (the rest ran the
-    /// shards serially — cheaper when the pending window is shallow).
-    pub par_advances: u64,
-    /// [`ShardMsg`]s delivered to shards.
-    pub messages: u64,
-    /// Did the most recent `advance_all` fan out across OS threads?
-    /// Read by the flight recorder to label advance spans; purely
-    /// descriptive — the merge result is identical either way.
-    pub last_parallel: bool,
-}
-
-/// Minimum pending completion events (summed over shards) before a
-/// bulk advance pays for spawning one thread per shard.
-const PAR_MIN_PENDING: usize = 256;
-
-impl ShardSet {
-    /// Partition `n_boards` into `shards` contiguous chunks.
-    pub fn new(n_boards: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, n_boards.max(1));
-        let chunk = n_boards.div_ceil(shards).max(1);
-        let n_shards = n_boards.div_ceil(chunk).max(1);
-        ShardSet {
-            chunk,
-            queues: (0..n_shards).map(|_| EventQueue::new()).collect(),
-            earliest_s: f64::INFINITY,
-            advances: 0,
-            par_advances: 0,
-            messages: 0,
-            last_parallel: false,
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Is the partition trivial (it never is — at least one shard)?
-    pub fn is_empty(&self) -> bool {
-        self.queues.is_empty()
-    }
-
-    /// Which shard owns global board `b`.
-    pub fn shard_of(&self, b: usize) -> usize {
-        b / self.chunk
-    }
-
-    /// Completion events pending across all shards.
-    pub fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Deliver a control-plane action to the shard owning its target
-    /// board: queue the job, starting it immediately when the board is
-    /// idle (pushing the completion into that shard's queue).
-    pub(crate) fn deliver(
-        &mut self,
-        boards: &mut [BoardState],
-        msg: ShardMsg,
-        now_s: f64,
-        ctx: &AdvanceCtx<'_>,
-    ) {
-        self.messages += 1;
-        match msg {
-            ShardMsg::Enqueue { board, job } => {
-                let shard = self.shard_of(board);
-                if boards[board].in_flight.is_none() {
-                    start_on(
-                        board,
-                        &mut boards[board],
-                        &mut self.queues[shard],
-                        now_s,
-                        job,
-                        ctx,
-                    );
-                    // The push can only tighten the earliest bound.
-                    if let Some(ev) = self.queues[shard].peek() {
-                        self.earliest_s = self.earliest_s.min(ev.time_s);
-                    }
-                } else {
-                    boards[board].enqueue(job);
-                }
-            }
-        }
-    }
-
-    /// Rebuild the per-shard completion queues after a checkpoint
-    /// restore: exactly one completion event per busy board, at the
-    /// in-flight job's already-resolved true finish time. Board order
-    /// fixes the push sequence, but any order would do — the only
-    /// events that can share a timestamp live on *different* boards
-    /// (one in-flight per board), and same-time cross-board
-    /// completions commute (see the module docs). Must be called on a
-    /// freshly-partitioned set whose queues are empty.
-    pub(crate) fn restore_completions(&mut self, boards: &[BoardState]) {
-        debug_assert_eq!(self.pending(), 0, "restore into a fresh shard set");
-        for (b, bs) in boards.iter().enumerate() {
-            if let Some(f) = &bs.in_flight {
-                let shard = self.shard_of(b);
-                self.queues[shard].push(
-                    f.outcome.finish_s,
-                    EventKind::Completion { board: b as u32 },
-                );
-            }
-        }
-        self.earliest_s = self
-            .queues
-            .iter()
-            .filter_map(|q| q.peek().map(|e| e.time_s))
-            .fold(f64::INFINITY, f64::min);
-    }
-
-    /// Restore the fan-out accounting carried across a checkpoint
-    /// (the queues themselves are rebuilt by
-    /// [`ShardSet::restore_completions`]).
-    pub(crate) fn restore_counters(&mut self, advances: u64, par_advances: u64, messages: u64) {
-        self.advances = advances;
-        self.par_advances = par_advances;
-        self.messages = messages;
-    }
-
-    /// Advance every shard's completion chain to `to_s` (exclusive) and
-    /// fold the per-shard deltas in shard order. `workers > 1` fans the
-    /// shards out across OS threads when the pending window is deep
-    /// enough; the result is identical either way — shards touch
-    /// disjoint board slices and the merge order is fixed.
-    pub(crate) fn advance_all(
-        &mut self,
-        boards: &mut [BoardState],
-        to_s: f64,
-        workers: usize,
-        ctx: &AdvanceCtx<'_>,
-    ) -> AdvanceDelta {
-        self.advances += 1;
-        self.last_parallel = false;
-        // Fast path: nothing pending strictly before the horizon on
-        // any shard — the common case between back-to-back arrivals.
-        if self.earliest_s >= to_s {
-            return AdvanceDelta::default();
-        }
-        let chunk = self.chunk;
-        let mut merged = AdvanceDelta::default();
-        if workers > 1 && self.queues.len() > 1 && self.pending() >= PAR_MIN_PENDING {
-            self.par_advances += 1;
-            self.last_parallel = true;
-            let deltas: Vec<AdvanceDelta> = std::thread::scope(|scope| {
-                let handles: Vec<_> = boards
-                    .chunks_mut(chunk)
-                    .zip(self.queues.iter_mut())
-                    .enumerate()
-                    .map(|(s, (slice, queue))| {
-                        scope.spawn(move || advance_shard(s * chunk, slice, queue, to_s, ctx))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for d in deltas {
-                merged.fold(d);
-            }
-        } else {
-            for (s, (slice, queue)) in boards
-                .chunks_mut(chunk)
-                .zip(self.queues.iter_mut())
-                .enumerate()
-            {
-                merged.fold(advance_shard(s * chunk, slice, queue, to_s, ctx));
-            }
-        }
-        // Re-establish the exact bound after pops and chained starts.
-        self.earliest_s = self
-            .queues
-            .iter()
-            .filter_map(|q| q.peek().map(|e| e.time_s))
-            .fold(f64::INFINITY, f64::min);
-        merged
+/// Hand `job` to board `b`: start it now when the board is idle
+/// (pushing its completion onto `queue`), else queue it behind the
+/// board's current work.
+pub(crate) fn deliver(
+    boards: &mut [BoardState],
+    queue: &mut EventQueue,
+    b: usize,
+    job: QueuedJob,
+    now_s: f64,
+    ctx: &AdvanceCtx<'_>,
+) {
+    if boards[b].in_flight.is_none() {
+        start_on(b, &mut boards[b], queue, now_s, job, ctx);
+    } else {
+        boards[b].enqueue(job);
     }
 }
 
-/// Advance one shard: process its completion events strictly before
-/// `to_s`, starting each board's next queued job as the previous one
-/// finishes. Touches only this shard's board slice and queue.
-fn advance_shard(
-    base: usize,
+/// The completion queue of restored board state: exactly one event per
+/// busy board, at the in-flight job's already-resolved finish time,
+/// pushed in board order. Only events on different boards can share a
+/// timestamp (one in-flight job per board), and the barrier merge
+/// folds same-time completions in (time, id) order whatever order the
+/// heap pops them in, so the push order changes no result.
+pub(crate) fn completion_queue(boards: &[BoardState]) -> EventQueue {
+    let mut queue = EventQueue::new();
+    for (b, bs) in boards.iter().enumerate() {
+        if let Some(f) = &bs.in_flight {
+            queue.push(
+                f.outcome.finish_s,
+                EventKind::Completion { board: b as u32 },
+            );
+        }
+    }
+    queue
+}
+
+/// Process every completion strictly before `to_s`, starting each
+/// board's next queued job as the previous one finishes. An empty
+/// window costs one heap peek.
+pub(crate) fn advance(
     boards: &mut [BoardState],
     queue: &mut EventQueue,
     to_s: f64,
@@ -355,20 +148,15 @@ fn advance_shard(
     while let Some(ev) = queue.pop_before(to_s) {
         let Event { time_s, kind, .. } = ev;
         let EventKind::Completion { board } = kind else {
-            unreachable!("shard queues hold only completion events");
+            unreachable!("the completion queue holds only completion events");
         };
         let b = board as usize;
-        debug_assert!(
-            b >= base && b - base < boards.len(),
-            "completion crossed shards"
-        );
-        let bs = &mut boards[b - base];
+        let bs = &mut boards[b];
         let fin = bs
             .in_flight
             .take()
             .expect("completion event for an idle board");
         bs.completed += 1;
-        delta.completions += 1;
         if ctx.collect_observations {
             delta.observations.push(Observation {
                 finish_s: time_s,
@@ -389,9 +177,8 @@ fn advance_shard(
 
 /// Begin service of `job` on idle board `b` *now*: one executor run
 /// fixes the true finish time, the completion event is pushed onto the
-/// owning shard's queue, and dispatchers see only the estimate until
-/// then.
-pub(crate) fn start_on(
+/// completion queue, and dispatchers see only the estimate until then.
+fn start_on(
     b: usize,
     bs: &mut BoardState,
     queue: &mut EventQueue,
@@ -480,42 +267,4 @@ pub(crate) fn start_on(
         },
     });
     queue.push(finish, EventKind::Completion { board: b as u32 });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn partition_covers_all_boards_exactly_once() {
-        for n in [1usize, 2, 5, 16, 500] {
-            for k in [1usize, 2, 4, 7, 64] {
-                let set = ShardSet::new(n, k);
-                assert!(set.len() >= 1 && set.len() <= k.min(n));
-                let mut per_shard = vec![0usize; set.len()];
-                for b in 0..n {
-                    let s = set.shard_of(b);
-                    assert!(s < set.len(), "board {b} of {n} landed in shard {s}");
-                    per_shard[s] += 1;
-                }
-                assert_eq!(per_shard.iter().sum::<usize>(), n);
-                // Contiguous chunks: every shard but the last is full.
-                for (s, &count) in per_shard.iter().enumerate() {
-                    if s + 1 < set.len() {
-                        assert_eq!(count, n.div_ceil(set.len().max(1)).max(1));
-                    } else {
-                        assert!(count >= 1);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_shard_counts_clamp_to_boards() {
-        let set = ShardSet::new(3, 64);
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.pending(), 0);
-        assert!(!set.is_empty());
-    }
 }

@@ -90,16 +90,6 @@ pub struct FleetParams {
     /// profile as time-neutral (within profiling noise) or faster;
     /// `f64::INFINITY` disables the guard.
     pub latency_guard: f64,
-    /// Shards the kernel's execution plane is partitioned into
-    /// (contiguous board chunks, each with its own event queue; see
-    /// [`crate::shard`]). Clamped to the board count. Results are
-    /// byte-identical for every value; `1` (the default) is the
-    /// single-loop PR 4 kernel. Must be at least 1.
-    pub shards: usize,
-    /// OS threads shard advances may fan out across (`1` = always
-    /// serial). Purely a wall-clock knob: results are identical for
-    /// every value. Defaults to the machine's available parallelism.
-    pub shard_workers: usize,
     /// Base seed (profiles and training derive from it).
     pub seed: u64,
 }
@@ -129,10 +119,6 @@ impl FleetParams {
             },
             refresh_episodes: 2,
             latency_guard: 1.01,
-            shards: 1,
-            shard_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             seed,
         }
     }
@@ -232,7 +218,7 @@ pub struct FleetSim<'a> {
     /// owned by the simulator so its calibration cache (a pure function
     /// of (workload, architecture, engine parameters)) is shared across
     /// every run of this simulator instead of re-recorded per scenario.
-    /// Behind an `Arc` so harnesses comparing shard counts can hand one
+    /// Behind an `Arc` so harnesses running several legs can hand one
     /// warmed cache to every leg ([`FleetSim::replay_handle`]).
     pub(crate) replay_exec: Option<Arc<ReplayExecutor>>,
 }
@@ -241,10 +227,6 @@ impl<'a> FleetSim<'a> {
     /// A simulator over `cluster`.
     pub fn new(cluster: &'a ClusterSpec, params: FleetParams) -> Self {
         assert!(!cluster.is_empty(), "fleet needs at least one board");
-        assert!(
-            params.shards >= 1,
-            "the kernel needs at least one shard (got --shards 0?)"
-        );
         let replay_exec = match params.backend {
             BackendKind::Machine => None,
             BackendKind::Replay => Some(Arc::new(ReplayExecutor::from_machine(params.machine))),
@@ -298,8 +280,8 @@ impl<'a> FleetSim<'a> {
     /// collects trace events, streaming digests, window samples and
     /// wall-clock phase timings as the kernel runs. Telemetry never
     /// perturbs the simulation — the returned [`FleetOutcome`] is
-    /// byte-identical to an untraced run of the same inputs for every
-    /// shard count (pinned by the `proptest_telemetry` suite).
+    /// byte-identical to an untraced run of the same inputs (pinned by
+    /// the `proptest_telemetry` suite).
     pub fn run_traced(
         &self,
         jobs: &[JobSpec],

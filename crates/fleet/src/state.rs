@@ -183,7 +183,7 @@ pub struct BoardState {
     /// Composed thermal-throttle slowdown applied to the service time
     /// of every job *started* while it holds (1.0 = full speed). Only
     /// control-plane chaos events change it, so it is constant between
-    /// control timestamps — the shard-invariance requirement.
+    /// control timestamps, so a completion advance never sees it move.
     pub slowdown: f64,
     /// Active throttle windows as `(clause index, factor)`, insertion
     /// order; [`BoardState::recompute_slowdown`] folds them.

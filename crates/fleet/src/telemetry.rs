@@ -12,11 +12,11 @@
 //! **Three layers, three clocks:**
 //!
 //! 1. *Structured event tracing* ([`TraceEvent`]) — spans for dispatch
-//!    decisions, shard `advance_all` windows, barrier merges, preempt
+//!    decisions, completion advance windows, barrier merges, preempt
 //!    scans, churn and chaos window edges, emitted as
 //!    Chrome-trace/Perfetto JSON by [`FlightRecorder::render_chrome_trace`].
 //!    Timestamps are **sim time** (microseconds of virtual clock), so
-//!    traces are byte-identical across machines and shard counts.
+//!    traces are byte-identical across machines.
 //! 2. *Streaming aggregation* ([`QuantileDigest`], [`WindowSample`]) —
 //!    a fixed-size log-bucketed latency histogram plus a counter
 //!    registry and per-tick gauge samples (utilisation, queue depth,
@@ -24,20 +24,20 @@
 //!    p50/p95/p99-so-far and SLO-miss over sim time *without retaining
 //!    outcomes* — the digest the resident-service refactor needs.
 //! 3. *Wall-clock phase profiling* ([`PhaseProfile`]) — control-plane
-//!    vs shard-advance vs barrier-merge timers. These are **machine
+//!    vs completion-advance vs barrier-merge timers. These are **machine
 //!    time**, machine-dependent by construction, and excluded from
 //!    every golden; they exist to aim the hot-path work, not to be
 //!    reproducible.
 //!
 //! **The determinism argument.** Every hook runs on the sequential
-//! control plane (never inside a shard advance, which may fan out
-//! across worker threads); hooks *read* kernel state and *write* only
+//! control plane (never inside a completion advance); hooks *read*
+//! kernel state and *write* only
 //! recorder state; and completion-derived telemetry is taken at the
 //! barrier merge after sorting the fold's completions by
 //! `(finish_s, id)` — within one merge the order is pinned, and
 //! successive advance windows are disjoint and increasing, so the
-//! completion event stream is globally monotone in sim time for every
-//! shard count. The kernel's simulation state never branches on the
+//! completion event stream is globally monotone in sim time. The
+//! kernel's simulation state never branches on the
 //! recorder, so outcomes are bitwise identical with tracing on or off
 //! (pinned by the `proptest_telemetry` suite). The off path costs one
 //! branch per hook: every hook is `#[inline]` and returns immediately
@@ -56,7 +56,7 @@ pub enum TraceLevel {
     /// Streaming aggregation only: quantile digests, counters, and a
     /// [`WindowSample`] per monitor tick. No trace events.
     Ticks,
-    /// Plus structured spans: shard advance windows, preempt scans,
+    /// Plus structured spans: completion advance windows, preempt scans,
     /// churn and chaos window edges, monitor-tick markers.
     Spans,
     /// Plus per-job events: a span per dispatch decision and an
@@ -109,8 +109,7 @@ pub const DIGEST_BUCKETS: usize = 640;
 /// `exact <= estimate <= exact * DIGEST_GROWTH` for any sample set
 /// within `[DIGEST_FLOOR, DIGEST_FLOOR * DIGEST_GROWTH^DIGEST_BUCKETS]`.
 /// The histogram is a pure function of the *multiset* of samples, so
-/// the stream order (which may differ in wall time across shard
-/// fan-outs) cannot change any answer.
+/// the stream order cannot change any answer.
 #[derive(Clone)]
 pub struct QuantileDigest {
     counts: Vec<u64>,
@@ -294,7 +293,8 @@ pub struct WindowSample {
 pub struct PhaseProfile {
     /// Total wall seconds inside the kernel loop.
     pub total_s: f64,
-    /// Wall seconds inside `advance_all` (the execution plane).
+    /// Wall seconds inside the completion advance (the execution
+    /// plane, [`crate::shard`]).
     pub shard_advance_s: f64,
     /// Wall seconds folding advance deltas at the barrier merge.
     pub barrier_merge_s: f64,
@@ -302,7 +302,7 @@ pub struct PhaseProfile {
 
 impl PhaseProfile {
     /// Wall seconds in the sequential control plane — everything not
-    /// attributed to shard advances or barrier merges.
+    /// attributed to completion advances or barrier merges.
     pub fn control_s(&self) -> f64 {
         (self.total_s - self.shard_advance_s - self.barrier_merge_s).max(0.0)
     }
@@ -462,13 +462,7 @@ impl FlightRecorder {
     /// infinite on the final drain). Emits the advance span, feeds the
     /// streaming digests, and emits per-completion instants at
     /// [`TraceLevel::Full`].
-    pub(crate) fn on_window(
-        &mut self,
-        from_s: f64,
-        to_s: f64,
-        parallel: bool,
-        recs: &[CompletionRecord],
-    ) {
+    pub(crate) fn on_window(&mut self, from_s: f64, to_s: f64, recs: &[CompletionRecord]) {
         debug_assert!(self.enabled(), "on_window called on a disabled recorder");
         if recs.is_empty() {
             return;
@@ -480,11 +474,7 @@ impl FlightRecorder {
         };
         if self.wants_spans() {
             self.events.push(TraceEvent {
-                name: if parallel {
-                    "advance (parallel)".to_string()
-                } else {
-                    "advance".to_string()
-                },
+                name: "advance".to_string(),
                 cat: "shard",
                 ts_us: from_s * 1e6,
                 dur_us: (end_s - from_s).max(0.0) * 1e6,
@@ -1100,19 +1090,19 @@ mod tests {
             workload: "w",
         }];
         let mut ticks = FlightRecorder::new(TraceLevel::Ticks);
-        ticks.on_window(1.0, 3.0, false, &recs);
+        ticks.on_window(1.0, 3.0, &recs);
         ticks.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert!(ticks.events().is_empty(), "ticks level emits no events");
         assert_eq!(ticks.completions(), 1);
         assert_eq!(ticks.latency_digest().count(), 1);
 
         let mut spans = FlightRecorder::new(TraceLevel::Spans);
-        spans.on_window(1.0, 3.0, false, &recs);
+        spans.on_window(1.0, 3.0, &recs);
         spans.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert_eq!(spans.events().len(), 1, "advance span only");
 
         let mut full = FlightRecorder::new(TraceLevel::Full);
-        full.on_window(1.0, 3.0, false, &recs);
+        full.on_window(1.0, 3.0, &recs);
         full.on_dispatch(3.0, 8, "w", 1, 0.4);
         assert_eq!(full.events().len(), 3, "advance + completion + dispatch");
         assert!(full.timestamps_monotone());
@@ -1129,7 +1119,7 @@ mod tests {
             board: 0,
             workload: "swap\"tions", // exercises escaping
         };
-        r.on_window(0.0, 1.5, true, &[rec(0, 0.5, 1.0), rec(1, 2.0, 1.0)]);
+        r.on_window(0.0, 1.5, &[rec(0, 0.5, 1.0), rec(1, 2.0, 1.0)]);
         r.on_tick(WindowSample {
             t_s: 2.0,
             completions: r.completions(),

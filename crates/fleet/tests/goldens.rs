@@ -140,8 +140,8 @@ fn golden_fleet_churn_shape() {
     );
 }
 
-/// `fleet_million` shape: replay backend, sharded execution plane,
-/// bursty arrivals over a wider fleet.
+/// `fleet_million` shape: replay backend, bursty arrivals over a wider
+/// fleet.
 #[test]
 fn golden_fleet_million_shape() {
     let cluster = ClusterSpec::heterogeneous(40);
@@ -154,7 +154,6 @@ fn golden_fleet_million_shape() {
     let scenario = Scenario::online(PolicyMode::Warm).with_feedback();
     let mut params = FleetParams::new(13);
     params.backend = BackendKind::Replay;
-    params.shards = 4;
     let sim = FleetSim::new(&cluster, params);
     let mut cache = PolicyCache::new(4);
     let out = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
@@ -166,11 +165,10 @@ fn golden_fleet_million_shape() {
 }
 
 /// The energy-optimising dispatcher under churn + feedback on the
-/// replay backend, run at every shard count the proptest suite covers
-/// (K ∈ {1, 2, 4, 7}) with the flight recorder off and fully on. The
-/// PR 8 rewrite replaced EnergyAware's per-pick Vec collects with a
-/// reusable scratch two-pass argmin; this golden freezes the rewritten
-/// decision sequence — all eight runs must reproduce the same digest.
+/// replay backend, run with the flight recorder off and fully on.
+/// EnergyAware picks through a reusable scratch two-pass argmin; this
+/// golden freezes that decision sequence — both runs must reproduce
+/// the same digest.
 #[test]
 fn golden_energy_aware_shape() {
     let cluster = ClusterSpec::heterogeneous(9);
@@ -197,42 +195,37 @@ fn golden_energy_aware_shape() {
         .with_churn(churn);
 
     const GOLDEN: u64 = 0xa3f3_7e31_4473_ecde;
-    for shards in [1usize, 2, 4, 7] {
-        for traced in [false, true] {
-            let mut params = FleetParams::new(31);
-            params.backend = BackendKind::Replay;
-            params.shards = shards;
-            let sim = FleetSim::new(&cluster, params);
-            let mut cache = PolicyCache::new(8);
-            let out = if traced {
-                let mut recorder = FlightRecorder::new(TraceLevel::Full);
-                sim.run_traced(
-                    &jobs,
-                    &mut EnergyAware::default(),
-                    &mut cache,
-                    &scenario,
-                    &mut recorder,
-                )
-            } else {
-                sim.run(&jobs, &mut EnergyAware::default(), &mut cache, &scenario)
-            };
-            assert_eq!(
-                fingerprint(&out),
-                GOLDEN,
-                "energy-aware run drifted from the golden bits \
-                 (shards {shards}, traced {traced}): got {:#018x}",
-                fingerprint(&out)
-            );
-        }
+    for traced in [false, true] {
+        let mut params = FleetParams::new(31);
+        params.backend = BackendKind::Replay;
+        let sim = FleetSim::new(&cluster, params);
+        let mut cache = PolicyCache::new(8);
+        let out = if traced {
+            let mut recorder = FlightRecorder::new(TraceLevel::Full);
+            sim.run_traced(
+                &jobs,
+                &mut EnergyAware::default(),
+                &mut cache,
+                &scenario,
+                &mut recorder,
+            )
+        } else {
+            sim.run(&jobs, &mut EnergyAware::default(), &mut cache, &scenario)
+        };
+        assert_eq!(
+            fingerprint(&out),
+            GOLDEN,
+            "energy-aware run drifted from the golden bits (traced {traced}): got {:#018x}",
+            fingerprint(&out)
+        );
     }
 }
 
 /// The adversarial composite: churn + chaos (outage, composed
 /// throttles, blackout, misprofile) + preemption + feedback on the
-/// replay backend, run at every shard count the proptest suite covers
-/// (K ∈ {1, 2, 4, 7}) with the flight recorder off and fully on. All
-/// eight runs must produce the same frozen digest — shard count and
-/// telemetry are execution knobs, never semantics.
+/// replay backend, run with the flight recorder off and fully on. Both
+/// runs must produce the same frozen digest — telemetry is an
+/// observation knob, never semantics.
 #[test]
 fn golden_chaos_storm_shape() {
     let cluster = ClusterSpec::heterogeneous(12);
@@ -267,32 +260,28 @@ fn golden_chaos_storm_shape() {
         .with_chaos(chaos);
 
     const GOLDEN: u64 = 0x67dc_76f5_6dd0_5eb0;
-    for shards in [1usize, 2, 4, 7] {
-        for traced in [false, true] {
-            let mut params = FleetParams::new(23);
-            params.backend = BackendKind::Replay;
-            params.shards = shards;
-            let sim = FleetSim::new(&cluster, params);
-            let mut cache = PolicyCache::new(8);
-            let out = if traced {
-                let mut recorder = FlightRecorder::new(TraceLevel::Full);
-                sim.run_traced(
-                    &jobs,
-                    &mut PhaseAware::default(),
-                    &mut cache,
-                    &scenario,
-                    &mut recorder,
-                )
-            } else {
-                sim.run(&jobs, &mut PhaseAware::default(), &mut cache, &scenario)
-            };
-            assert_eq!(
-                fingerprint(&out),
-                GOLDEN,
-                "chaos-storm run drifted from the golden bits \
-                 (shards {shards}, traced {traced}): got {:#018x}",
-                fingerprint(&out)
-            );
-        }
+    for traced in [false, true] {
+        let mut params = FleetParams::new(23);
+        params.backend = BackendKind::Replay;
+        let sim = FleetSim::new(&cluster, params);
+        let mut cache = PolicyCache::new(8);
+        let out = if traced {
+            let mut recorder = FlightRecorder::new(TraceLevel::Full);
+            sim.run_traced(
+                &jobs,
+                &mut PhaseAware::default(),
+                &mut cache,
+                &scenario,
+                &mut recorder,
+            )
+        } else {
+            sim.run(&jobs, &mut PhaseAware::default(), &mut cache, &scenario)
+        };
+        assert_eq!(
+            fingerprint(&out),
+            GOLDEN,
+            "chaos-storm run drifted from the golden bits (traced {traced}): got {:#018x}",
+            fingerprint(&out)
+        );
     }
 }

@@ -2,9 +2,8 @@
 //! [`ChaosSchedule`] throws at the kernel — correlated rack outages,
 //! overlapping thermal throttles, dispatch blackouts, misprofiled
 //! estimates, flash-crowd/diurnal traffic shaping — the kernel's
-//! accounting invariants must hold, the run must replay
-//! byte-identically under the same seed, and the sharded execution
-//! plane must produce byte-identical outcomes for every shard count.
+//! accounting invariants must hold and the run must replay
+//! byte-identically under the same seed.
 
 use astro_fleet::{
     ArrivalProcess, ChaosSchedule, ClusterSpec, FleetOutcome, FleetParams, FleetSim, JobClass,
@@ -23,7 +22,7 @@ fn pool() -> Vec<Workload> {
 
 /// Bitwise fingerprint of everything a scenario observes, including
 /// the per-chaos-clause accounting (floats through `to_bits`, so even
-/// a last-ulp drift between shard counts fails).
+/// a last-ulp drift between replays fails).
 fn fingerprint(out: &FleetOutcome) -> Vec<u64> {
     let mut fp = Vec::new();
     for o in &out.outcomes {
@@ -133,8 +132,7 @@ proptest! {
     /// Arbitrary chaos schedules over arbitrary small fleets: every
     /// arrival still ends as exactly one completion or one explicit
     /// drop, event accounting balances including chaos events, the
-    /// run replays byte-identically, and all shard counts
-    /// K ∈ {1, 2, 4, 7} agree to the bit.
+    /// run replays byte-identically.
     #[test]
     fn invariants_hold_under_arbitrary_chaos(
         n_jobs in 4usize..14,
@@ -192,81 +190,63 @@ proptest! {
             scenario = scenario.with_feedback();
         }
 
-        let mut reference: Option<(usize, Vec<u64>)> = None;
-        for shards in [1usize, 2, 4, 7] {
-            let mut params = FleetParams::new(seed);
-            params.shards = shards;
-            let sim = FleetSim::new(&cluster, params);
-            let mut cache = PolicyCache::new(0);
-            let out = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
+        let sim = FleetSim::new(&cluster, FleetParams::new(seed));
+        let mut cache = PolicyCache::new(0);
+        let out = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
 
-            // Complete-or-drop exactly once.
-            prop_assert_eq!(out.outcomes.len() + out.dropped.len(), n_jobs);
-            let mut seen: BTreeSet<u32> = out.outcomes.iter().map(|o| o.id).collect();
-            for d in &out.dropped {
-                prop_assert!(seen.insert(d.id), "job {} completed and dropped", d.id);
-            }
-            prop_assert_eq!(seen.len(), n_jobs);
-
-            // Monotone per-job causality.
-            for o in &out.outcomes {
-                prop_assert!(o.board < n_boards);
-                prop_assert!(o.start_s >= o.arrival_s - 1e-12);
-                prop_assert!(o.finish_s > o.start_s);
-                prop_assert!(o.service_s > 0.0);
-            }
-
-            // Accounting balances, chaos events included.
-            let k = &out.kernel;
-            prop_assert_eq!(k.arrivals, n_jobs as u64);
-            prop_assert_eq!(k.arrivals, k.completions + k.dropped);
-            prop_assert_eq!(
-                k.events,
-                k.arrivals + k.completions + k.ticks + k.board_downs + k.board_ups
-                    + k.chaos_events,
-                "every processed event must be counted exactly once: {k:?}"
-            );
-            // Throttle and blackout clauses each fire a start and an
-            // end on every board they name; outages land in the
-            // board_downs/board_ups counters instead.
-            let expected_chaos = throttle_raw.len() as u64 * 2
-                + blackout_raw
-                    .iter()
-                    .map(|&(which, _, _)| {
-                        2 * (0..n_boards).filter(|b| (b % 2 == 0) == (which % 2 == 0)).count()
-                            as u64
-                    })
-                    .sum::<u64>();
-            prop_assert_eq!(k.chaos_events, expected_chaos);
-            let outage_boards: u64 = (0..chaos.clauses.len())
-                .filter_map(|i| match chaos.clause(i) {
-                    astro_fleet::ChaosClause::RackOutage { boards, .. } => {
-                        Some(boards.len() as u64)
-                    }
-                    _ => None,
-                })
-                .sum();
-            prop_assert_eq!(k.board_downs, outage_boards);
-            prop_assert_eq!(k.board_ups, outage_boards);
-            prop_assert!(out.chaos.max_slowdown <= astro_fleet::MAX_SLOWDOWN);
-
-            // Determinism: same seed, same shard count, same bytes.
-            let mut cache = PolicyCache::new(0);
-            let again = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
-            prop_assert_eq!(fingerprint(&out), fingerprint(&again), "replay diverged");
-
-            // Shard invariance: every K agrees with the first.
-            let fp = fingerprint(&out);
-            match &reference {
-                None => reference = Some((shards, fp)),
-                Some((k0, fp0)) => prop_assert_eq!(
-                    fp0,
-                    &fp,
-                    "shards={} and shards={} disagree under chaos (seed {seed})",
-                    k0,
-                    shards
-                ),
-            }
+        // Complete-or-drop exactly once.
+        prop_assert_eq!(out.outcomes.len() + out.dropped.len(), n_jobs);
+        let mut seen: BTreeSet<u32> = out.outcomes.iter().map(|o| o.id).collect();
+        for d in &out.dropped {
+            prop_assert!(seen.insert(d.id), "job {} completed and dropped", d.id);
         }
+        prop_assert_eq!(seen.len(), n_jobs);
+
+        // Monotone per-job causality.
+        for o in &out.outcomes {
+            prop_assert!(o.board < n_boards);
+            prop_assert!(o.start_s >= o.arrival_s - 1e-12);
+            prop_assert!(o.finish_s > o.start_s);
+            prop_assert!(o.service_s > 0.0);
+        }
+
+        // Accounting balances, chaos events included.
+        let k = &out.kernel;
+        prop_assert_eq!(k.arrivals, n_jobs as u64);
+        prop_assert_eq!(k.arrivals, k.completions + k.dropped);
+        prop_assert_eq!(
+            k.events,
+            k.arrivals + k.completions + k.ticks + k.board_downs + k.board_ups
+                + k.chaos_events,
+            "every processed event must be counted exactly once: {k:?}"
+        );
+        // Throttle and blackout clauses each fire a start and an
+        // end on every board they name; outages land in the
+        // board_downs/board_ups counters instead.
+        let expected_chaos = throttle_raw.len() as u64 * 2
+            + blackout_raw
+                .iter()
+                .map(|&(which, _, _)| {
+                    2 * (0..n_boards).filter(|b| (b % 2 == 0) == (which % 2 == 0)).count()
+                        as u64
+                })
+                .sum::<u64>();
+        prop_assert_eq!(k.chaos_events, expected_chaos);
+        let outage_boards: u64 = (0..chaos.clauses.len())
+            .filter_map(|i| match chaos.clause(i) {
+                astro_fleet::ChaosClause::RackOutage { boards, .. } => {
+                    Some(boards.len() as u64)
+                }
+                _ => None,
+            })
+            .sum();
+        prop_assert_eq!(k.board_downs, outage_boards);
+        prop_assert_eq!(k.board_ups, outage_boards);
+        prop_assert!(out.chaos.max_slowdown <= astro_fleet::MAX_SLOWDOWN);
+
+        // Determinism: same seed, same bytes.
+        let mut cache = PolicyCache::new(0);
+        let again = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
+        prop_assert_eq!(fingerprint(&out), fingerprint(&again), "replay diverged");
     }
 }

@@ -1,9 +1,9 @@
 //! Checkpoint/restore equivalence through the public API: randomised
 //! churn + chaos schedules, a checkpoint taken at an arbitrary control
-//! step, resumed under every shard count in {1, 2, 4, 7} — the drained
-//! outcome must be byte-identical to the uninterrupted run (modulo the
-//! execution-plane counters that vary with K by design), and taking
-//! the checkpoint must not perturb the run it was taken from.
+//! step and resumed in a fresh kernel — the drained outcome must be
+//! byte-identical to the uninterrupted run, execution-plane counters
+//! included, and taking the checkpoint must not perturb the run it was
+//! taken from.
 //! Corrupted, truncated and wrong-version images must be rejected
 //! cleanly, leaving the kernel able to restore the good image and
 //! drain.
@@ -36,17 +36,11 @@ fn dispatcher(pick: u8) -> Box<dyn Dispatcher> {
     }
 }
 
-/// Everything the determinism contract pins across shard counts:
+/// Everything the determinism contract pins across a checkpoint:
 /// retained outcomes (bitwise), drops, metrics, streaming aggregates,
-/// chaos/cache/feedback accounting — with the execution-plane counters
-/// (`shards`, `messages`, `advances`, `par_advances`) zeroed, since
-/// those vary with K by design.
+/// kernel counters (execution-plane `messages` and `advances`
+/// included), chaos/cache/feedback accounting.
 fn fingerprint(out: &FleetOutcome) -> String {
-    let mut k = out.kernel;
-    k.shards = 0;
-    k.messages = 0;
-    k.advances = 0;
-    k.par_advances = 0;
     let mut per_job = String::new();
     for o in &out.outcomes {
         per_job.push_str(&format!(
@@ -59,8 +53,9 @@ fn fingerprint(out: &FleetOutcome) -> String {
         ));
     }
     format!(
-        "{per_job}|{:?}|{k:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}",
+        "{per_job}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}",
         out.metrics,
+        out.kernel,
         out.chaos,
         out.stream,
         out.cache,
@@ -97,19 +92,18 @@ impl Fixture {
         )
     }
 
-    fn params(&self, shards: usize) -> FleetParams {
+    fn params(&self) -> FleetParams {
         let mut p = FleetParams::new(self.seed);
         p.backend = astro_fleet::BackendKind::Replay;
-        p.shards = shards;
         p
     }
 
-    /// Run uninterrupted under `shards`, optionally checkpointing after
+    /// Run uninterrupted, optionally checkpointing after
     /// `ckpt_at` control steps. Returns the image (if taken) and the
     /// drained outcome of this very kernel — which must not have been
     /// perturbed by the checkpoint.
-    fn run(&self, shards: usize, dpick: u8, ckpt_at: Option<usize>) -> (Option<Vec<u8>>, String) {
-        let sim = FleetSim::new(&self.cluster, self.params(shards));
+    fn run(&self, dpick: u8, ckpt_at: Option<usize>) -> (Option<Vec<u8>>, String) {
+        let sim = FleetSim::new(&self.cluster, self.params());
         let mut cursor = self.cursor();
         let mut d = dispatcher(dpick);
         let mut cache = PolicyCache::new(8);
@@ -132,9 +126,9 @@ impl Fixture {
         (bytes, fingerprint(&k.finish()))
     }
 
-    /// Restore `bytes` into a fresh kernel under `shards` and drain it.
-    fn resume(&self, shards: usize, dpick: u8, bytes: &[u8]) -> String {
-        let sim = FleetSim::new(&self.cluster, self.params(shards));
+    /// Restore `bytes` into a fresh kernel and drain it.
+    fn resume(&self, dpick: u8, bytes: &[u8]) -> String {
+        let sim = FleetSim::new(&self.cluster, self.params());
         let mut cursor = self.cursor();
         let mut d = dispatcher(dpick);
         let mut cache = PolicyCache::new(8);
@@ -225,11 +219,11 @@ fn fixture(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Checkpoint at an arbitrary control step, resume under every
-    /// shard count: the drained outcome equals the uninterrupted run's
-    /// bit for bit, and the checkpointed run itself is unperturbed.
+    /// Checkpoint at an arbitrary control step and resume in a fresh
+    /// kernel: the drained outcome equals the uninterrupted run's bit
+    /// for bit, and the checkpointed run itself is unperturbed.
     #[test]
-    fn checkpoint_resume_matches_uninterrupted_for_every_k(
+    fn checkpoint_resume_matches_uninterrupted(
         n_jobs in 30usize..70,
         n_boards in 4usize..10,
         rate in 3_000.0f64..60_000.0,
@@ -241,38 +235,31 @@ proptest! {
         churn_bit in 0u8..2,
         retain_bit in 0u8..2,
         dispatcher_pick in 0u8..3,
-        base_k in 0usize..4,
         seed in 0u64..400,
     ) {
         let f = fixture(
             n_jobs, n_boards, rate, policy_bit, feedback_bit, preempt_bit,
             chaos_bits, churn_bit, retain_bit, seed,
         );
-        let ks = [1usize, 2, 4, 7];
         // Arrivals alone contribute `n_jobs` control events, so this
         // target always lands strictly mid-run.
         let ckpt_at = 1 + (ckpt_frac * (n_jobs / 2) as f64) as usize;
 
-        let (_, reference) = f.run(ks[base_k], dispatcher_pick, None);
-        let (bytes, undisturbed) = f.run(ks[base_k], dispatcher_pick, Some(ckpt_at));
+        let (_, reference) = f.run(dispatcher_pick, None);
+        let (bytes, undisturbed) = f.run(dispatcher_pick, Some(ckpt_at));
         prop_assert_eq!(
             &reference,
             &undisturbed,
             "taking a checkpoint perturbed the run (seed {})",
             seed
         );
-        let bytes = bytes.unwrap();
-        for &k in &ks {
-            let resumed = f.resume(k, dispatcher_pick, &bytes);
-            prop_assert_eq!(
-                &reference,
-                &resumed,
-                "restore under K={} diverged from the uninterrupted run (base K={}, seed {})",
-                k,
-                ks[base_k],
-                seed
-            );
-        }
+        let resumed = f.resume(dispatcher_pick, &bytes.unwrap());
+        prop_assert_eq!(
+            &reference,
+            &resumed,
+            "restore diverged from the uninterrupted run (seed {})",
+            seed
+        );
     }
 
     /// Adversarial images: any byte flip, any truncation, a re-sealed
@@ -287,7 +274,7 @@ proptest! {
         seed in 0u64..400,
     ) {
         let f = fixture(40, 5, 20_000.0, 0, 1, 0, 3, 1, 0, seed);
-        let sim = FleetSim::new(&f.cluster, f.params(2));
+        let sim = FleetSim::new(&f.cluster, f.params());
         let mut cursor = f.cursor();
         let mut d = dispatcher(2);
         let mut cache = PolicyCache::new(8);
@@ -348,7 +335,7 @@ proptest! {
         // A checkpoint from a different configuration is refused.
         let g = fixture(40, 5, 20_000.0, 0, 0, 0, 3, 1, 0, seed);
         let other = {
-            let sim2 = FleetSim::new(&g.cluster, g.params(2));
+            let sim2 = FleetSim::new(&g.cluster, g.params());
             let mut c2 = g.cursor();
             let mut d2 = dispatcher(2);
             let mut cache2 = PolicyCache::new(8);

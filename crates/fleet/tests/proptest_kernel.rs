@@ -170,4 +170,35 @@ proptest! {
             out.kernel.arrivals + out.kernel.completions
         );
     }
+
+    /// The redispatch cap drops per-reason: with cap 0 every churn
+    /// orphan is dropped with the migration-cap reason (never
+    /// silently completed, never misfiled as no-board-up while other
+    /// boards are up), and accounting balances.
+    #[test]
+    fn redispatch_cap_drops_are_reported_per_reason(
+        n_jobs in 6usize..14,
+        seed in 0u64..100,
+    ) {
+        let cluster = ClusterSpec::heterogeneous(3);
+        let sim = FleetSim::new(&cluster, FleetParams::new(seed));
+        // High rate so board 0's queue is busy when it goes down.
+        let jobs = ArrivalProcess::Poisson { rate_jobs_per_s: 50_000.0 }
+            .generate(n_jobs, &pool(), InputSize::Test, (2.0, 6.0), seed);
+        let horizon = jobs.last().unwrap().arrival_s;
+        let scenario = Scenario::online(PolicyMode::Cold)
+            .with_redispatch_cap(0)
+            .with_churn(vec![ChurnEvent { time_s: horizon * 0.5, board: 0, up: false }]);
+        let mut cache = PolicyCache::new(0);
+        let out = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
+        let k = &out.kernel;
+        prop_assert_eq!(k.redistributions, 0, "cap 0 forbids redistribution");
+        prop_assert_eq!(k.dropped, k.dropped_no_board + k.dropped_migration_cap);
+        prop_assert_eq!(k.dropped_no_board, 0, "boards 1..3 stayed up");
+        prop_assert_eq!(
+            out.dropped.iter().filter(|d| d.reason == astro_fleet::DropReason::MigrationCap).count() as u64,
+            k.dropped_migration_cap
+        );
+        prop_assert_eq!(out.outcomes.len() + out.dropped.len(), n_jobs);
+    }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the flight recorder: whatever churn-and-chaos
 //! story a scenario tells, attaching a [`FlightRecorder`] at any level
 //! must never perturb the simulation — the outcome fingerprints with
-//! telemetry on and off are byte-identical for every shard count
-//! K ∈ {1, 2, 4, 7} — and the recorder's own invariants must hold:
+//! telemetry on and off are byte-identical — and the recorder's own
+//! invariants must hold:
 //! trace timestamps are monotone sim time, the streamed completion
 //! count matches the post-hoc metrics, and every streamed percentile
 //! lands within one log bucket of the exact nearest-rank value.
@@ -140,8 +140,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Telemetry is outcome-invariant: for arbitrary churn + chaos
-    /// schedules and every shard count K ∈ {1, 2, 4, 7}, running with
-    /// a full-level flight recorder attached produces a byte-identical
+    /// schedules, running with a full-level flight recorder attached
+    /// produces a byte-identical
     /// outcome fingerprint to the untraced run — and the recorder's
     /// stream obeys its own contracts along the way.
     #[test]
@@ -194,54 +194,43 @@ proptest! {
             scenario = scenario.with_feedback();
         }
 
-        for shards in [1usize, 2, 4, 7] {
-            let mut params = FleetParams::new(seed);
-            params.shards = shards;
-            let sim = FleetSim::new(&cluster, params);
+        let sim = FleetSim::new(&cluster, FleetParams::new(seed));
 
-            // Leg 1: telemetry off — the reference.
-            let mut cache = PolicyCache::new(0);
-            let base = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
+        // Leg 1: telemetry off — the reference.
+        let mut cache = PolicyCache::new(0);
+        let base = sim.run(&jobs, &mut LeastLoaded, &mut cache, &scenario);
 
-            // Leg 2: identical inputs, recorder at the deepest level.
-            let mut recorder = FlightRecorder::new(TraceLevel::Full);
-            let mut cache = PolicyCache::new(0);
-            let traced =
-                sim.run_traced(&jobs, &mut LeastLoaded, &mut cache, &scenario, &mut recorder);
+        // Leg 2: identical inputs, recorder at the deepest level.
+        let mut recorder = FlightRecorder::new(TraceLevel::Full);
+        let mut cache = PolicyCache::new(0);
+        let traced =
+            sim.run_traced(&jobs, &mut LeastLoaded, &mut cache, &scenario, &mut recorder);
 
-            prop_assert_eq!(
-                fingerprint(&base),
-                fingerprint(&traced),
-                "telemetry perturbed the simulation at shards={} (seed {seed})",
-                shards
-            );
+        prop_assert_eq!(
+            fingerprint(&base),
+            fingerprint(&traced),
+            "telemetry perturbed the simulation (seed {seed})"
+        );
 
-            // The recorder's own contracts on the traced leg.
-            prop_assert!(
-                recorder.timestamps_monotone(),
-                "trace timestamps regressed at shards={}",
-                shards
-            );
-            let m = &traced.metrics;
-            prop_assert_eq!(recorder.completions() as usize, m.jobs);
-            let digest = recorder.latency_digest();
-            prop_assert_eq!(digest.count(), m.jobs as u64);
-            for (q, exact) in [(50.0, m.p50_s), (95.0, m.p95_s), (99.0, m.p99_s)] {
-                let est = digest.quantile(q);
-                if m.jobs == 0 {
-                    prop_assert_eq!(est, 0.0);
-                } else {
-                    prop_assert!(
-                        est >= exact * (1.0 - 1e-9)
-                            && est <= exact * DIGEST_GROWTH * (1.0 + 1e-9),
-                        "streamed p{} = {} vs exact {}: outside one digest bucket \
-                         (shards={}, seed {seed})",
-                        q,
-                        est,
-                        exact,
-                        shards
-                    );
-                }
+        // The recorder's own contracts on the traced leg.
+        prop_assert!(recorder.timestamps_monotone(), "trace timestamps regressed");
+        let m = &traced.metrics;
+        prop_assert_eq!(recorder.completions() as usize, m.jobs);
+        let digest = recorder.latency_digest();
+        prop_assert_eq!(digest.count(), m.jobs as u64);
+        for (q, exact) in [(50.0, m.p50_s), (95.0, m.p95_s), (99.0, m.p99_s)] {
+            let est = digest.quantile(q);
+            if m.jobs == 0 {
+                prop_assert_eq!(est, 0.0);
+            } else {
+                prop_assert!(
+                    est >= exact * (1.0 - 1e-9)
+                        && est <= exact * DIGEST_GROWTH * (1.0 + 1e-9),
+                    "streamed p{} = {} vs exact {}: outside one digest bucket (seed {seed})",
+                    q,
+                    est,
+                    exact
+                );
             }
         }
     }

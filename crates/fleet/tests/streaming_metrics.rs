@@ -39,27 +39,26 @@ struct Fixture {
 }
 
 impl Fixture {
-    fn params(&self, shards: usize) -> FleetParams {
+    fn params(&self) -> FleetParams {
         let mut p = FleetParams::new(self.seed);
         p.backend = BackendKind::Replay;
-        p.shards = shards;
         p
     }
 
     /// The batch path: materialised jobs, retained outcomes.
-    fn run_retained(&self, shards: usize, dpick: u8) -> FleetOutcome {
+    fn run_retained(&self, dpick: u8) -> FleetOutcome {
         let jobs =
             self.process
                 .generate(self.n_jobs, &pool(), InputSize::Test, (4.0, 8.0), self.seed);
-        let sim = FleetSim::new(&self.cluster, self.params(shards));
+        let sim = FleetSim::new(&self.cluster, self.params());
         let mut cache = PolicyCache::new(8);
         sim.run(&jobs, &mut *dispatcher(dpick), &mut cache, &self.scenario)
     }
 
     /// The resident path: the same seeded stream pulled through a
     /// cursor, outcomes folded into streaming aggregates and dropped.
-    fn run_streamed(&self, shards: usize, dpick: u8) -> FleetOutcome {
-        let sim = FleetSim::new(&self.cluster, self.params(shards));
+    fn run_streamed(&self, dpick: u8) -> FleetOutcome {
+        let sim = FleetSim::new(&self.cluster, self.params());
         let mut cursor = GenCursor::new(
             self.process.clone(),
             self.n_jobs,
@@ -211,7 +210,7 @@ fn check(retained: &FleetOutcome, streamed: &FleetOutcome, label: &str) {
     }
 }
 
-/// Every dispatcher, two shard counts, with churn + throttle +
+/// Every dispatcher, with churn + throttle +
 /// misprofile + blackout + preemption + feedback all active: the
 /// streamed run reports the retained run.
 #[test]
@@ -252,15 +251,9 @@ fn streamed_metrics_match_retained_within_one_bucket() {
         seed: 11,
     };
     for dpick in 0..3u8 {
-        for shards in [1usize, 3] {
-            let retained = f.run_retained(shards, dpick);
-            let streamed = f.run_streamed(shards, dpick);
-            check(
-                &retained,
-                &streamed,
-                &format!("dispatcher {dpick}, K={shards}"),
-            );
-        }
+        let retained = f.run_retained(dpick);
+        let streamed = f.run_streamed(dpick);
+        check(&retained, &streamed, &format!("dispatcher {dpick}"));
     }
 }
 
@@ -279,8 +272,8 @@ fn sliding_window_wraps_to_the_latest_completions() {
         n_jobs: 6_000,
         seed: 29,
     };
-    let retained = f.run_retained(2, 0);
-    let streamed = f.run_streamed(2, 0);
+    let retained = f.run_retained(0);
+    let streamed = f.run_streamed(0);
     assert!(
         retained.outcomes.len() > STREAM_WINDOW,
         "fixture degenerated: only {} completions",
