@@ -181,7 +181,7 @@ pub fn run(
     );
 
     // Telemetry leg: the same configuration with the flight recorder
-    // on. At `ticks` (the default) this prices the streaming digests
+    // on. At `ticks` (the default) this prices the counter registry
     // and per-tick gauge walk without retaining per-job trace events —
     // the right level for a million-job run; `--trace-level full`
     // would hold millions of spans in memory.
@@ -202,7 +202,7 @@ pub fn run(
          {:+.1}% vs telemetry off);  outcomes {}",
         recorder.level().name(),
         recorder.windows().len(),
-        recorder.latency_digest().count(),
+        traced.stream.jobs,
         n_jobs as f64 / wall_t / 1e3,
         (wall_t / wall - 1.0) * 100.0,
         if telemetry_identical {

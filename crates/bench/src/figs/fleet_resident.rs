@@ -284,10 +284,7 @@ pub fn run(
         streamed.outcomes.is_empty(),
         "streaming leg must not retain outcomes"
     );
-    let sum = streamed
-        .stream
-        .as_ref()
-        .expect("streaming leg reports a stream summary");
+    let sum = &streamed.stream;
     println!(
         "stream summary over {} jobs:  digest p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms;  \
          window({}) p99 {:.3} ms",

@@ -11,11 +11,12 @@
 //! * the emitted trace is well-formed JSON (checked by the crate's own
 //!   validator, no JSON dependency), holds enough spans to be useful,
 //!   and its sim timestamps are monotone;
-//! * the *streaming* p50/p95/p99 agree with the post-hoc
+//! * the kernel's *streaming* p50/p95/p99
+//!   ([`FleetOutcome::stream`]) agree with the post-hoc
 //!   [`FleetMetrics`](astro_fleet::FleetMetrics) percentiles on the
 //!   same run to within one digest bucket (a factor of
-//!   [`DIGEST_GROWTH`]) — the contract that lets a future
-//!   resident-service mode drop the retained outcome vector.
+//!   [`DIGEST_GROWTH`]) — the contract that lets the resident kernel
+//!   drop the retained outcome vector.
 //!
 //! To look at the timeline: open <https://ui.perfetto.dev> and load the
 //! emitted `trace.json` (or `chrome://tracing` in a Chromium browser).
@@ -246,33 +247,34 @@ pub fn run(
         );
     }
 
-    // Streaming digest vs post-hoc metrics: within one log bucket.
-    // The digests are fed from `ticks` up; at `off` they are empty.
+    // Streaming digest vs post-hoc metrics: within one log bucket. The
+    // kernel folds every run into its streaming aggregate, whatever the
+    // trace level; the recorder's tick gauges read from it.
     let m = &traced.metrics;
-    if recorder.wants_ticks() {
-        let digest = recorder.latency_digest();
-        println!("\nstreaming digest vs post-hoc FleetMetrics (must agree within one bucket):");
-        for (q, exact) in [(50.0, m.p50_s), (95.0, m.p95_s), (99.0, m.p99_s)] {
-            let est = digest.quantile(q);
-            let ok = est >= exact * (1.0 - 1e-9) && est <= exact * DIGEST_GROWTH * (1.0 + 1e-9);
-            println!(
-                "  p{q:<4} streamed {:>9.3} ms  exact {:>9.3} ms  ratio {:.4}  {}",
-                est * 1e3,
-                exact * 1e3,
-                est / exact,
-                if ok { "OK" } else { "OUT OF BUCKET" }
-            );
-            assert!(
-                ok,
-                "streamed p{q} = {est} vs exact {exact}: outside one digest bucket"
-            );
-        }
-        assert_eq!(
-            recorder.completions() as usize,
-            m.jobs,
-            "the recorder must stream exactly the completed jobs"
+    let sum = &traced.stream;
+    println!("\nstreaming digest vs post-hoc FleetMetrics (must agree within one bucket):");
+    for (q, exact, est) in [
+        (50.0, m.p50_s, sum.digest_p50_s),
+        (95.0, m.p95_s, sum.digest_p95_s),
+        (99.0, m.p99_s, sum.digest_p99_s),
+    ] {
+        let ok = est >= exact * (1.0 - 1e-9) && est <= exact * DIGEST_GROWTH * (1.0 + 1e-9);
+        println!(
+            "  p{q:<4} streamed {:>9.3} ms  exact {:>9.3} ms  ratio {:.4}  {}",
+            est * 1e3,
+            exact * 1e3,
+            est / exact,
+            if ok { "OK" } else { "OUT OF BUCKET" }
+        );
+        assert!(
+            ok,
+            "streamed p{q} = {est} vs exact {exact}: outside one digest bucket"
         );
     }
+    assert_eq!(
+        sum.jobs as usize, m.jobs,
+        "the aggregate must fold exactly the completed jobs"
+    );
     println!(
         "\nverdict: OK — tracing is outcome-invariant, the trace parses, and the streaming \
          digests match the post-hoc percentiles ({} completions, {} dropped, SLO miss {:.1}%)",

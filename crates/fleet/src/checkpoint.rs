@@ -23,7 +23,7 @@ use std::fmt;
 /// Magic bytes opening every checkpoint ("Astro Fleet ChecKpoint").
 pub const MAGIC: [u8; 4] = *b"AFCK";
 /// Current checkpoint format version. Bumped on any layout change.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Why a checkpoint could not be decoded. Every variant is a clean,
 /// descriptive rejection — malformed bytes can never partially apply.

@@ -31,9 +31,9 @@
 //! loop further by correcting profiled estimates with observed
 //! service times.
 
-use crate::arrival::{ArrivalCursor, SliceCursor};
+use crate::arrival::ArrivalCursor;
 use crate::cache::{CacheDecision, PolicyCache};
-use crate::chaos::{ChaosSchedule, ChaosStats, CompiledChaos};
+use crate::chaos::{ChaosSchedule, ChaosStats, ClauseStats, CompiledChaos};
 use crate::checkpoint::{self, CheckpointError, CursorState, Dec, Enc};
 use crate::dispatch::{Dispatcher, JobEstimates};
 use crate::feedback::ServiceFeedback;
@@ -42,7 +42,7 @@ use crate::metrics::{FleetMetrics, FleetOutcome, StreamAgg};
 use crate::shard::{self, AdvanceCtx, AdvanceDelta, ProgramSet};
 use crate::sim::{FleetSim, PolicyMode, ProfileTable};
 use crate::state::{BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, QueuedJob};
-use crate::telemetry::{CompletionRecord, FlightRecorder, WindowSample};
+use crate::telemetry::{FlightRecorder, WindowSample};
 use astro_core::pipeline::build_static;
 use astro_core::replay::ReplaySession;
 use astro_exec::executor::{Executor, MachineExecutor};
@@ -553,49 +553,18 @@ impl EstScratch {
 }
 
 impl<'a> FleetSim<'a> {
-    /// The batch event loop: a [`ResidentKernel`] driven off a
-    /// [`SliceCursor`] over the materialised job stream with outcome
-    /// retention on — byte-for-byte the semantics every earlier PR
-    /// pinned. Public API is [`FleetSim::run`] /
-    /// [`FleetSim::run_traced`]; the streaming entry point is
-    /// [`FleetSim::resident`]. `telemetry` is the flight recorder:
-    /// every hook reads kernel state and writes only recorder state, so
-    /// the returned outcome is byte-identical whatever the trace level
-    /// (including [`crate::telemetry::TraceLevel::Off`], where each
-    /// hook is one predicted-false branch).
-    pub(crate) fn run_kernel(
-        &self,
-        jobs: &[JobSpec],
-        dispatcher: &mut dyn Dispatcher,
-        cache: &mut PolicyCache,
-        scenario: &Scenario,
-        telemetry: &mut FlightRecorder,
-    ) -> FleetOutcome {
-        let mut cursor = SliceCursor::new(jobs);
-        let mut kernel = ResidentKernel::new(
-            self,
-            &mut cursor,
-            dispatcher,
-            cache,
-            scenario,
-            telemetry,
-            true,
-        );
-        kernel.run();
-        kernel.finish()
-    }
-
     /// A resident (streaming) kernel over this simulator: jobs are
-    /// pulled lazily from `cursor` instead of a materialised slice,
-    /// and with `retain = false` completed outcomes are folded into
-    /// streaming aggregates at the barrier merge and discarded —
-    /// O(boards) memory however many jobs flow through. The caller
-    /// owns the loop: [`ResidentKernel::step`] advances one control
-    /// event at a time (so a service can checkpoint between events),
-    /// [`ResidentKernel::run`] drives it to completion and
-    /// [`ResidentKernel::finish`] assembles the [`FleetOutcome`]. With
-    /// `retain = true` and a [`SliceCursor`] this is exactly
-    /// [`FleetSim::run`], byte-for-byte.
+    /// pulled lazily from `cursor` instead of a materialised slice, and
+    /// completed outcomes are folded into the streaming aggregate at the
+    /// barrier merge. With `retain = false` they are then discarded —
+    /// O(boards) memory however many jobs flow through; with
+    /// `retain = true` they are also kept for [`FleetOutcome::outcomes`].
+    /// The caller owns the loop: [`ResidentKernel::step`] advances one
+    /// control event at a time (so a service can checkpoint between
+    /// events), [`ResidentKernel::run`] drives it to completion and
+    /// [`ResidentKernel::finish`] assembles the [`FleetOutcome`]
+    /// ([`FleetSim::run_traced`] is exactly that, over a
+    /// [`SliceCursor`](crate::arrival::SliceCursor) with retention on).
     pub fn resident<'r>(
         &'r self,
         cursor: &'r mut dyn ArrivalCursor,
@@ -611,14 +580,14 @@ impl<'a> FleetSim<'a> {
 
 /// The fleet kernel as a long-lived value instead of one closed loop:
 /// the same control plane, execution plane and determinism contract as
-/// the batch path (which is now a thin wrapper over this), but
+/// the batch path (which is a thin wrapper over this), but
 /// arrivals stream in through an [`ArrivalCursor`], each
 /// [`ResidentKernel::step`] processes exactly one control event, and
-/// the caller decides when to pause, checkpoint or finish. With
-/// retention off, completed outcomes are folded into streaming
-/// quantile digests and counters at the barrier merge and discarded,
-/// so a run's footprint is O(boards + architectures), independent of
-/// how many jobs flow through.
+/// the caller decides when to pause, checkpoint or finish. Completed
+/// outcomes are always folded into streaming quantile digests and
+/// counters at the barrier merge; with retention off they are then
+/// discarded, so a run's footprint is O(boards + architectures),
+/// independent of how many jobs flow through.
 pub struct ResidentKernel<'a, 'r> {
     sim: &'r FleetSim<'a>,
     cursor: &'r mut dyn ArrivalCursor,
@@ -640,14 +609,16 @@ pub struct ResidentKernel<'a, 'r> {
     train_time_s: f64,
     train_energy_j: f64,
     guard_bypasses: u64,
-    outcomes: Vec<JobOutcome>,
+    /// The completion sink every run folds into.
+    stream: StreamAgg,
+    /// Retained per-job outcomes — the optional second sink, `Some`
+    /// exactly when the kernel was built with `retain = true`.
+    outcomes: Option<Vec<JobOutcome>>,
     dropped: Vec<DroppedJob>,
     scratch: EstScratch,
     ctrl: EventQueue,
     open: usize,
     pending: Option<JobSpec>,
-    retain: bool,
-    stream: Option<StreamAgg>,
     wall_run: Option<std::time::Instant>,
     finished: bool,
 }
@@ -782,7 +753,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         // every board mutation below, so picks stop scanning O(boards).
         state.rebuild_dispatch_index();
         let feedback = scenario.feedback.then(ServiceFeedback::default);
-        let outcomes: Vec<JobOutcome> = Vec::with_capacity(if retain { cursor.total() } else { 0 });
+        let outcomes = retain.then(|| Vec::with_capacity(cursor.total()));
         // Per-arrival scratch, refilled in place (no per-event allocs).
         let scratch = EstScratch::new(state.n_arch());
 
@@ -839,14 +810,13 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             train_time_s: 0.0,
             train_energy_j: 0.0,
             guard_bypasses: 0,
+            stream: StreamAgg::default(),
             outcomes,
             dropped: Vec::new(),
             scratch,
             ctrl,
             open,
             pending: None,
-            retain,
-            stream: (!retain).then(StreamAgg::new),
             wall_run,
             finished: false,
         }
@@ -882,14 +852,13 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             train_time_s,
             train_energy_j,
             guard_bypasses,
+            stream,
             outcomes,
             dropped,
             scratch,
             ctrl,
             open,
             pending,
-            retain,
-            stream,
             finished,
             ..
         } = self;
@@ -952,13 +921,12 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             &mut *state,
             &mut *stats,
             &mut *open,
-            &mut *outcomes,
+            &mut *stream,
+            outcomes.as_mut(),
             &mut *feedback,
             &mut **telemetry,
             from_s,
             to_s,
-            *retain,
-            &mut *stream,
         );
         telemetry.lap_merge(wall);
         let Some((time_s, act)) = ctl else {
@@ -1136,7 +1104,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                             blacked_out += 1;
                         }
                     }
-                    let (p50_s, p95_s, p99_s) = telemetry.latency_so_far();
+                    let [p50_s, p95_s, p99_s] = stream.latency_quantiles();
                     let (fb_err, fb_samples, fb_corr) = match &feedback {
                         Some(fb) => (
                             fb.stats.mean_abs_rel_err(),
@@ -1147,11 +1115,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     };
                     telemetry.on_tick(WindowSample {
                         t_s: time_s,
-                        completions: telemetry.completions(),
+                        completions: stream.jobs,
                         p50_s,
                         p95_s,
                         p99_s,
-                        slo_miss_rate: telemetry.slo_miss_rate(),
+                        slo_miss_rate: stream.slo_miss_rate(),
                         mean_util: mean_util / nb as f64,
                         queue_depth,
                         backlog_s,
@@ -1337,8 +1305,9 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
 
     /// Consumes the drained kernel: exit invariants, final sorts and
     /// [`FleetOutcome`] assembly. Metrics come from the retained
-    /// outcomes when retention is on, from the streaming aggregates
-    /// otherwise (exact counters and sums, digest percentiles).
+    /// outcomes when retention is on (exact percentiles, id-order
+    /// energy sum), from the streaming aggregate otherwise (exact
+    /// counters and sums, digest percentiles).
     pub fn finish(mut self) -> FleetOutcome {
         assert!(
             self.finished,
@@ -1364,27 +1333,24 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             .iter()
             .all(|s| s.queue_is_empty() && s.in_flight.is_none()));
 
-        self.outcomes.sort_by_key(|o| o.id);
         self.dropped.sort_by_key(|d| d.id);
         self.chaos_stats.throttled_starts =
             self.state.boards.iter().map(|s| s.throttled_starts).sum();
-        let mut metrics = match &self.stream {
-            Some(agg) => agg.metrics(
-                self.state.boards.iter().map(|s| s.busy_s),
-                self.train_energy_j,
-            ),
-            None => FleetMetrics::from_outcomes(
-                &self.outcomes,
-                self.state.boards.iter().map(|s| s.busy_s),
-                self.train_energy_j,
-            ),
+        let busy_s = self.state.boards.iter().map(|s| s.busy_s);
+        let (mut metrics, outcomes) = match self.outcomes {
+            Some(mut kept) => {
+                kept.sort_by_key(|o| o.id);
+                let m = FleetMetrics::from_outcomes(&kept, busy_s, self.train_energy_j);
+                (m, kept)
+            }
+            None => (self.stream.metrics(busy_s, self.train_energy_j), Vec::new()),
         };
         if let Some(fb) = &self.feedback {
             metrics.feedback = fb.stats;
         }
         FleetOutcome {
             metrics,
-            outcomes: self.outcomes,
+            outcomes,
             cache: self.cache.stats,
             guard_bypasses: self.guard_bypasses,
             train_time_s: self.train_time_s,
@@ -1400,27 +1366,45 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             dropped: self.dropped,
             kernel: self.stats,
             chaos: self.chaos_stats,
-            stream: self.stream.as_ref().map(StreamAgg::summary),
+            stream: self.stream.summary(),
         }
     }
 }
 
-/// Kernel event counters, every field in declaration order.
+/// Kernel event counters, every field in declaration order. The
+/// exhaustive destructuring makes a field added later but not encoded
+/// a compile error rather than a silent resume divergence.
 fn enc_kernel_stats(enc: &mut Enc, s: &KernelStats) {
-    enc.u64(s.events);
-    enc.u64(s.arrivals);
-    enc.u64(s.completions);
-    enc.u64(s.dropped);
-    enc.u64(s.dropped_no_board);
-    enc.u64(s.dropped_migration_cap);
-    enc.u64(s.migrations);
-    enc.u64(s.redistributions);
-    enc.u64(s.ticks);
-    enc.u64(s.board_downs);
-    enc.u64(s.board_ups);
-    enc.u64(s.chaos_events);
-    enc.u64(s.messages);
-    enc.u64(s.advances);
+    let KernelStats {
+        events,
+        arrivals,
+        completions,
+        dropped,
+        dropped_no_board,
+        dropped_migration_cap,
+        migrations,
+        redistributions,
+        ticks,
+        board_downs,
+        board_ups,
+        chaos_events,
+        messages,
+        advances,
+    } = *s;
+    enc.u64(events);
+    enc.u64(arrivals);
+    enc.u64(completions);
+    enc.u64(dropped);
+    enc.u64(dropped_no_board);
+    enc.u64(dropped_migration_cap);
+    enc.u64(migrations);
+    enc.u64(redistributions);
+    enc.u64(ticks);
+    enc.u64(board_downs);
+    enc.u64(board_ups);
+    enc.u64(chaos_events);
+    enc.u64(messages);
+    enc.u64(advances);
 }
 
 fn dec_kernel_stats(dec: &mut Dec<'_>) -> Result<KernelStats, CheckpointError> {
@@ -1451,17 +1435,29 @@ fn dec_kernel_stats(dec: &mut Dec<'_>) -> Result<KernelStats, CheckpointError> {
 /// Chaos accounting counters. Clause labels are *not* serialised — the
 /// resuming kernel recompiles the same schedule and keeps its own
 /// labels — so a checkpoint cannot inject arbitrary strings into
-/// reports.
+/// reports. Destructured exhaustively, like [`enc_kernel_stats`].
 fn enc_chaos_stats(enc: &mut Enc, s: &ChaosStats) {
-    enc.usize(s.clauses.len());
-    for c in &s.clauses {
-        enc.u64(c.events);
-        enc.u64(c.affected_jobs);
+    let ChaosStats {
+        clauses,
+        throttled_starts,
+        max_slowdown,
+        misprofiled,
+        blackout_drops,
+    } = s;
+    enc.usize(clauses.len());
+    for ClauseStats {
+        label: _,
+        events,
+        affected_jobs,
+    } in clauses
+    {
+        enc.u64(*events);
+        enc.u64(*affected_jobs);
     }
-    enc.u64(s.throttled_starts);
-    enc.f64(s.max_slowdown);
-    enc.u64(s.misprofiled);
-    enc.u64(s.blackout_drops);
+    enc.u64(*throttled_starts);
+    enc.f64(*max_slowdown);
+    enc.u64(*misprofiled);
+    enc.u64(*blackout_drops);
 }
 
 /// `fresh` is the compiled schedule's zeroed accounting (labels filled
@@ -1499,15 +1495,15 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         enc.usize(self.state.len());
         enc.usize(self.cursor.total());
         enc.str(&self.scenario.label());
-        enc.bool(self.retain);
+        enc.bool(self.outcomes.is_some());
         checkpoint::fnv1a(&enc.finish())
     }
 
     /// Serialises the complete mid-run state to a versioned,
     /// checksummed byte buffer: cursor position, virtual clock, control
     /// queue, per-board queues and in-flight jobs, every counter, the
-    /// policy cache, feedback EWMAs, chaos accounting and the streaming
-    /// aggregates (or retained outcomes). A kernel built over the same
+    /// policy cache, feedback EWMAs, chaos accounting, the streaming
+    /// aggregate and any retained outcomes. A kernel built over the same
     /// configuration that [`ResidentKernel::restore`]s these bytes
     /// continues bit-identically to the uninterrupted run, execution
     /// counters included.
@@ -1549,9 +1545,9 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         enc.f64(self.train_energy_j);
         enc.u64(self.guard_bypasses);
         enc.usize(self.open);
-        if self.retain {
-            enc.usize(self.outcomes.len());
-            for o in &self.outcomes {
+        if let Some(kept) = &self.outcomes {
+            enc.usize(kept.len());
+            for o in kept {
                 checkpoint::enc_outcome(&mut enc, o);
             }
         }
@@ -1561,9 +1557,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         for d in &self.dropped {
             checkpoint::enc_dropped(&mut enc, d);
         }
-        if let Some(s) = &self.stream {
-            s.encode(&mut enc);
-        }
+        self.stream.encode(&mut enc);
         checkpoint::seal(enc.finish())
     }
 
@@ -1642,26 +1636,33 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 "open-job count inconsistent with completion/drop counters",
             ));
         }
-        let outcomes = if self.retain {
-            let n = dec.count(4)?;
-            let mut outcomes = Vec::with_capacity(n);
-            for _ in 0..n {
-                outcomes.push(checkpoint::dec_outcome(&mut dec, n_boards)?);
+        let outcomes = match self.outcomes {
+            Some(_) => {
+                let n = dec.count(4)?;
+                if n as u64 != stats.completions {
+                    return Err(CheckpointError::Corrupt(
+                        "retained outcome count disagrees with the completion counter",
+                    ));
+                }
+                let mut kept = Vec::with_capacity(n);
+                for _ in 0..n {
+                    kept.push(checkpoint::dec_outcome(&mut dec, n_boards)?);
+                }
+                Some(kept)
             }
-            outcomes
-        } else {
-            Vec::new()
+            None => None,
         };
         let n = dec.count(5)?;
         let mut dropped = Vec::with_capacity(n);
         for _ in 0..n {
             dropped.push(checkpoint::dec_dropped(&mut dec)?);
         }
-        let stream = if self.retain {
-            None
-        } else {
-            Some(StreamAgg::decode(&mut dec)?)
-        };
+        let stream = StreamAgg::decode(&mut dec)?;
+        if stream.jobs != stats.completions {
+            return Err(CheckpointError::Corrupt(
+                "streaming aggregate disagrees with the completion counter",
+            ));
+        }
         dec.finish()?;
 
         // The cursor validates before it applies, so it is safe as the
@@ -1683,9 +1684,9 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.train_energy_j = train_energy_j;
         self.guard_bypasses = guard_bypasses;
         self.open = open;
+        self.stream = stream;
         self.outcomes = outcomes;
         self.dropped = dropped;
-        self.stream = stream;
         self.finished = false;
 
         // Warm static builds are a pure memo keyed by (workload, arch,
@@ -2220,16 +2221,15 @@ fn ensure_static_build(
 }
 
 /// Fold one barrier merge into the run accounting: completions become
-/// events, outcomes accumulate (when retained) or fold into the
-/// streaming aggregates, and feedback observations are applied in
-/// (completion time, job id) order, so the learned state does not
+/// events, and the merge's outcomes are sorted by (completion time, job
+/// id) once, so the streaming aggregate, the flight recorder and the
+/// retained vector (when present) all see one pinned order that does not
 /// depend on the heap's push sequence (which a checkpoint restore
-/// rebuilds in board order).
+/// rebuilds in board order). Feedback observations are applied in the
+/// same order.
 ///
-/// The flight recorder observes the merge here too — and *only* here
-/// for completion-derived telemetry: its records are sorted by the same
-/// (finish time, id) key before the hook fires, so the recorded stream
-/// is pinned, and successive advance windows
+/// The flight recorder observes the merge here and *only* here for
+/// completion-derived telemetry; successive advance windows
 /// `[from_s, to_s)` are disjoint and increasing, making the whole trace
 /// monotone in sim time.
 #[allow(clippy::too_many_arguments)]
@@ -2238,13 +2238,12 @@ fn fold_delta(
     state: &mut ClusterState,
     stats: &mut KernelStats,
     open: &mut usize,
-    outcomes: &mut Vec<JobOutcome>,
+    stream: &mut StreamAgg,
+    outcomes: Option<&mut Vec<JobOutcome>>,
     feedback: &mut Option<ServiceFeedback>,
     telemetry: &mut FlightRecorder,
     from_s: f64,
     to_s: f64,
-    retain: bool,
-    stream: &mut Option<StreamAgg>,
 ) {
     // The advance mutates board state (completions pop queues and
     // start successors) outside the control plane's view; the boards
@@ -2257,36 +2256,17 @@ fn fold_delta(
     stats.events += completions as u64;
     stats.completions += completions as u64;
     *open -= completions;
+    delta
+        .outcomes
+        .sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
+    for o in &delta.outcomes {
+        stream.add(o);
+    }
     if telemetry.enabled() && !delta.outcomes.is_empty() {
-        let mut recs: Vec<CompletionRecord> = delta
-            .outcomes
-            .iter()
-            .map(|o| CompletionRecord {
-                finish_s: o.finish_s,
-                latency_s: o.latency_s(),
-                slo_s: o.slo_s,
-                id: o.id,
-                board: o.board,
-                workload: o.workload,
-            })
-            .collect();
-        recs.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
-        telemetry.on_window(from_s, to_s, &recs);
+        telemetry.on_window(from_s, to_s, &delta.outcomes);
     }
-    if let Some(agg) = stream {
-        // Outcomes arrive in heap pop order, which depends on push
-        // order; pin the streaming fold to (finish time, id) order so
-        // digest and float-sum state survive a checkpoint restore
-        // bit-identically.
-        delta
-            .outcomes
-            .sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
-        for o in &delta.outcomes {
-            agg.add(o);
-        }
-    }
-    if retain {
-        outcomes.extend(delta.outcomes);
+    if let Some(kept) = outcomes {
+        kept.extend(delta.outcomes);
     }
     if let Some(fb) = feedback {
         let mut obs = delta.observations;
@@ -2595,5 +2575,56 @@ mod tests {
             out.kernel.arrivals,
             out.kernel.completions + out.kernel.dropped
         );
+    }
+
+    /// An image whose streaming aggregate (or retained outcome list)
+    /// disagrees with the completion counter is refused, sealed
+    /// checksum or not, and the refusal leaves the kernel untouched.
+    #[test]
+    fn restore_rejects_a_self_inconsistent_aggregate() {
+        let cluster = ClusterSpec::heterogeneous(6);
+        let scenario = ckpt_scenario();
+        for retain in [false, true] {
+            let sim = FleetSim::new(&cluster, ckpt_params());
+            let mut cursor = ckpt_cursor();
+            let mut dispatcher = PhaseAware::default();
+            let mut cache = PolicyCache::new(8);
+            let mut telemetry = FlightRecorder::off();
+            let mut k = sim.resident(
+                &mut cursor,
+                &mut dispatcher,
+                &mut cache,
+                &scenario,
+                &mut telemetry,
+                retain,
+            );
+            for _ in 0..40 {
+                assert!(k.step());
+            }
+            let good = k.checkpoint();
+            // Encode images whose counts are off by one (each sealed
+            // with a valid checksum by `checkpoint`).
+            k.stream.jobs += 1;
+            let bad_agg = k.checkpoint();
+            k.stream.jobs -= 1;
+            assert_eq!(
+                k.restore(&bad_agg),
+                Err(CheckpointError::Corrupt(
+                    "streaming aggregate disagrees with the completion counter"
+                ))
+            );
+            if let Some(kept) = k.outcomes.as_mut() {
+                let last = kept.pop().expect("fixture must have completions");
+                let bad_kept = k.checkpoint();
+                k.outcomes.as_mut().unwrap().push(last);
+                assert_eq!(
+                    k.restore(&bad_kept),
+                    Err(CheckpointError::Corrupt(
+                        "retained outcome count disagrees with the completion counter"
+                    ))
+                );
+            }
+            assert_eq!(k.checkpoint(), good, "a refused image must not apply");
+        }
     }
 }

@@ -79,7 +79,7 @@ pub use feedback::{FeedbackStats, ServiceFeedback};
 pub use job::{classify_module, taxon_of, JobClass, JobOutcome, JobSpec, Taxon};
 pub use kernel::{ChurnEvent, Event, EventKind, EventQueue, KernelStats, ResidentKernel, Scenario};
 pub use metrics::{percentile, FleetMetrics, FleetOutcome, StreamSummary, STREAM_WINDOW};
-pub use sim::{chunked_map, serial_map, FleetParams, FleetSim, PolicyMode};
+pub use sim::{chunked_map, FleetParams, FleetSim, PolicyMode};
 pub use state::{
     BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, InFlight, QueuedJob,
 };

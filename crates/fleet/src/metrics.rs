@@ -58,32 +58,41 @@ impl FleetMetrics {
         board_busy_s: impl IntoIterator<Item = f64>,
         extra_energy_j: f64,
     ) -> Self {
-        let jobs = outcomes.len();
         let makespan_s = outcomes.iter().map(|o| o.finish_s).fold(0.0, f64::max);
         let mut latencies: Vec<f64> = outcomes.iter().map(|o| o.latency_s()).collect();
         latencies.sort_by(f64::total_cmp);
-        let mean_latency_s = if jobs == 0 {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / jobs as f64
-        };
-        let total_energy_j = outcomes.iter().map(|o| o.energy_j).sum::<f64>() + extra_energy_j;
         // A non-positive SLO is a deadline that can never be met: it
         // must sort as the *worst* ratio in the fleet, not silently map
         // to 0.0 (which used to score it as the best). Arrival-stream
         // construction rejects non-positive tightness outright, so this
         // arm only fires for hand-built outcomes — and now fails loud.
-        let mut slo_ratios: Vec<f64> = outcomes
-            .iter()
-            .map(|o| {
-                if o.slo_s > 0.0 {
-                    o.latency_s() / o.slo_s
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect();
+        let mut slo_ratios: Vec<f64> = outcomes.iter().map(slo_ratio).collect();
         slo_ratios.sort_by(f64::total_cmp);
+        FleetMetrics::assemble(
+            outcomes.len(),
+            makespan_s,
+            latencies.iter().sum::<f64>(),
+            outcomes.iter().map(|o| o.energy_j).sum::<f64>() + extra_energy_j,
+            [50.0, 95.0, 99.0].map(|q| percentile(&latencies, q)),
+            outcomes.iter().filter(|o| !o.slo_met()).count(),
+            percentile(&slo_ratios, 99.0),
+            board_busy_s,
+        )
+    }
+
+    /// The one place a [`FleetMetrics`] is built, for retained outcomes
+    /// and the streaming aggregate alike.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        jobs: usize,
+        makespan_s: f64,
+        sum_latency_s: f64,
+        total_energy_j: f64,
+        [p50_s, p95_s, p99_s]: [f64; 3],
+        slo_misses: usize,
+        p99_slo_ratio: f64,
+        board_busy_s: impl IntoIterator<Item = f64>,
+    ) -> Self {
         FleetMetrics {
             jobs,
             makespan_s,
@@ -92,12 +101,16 @@ impl FleetMetrics {
             } else {
                 0.0
             },
-            mean_latency_s,
-            p50_s: percentile(&latencies, 50.0),
-            p95_s: percentile(&latencies, 95.0),
-            p99_s: percentile(&latencies, 99.0),
-            slo_misses: outcomes.iter().filter(|o| !o.slo_met()).count(),
-            p99_slo_ratio: percentile(&slo_ratios, 99.0),
+            mean_latency_s: if jobs == 0 {
+                0.0
+            } else {
+                sum_latency_s / jobs as f64
+            },
+            p50_s,
+            p95_s,
+            p99_s,
+            slo_misses,
+            p99_slo_ratio,
             total_energy_j,
             feedback: FeedbackStats::default(),
             board_util: board_busy_s
@@ -137,16 +150,29 @@ impl FleetMetrics {
 /// percentiles over the last this-many completions.
 pub const STREAM_WINDOW: usize = 4096;
 
-/// Streaming aggregation state for the resident kernel: everything
-/// [`FleetMetrics`] needs, folded one [`JobOutcome`] at a time in
-/// (finish time, id) order at the barrier merge, so a run holds O(1)
-/// metric state instead of a retained outcome vector.
+/// Latency as a fraction of the job's SLO. A non-positive SLO can never
+/// be met, so it scores as the worst ratio (`INFINITY`): the retained
+/// percentile sorts it last and the digest clamps it into its top
+/// bucket.
+fn slo_ratio(o: &JobOutcome) -> f64 {
+    if o.slo_s > 0.0 {
+        o.latency_s() / o.slo_s
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The kernel's one completion sink: everything [`FleetMetrics`]
+/// needs, folded one [`JobOutcome`] at a time in (finish time, id)
+/// order at the barrier merge, in every run. A streaming run holds
+/// only this O(1) state; a retained run keeps its outcome vector as
+/// well, and the flight recorder's tick gauges read from here.
 ///
 /// Counters and sums are exact (the fold order is pinned per barrier,
 /// so they survive a checkpoint restore bit-identically); percentiles come
 /// from the fixed-size [`QuantileDigest`]s, within one digest bucket
 /// of the retained-outcome nearest-rank values.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct StreamAgg {
     /// Outcomes folded.
     pub jobs: u64,
@@ -169,21 +195,6 @@ pub(crate) struct StreamAgg {
 }
 
 impl StreamAgg {
-    /// An empty aggregate.
-    pub fn new() -> Self {
-        StreamAgg {
-            jobs: 0,
-            sum_latency_s: 0.0,
-            sum_energy_j: 0.0,
-            makespan_s: 0.0,
-            slo_misses: 0,
-            latency: QuantileDigest::new(),
-            slo_ratio: QuantileDigest::new(),
-            window: Vec::new(),
-            window_next: 0,
-        }
-    }
-
     /// Fold one completed outcome in (callers feed outcomes in
     /// (finish time, id) order per barrier).
     pub fn add(&mut self, o: &JobOutcome) {
@@ -196,19 +207,26 @@ impl StreamAgg {
             self.slo_misses += 1;
         }
         self.latency.add(lat);
-        // A non-positive SLO can never be met: clamp it into the
-        // digest's top bucket (the worst ratio), mirroring the
-        // retained path's f64::INFINITY sort key.
-        self.slo_ratio.add(if o.slo_s > 0.0 {
-            lat / o.slo_s
-        } else {
-            f64::INFINITY
-        });
+        self.slo_ratio.add(slo_ratio(o));
         if self.window.len() < STREAM_WINDOW {
             self.window.push(lat);
         } else {
             self.window[self.window_next] = lat;
             self.window_next = (self.window_next + 1) % STREAM_WINDOW;
+        }
+    }
+
+    /// Digest estimates of the whole-run latency p50, p95 and p99.
+    pub fn latency_quantiles(&self) -> [f64; 3] {
+        [50.0, 95.0, 99.0].map(|q| self.latency.quantile(q))
+    }
+
+    /// SLO misses over outcomes folded so far (0 when none).
+    pub fn slo_miss_rate(&self) -> f64 {
+        if self.jobs == 0 {
+            0.0
+        } else {
+            self.slo_misses as f64 / self.jobs as f64
         }
     }
 
@@ -219,85 +237,23 @@ impl StreamAgg {
         board_busy_s: impl IntoIterator<Item = f64>,
         extra_energy_j: f64,
     ) -> FleetMetrics {
-        let jobs = self.jobs as usize;
-        FleetMetrics {
-            jobs,
-            makespan_s: self.makespan_s,
-            throughput_jps: if self.makespan_s > 0.0 {
-                jobs as f64 / self.makespan_s
-            } else {
-                0.0
-            },
-            mean_latency_s: if jobs == 0 {
-                0.0
-            } else {
-                self.sum_latency_s / jobs as f64
-            },
-            p50_s: self.latency.quantile(50.0),
-            p95_s: self.latency.quantile(95.0),
-            p99_s: self.latency.quantile(99.0),
-            slo_misses: self.slo_misses as usize,
-            p99_slo_ratio: self.slo_ratio.quantile(99.0),
-            total_energy_j: self.sum_energy_j + extra_energy_j,
-            feedback: FeedbackStats::default(),
-            board_util: board_busy_s
-                .into_iter()
-                .map(|b| {
-                    if self.makespan_s > 0.0 {
-                        b / self.makespan_s
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-        }
+        FleetMetrics::assemble(
+            self.jobs as usize,
+            self.makespan_s,
+            self.sum_latency_s,
+            self.sum_energy_j + extra_energy_j,
+            self.latency_quantiles(),
+            self.slo_misses as usize,
+            self.slo_ratio.quantile(99.0),
+            board_busy_s,
+        )
     }
 
-    /// Serialise the aggregate for a kernel checkpoint.
+    /// Serialise the aggregate for a kernel checkpoint. The exhaustive
+    /// destructuring makes a field added later but not encoded a
+    /// compile error rather than a silent resume divergence.
     pub fn encode(&self, enc: &mut crate::checkpoint::Enc) {
-        enc.u64(self.jobs);
-        enc.f64(self.sum_latency_s);
-        enc.f64(self.sum_energy_j);
-        enc.f64(self.makespan_s);
-        enc.u64(self.slo_misses);
-        self.latency.encode(enc);
-        self.slo_ratio.encode(enc);
-        enc.usize(self.window.len());
-        for &lat in &self.window {
-            enc.f64(lat);
-        }
-        enc.usize(self.window_next);
-    }
-
-    /// Decode an aggregate serialised by [`StreamAgg::encode`].
-    pub fn decode(
-        dec: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
-        let jobs = dec.u64()?;
-        let sum_latency_s = dec.f64()?;
-        let sum_energy_j = dec.f64()?;
-        let makespan_s = dec.f64()?;
-        let slo_misses = dec.u64()?;
-        let latency = QuantileDigest::decode(dec)?;
-        let slo_ratio = QuantileDigest::decode(dec)?;
-        let n = dec.count(8)?;
-        if n > STREAM_WINDOW {
-            return Err(CheckpointError::Corrupt(
-                "latency window longer than STREAM_WINDOW",
-            ));
-        }
-        let mut window = Vec::with_capacity(n);
-        for _ in 0..n {
-            window.push(dec.f64()?);
-        }
-        let window_next = dec.usize()?;
-        if window_next >= STREAM_WINDOW {
-            return Err(CheckpointError::Corrupt(
-                "latency window cursor out of range",
-            ));
-        }
-        Ok(StreamAgg {
+        let StreamAgg {
             jobs,
             sum_latency_s,
             sum_energy_j,
@@ -307,22 +263,68 @@ impl StreamAgg {
             slo_ratio,
             window,
             window_next,
-        })
+        } = self;
+        enc.u64(*jobs);
+        enc.f64(*sum_latency_s);
+        enc.f64(*sum_energy_j);
+        enc.f64(*makespan_s);
+        enc.u64(*slo_misses);
+        latency.encode(enc);
+        slo_ratio.encode(enc);
+        enc.usize(window.len());
+        for &lat in window {
+            enc.f64(lat);
+        }
+        enc.usize(*window_next);
+    }
+
+    /// Decode an aggregate serialised by [`StreamAgg::encode`].
+    pub fn decode(
+        dec: &mut crate::checkpoint::Dec<'_>,
+    ) -> Result<Self, crate::checkpoint::CheckpointError> {
+        use crate::checkpoint::CheckpointError;
+        // Struct-literal fields evaluate in source order: wire order.
+        let mut agg = StreamAgg {
+            jobs: dec.u64()?,
+            sum_latency_s: dec.f64()?,
+            sum_energy_j: dec.f64()?,
+            makespan_s: dec.f64()?,
+            slo_misses: dec.u64()?,
+            latency: QuantileDigest::decode(dec)?,
+            slo_ratio: QuantileDigest::decode(dec)?,
+            window: Vec::new(),
+            window_next: 0,
+        };
+        let n = dec.count(8)?;
+        if n > STREAM_WINDOW {
+            return Err(CheckpointError::Corrupt(
+                "latency window longer than STREAM_WINDOW",
+            ));
+        }
+        agg.window = (0..n).map(|_| dec.f64()).collect::<Result<_, _>>()?;
+        agg.window_next = dec.usize()?;
+        if agg.window_next >= STREAM_WINDOW {
+            return Err(CheckpointError::Corrupt(
+                "latency window cursor out of range",
+            ));
+        }
+        Ok(agg)
     }
 
     /// The public summary carried in [`FleetOutcome::stream`].
     pub fn summary(&self) -> StreamSummary {
         let mut w = self.window.clone();
         w.sort_by(f64::total_cmp);
+        let [digest_p50_s, digest_p95_s, digest_p99_s] = self.latency_quantiles();
         StreamSummary {
             jobs: self.jobs,
             window_len: w.len(),
             window_p50_s: percentile(&w, 50.0),
             window_p95_s: percentile(&w, 95.0),
             window_p99_s: percentile(&w, 99.0),
-            digest_p50_s: self.latency.quantile(50.0),
-            digest_p95_s: self.latency.quantile(95.0),
-            digest_p99_s: self.latency.quantile(99.0),
+            digest_p50_s,
+            digest_p95_s,
+            digest_p99_s,
         }
     }
 }
@@ -330,7 +332,8 @@ impl StreamAgg {
 /// What the resident kernel's streaming aggregation reports beyond
 /// [`FleetMetrics`]: the sliding-window ("recent tail") percentiles a
 /// long-horizon run watches, plus the digest estimates they complement.
-/// `None` on [`FleetOutcome`] when the run retained its outcomes.
+/// Every run reports one, retained or streamed: both fold the same
+/// completions in the same order, so the two summaries are identical.
 #[derive(Clone, Debug)]
 pub struct StreamSummary {
     /// Outcomes folded into the streaming aggregate.
@@ -387,10 +390,10 @@ pub struct FleetOutcome {
     /// Per-chaos-clause accounting (empty when the scenario carries no
     /// [`ChaosSchedule`](crate::chaos::ChaosSchedule)).
     pub chaos: crate::chaos::ChaosStats,
-    /// Streaming-aggregation summary when the run streamed instead of
-    /// retaining outcomes (the resident kernel with retention off);
-    /// `None` on retained runs, whose `outcomes` carry everything.
-    pub stream: Option<StreamSummary>,
+    /// Summary of the kernel's streaming aggregate: sliding-window and
+    /// whole-run digest percentiles (every run folds one, retained or
+    /// not).
+    pub stream: StreamSummary,
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ pub(crate) struct Observation {
 #[derive(Default)]
 pub(crate) struct AdvanceDelta {
     /// Outcomes revealed, one per completion event processed (heap
-    /// pop order; sorted by id before metrics).
+    /// pop order; the barrier fold sorts them by `(finish_s, id)`).
     pub outcomes: Vec<JobOutcome>,
     /// Feedback observations (empty unless the scenario enables the
     /// feedback layer).

@@ -25,12 +25,14 @@
 //! Same cluster + params + job stream + scenario ⇒ byte-identical
 //! outcome.
 
+use crate::arrival::SliceCursor;
 use crate::cache::PolicyCache;
 use crate::cluster::ClusterSpec;
 use crate::dispatch::Dispatcher;
 use crate::job::JobSpec;
 use crate::kernel::Scenario;
 use crate::metrics::FleetOutcome;
+use crate::telemetry::FlightRecorder;
 use astro_core::pipeline::{build_static, AstroPipeline, PipelineConfig, TrainedAstro};
 use astro_core::replay::ReplayExecutor;
 use astro_core::schedule::StaticSchedule;
@@ -157,15 +159,6 @@ where
         .collect()
 }
 
-/// [`chunked_map`] with one worker — the sequential mapper.
-pub fn serial_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    chunked_map(n, 1, f)
-}
-
 /// Address-identity key of a `&'static str`: workload and architecture
 /// names are interned statics, so the pointer identifies the string for
 /// the life of the process. Used to key the per-run memo tables below —
@@ -272,8 +265,8 @@ impl<'a> FleetSim<'a> {
         cache: &mut PolicyCache,
         scenario: &Scenario,
     ) -> FleetOutcome {
-        let mut off = crate::telemetry::FlightRecorder::off();
-        self.run_kernel(jobs, dispatcher, cache, scenario, &mut off)
+        let mut off = FlightRecorder::off();
+        self.run_traced(jobs, dispatcher, cache, scenario, &mut off)
     }
 
     /// [`FleetSim::run`] with a live flight recorder: `telemetry`
@@ -281,16 +274,21 @@ impl<'a> FleetSim<'a> {
     /// wall-clock phase timings as the kernel runs. Telemetry never
     /// perturbs the simulation — the returned [`FleetOutcome`] is
     /// byte-identical to an untraced run of the same inputs (pinned by
-    /// the `proptest_telemetry` suite).
+    /// the `proptest_telemetry` suite). A [`FleetSim::resident`] kernel
+    /// over a [`SliceCursor`] with outcome retention on, driven to
+    /// completion.
     pub fn run_traced(
         &self,
         jobs: &[JobSpec],
         dispatcher: &mut dyn Dispatcher,
         cache: &mut PolicyCache,
         scenario: &Scenario,
-        telemetry: &mut crate::telemetry::FlightRecorder,
+        telemetry: &mut FlightRecorder,
     ) -> FleetOutcome {
-        self.run_kernel(jobs, dispatcher, cache, scenario, telemetry)
+        let mut cursor = SliceCursor::new(jobs);
+        let mut kernel = self.resident(&mut cursor, dispatcher, cache, scenario, telemetry, true);
+        kernel.run();
+        kernel.finish()
     }
 
     // ---- profiling & training (kernel callbacks) ----------------------------
@@ -765,7 +763,7 @@ mod tests {
     #[test]
     fn chunked_map_matches_serial_map() {
         let f = |i: usize| i * 3 + 1;
-        let serial = serial_map(17, f);
+        let serial: Vec<usize> = (0..17).map(f).collect();
         for workers in [1, 2, 3, 8, 32] {
             assert_eq!(chunked_map(17, workers, f), serial);
         }

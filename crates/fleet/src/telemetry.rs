@@ -1,6 +1,8 @@
 //! Deterministic flight recorder for the fleet kernel: structured
-//! event tracing, streaming quantile digests, and wall-clock phase
+//! event tracing, per-tick gauge samples, and wall-clock phase
 //! profiling — zero-cost when off, byte-identical outcomes when on.
+//! Also home of the log-bucketed streaming percentile digest the
+//! kernel's completion sink is built on.
 //!
 //! The source paper's premise is scheduling driven by *observed*
 //! runtime behaviour; until now the fleet's own observability was
@@ -17,12 +19,13 @@
 //!    Chrome-trace/Perfetto JSON by [`FlightRecorder::render_chrome_trace`].
 //!    Timestamps are **sim time** (microseconds of virtual clock), so
 //!    traces are byte-identical across machines.
-//! 2. *Streaming aggregation* ([`QuantileDigest`], [`WindowSample`]) —
-//!    a fixed-size log-bucketed latency histogram plus a counter
-//!    registry and per-tick gauge samples (utilisation, queue depth,
-//!    backlog, feedback error, blackout/throttle state). Gives
-//!    p50/p95/p99-so-far and SLO-miss over sim time *without retaining
-//!    outcomes* — the digest the resident-service refactor needs.
+//! 2. *Gauges over sim time* ([`WindowSample`]) — a counter registry
+//!    and per-tick gauge samples (utilisation, queue depth, backlog,
+//!    feedback error, blackout/throttle state, p50/p95/p99 and SLO-miss
+//!    so far). The recorder owns no digests: the latency and SLO-miss
+//!    gauges are read from the kernel's one completion sink (the
+//!    streaming aggregate every run folds into at the barrier merge),
+//!    so nothing is aggregated twice and no outcome is retained.
 //! 3. *Wall-clock phase profiling* ([`PhaseProfile`]) — control-plane
 //!    vs completion-advance vs barrier-merge timers. These are **machine
 //!    time**, machine-dependent by construction, and excluded from
@@ -43,6 +46,7 @@
 //! branch per hook: every hook is `#[inline]` and returns immediately
 //! unless its [`TraceLevel`] is enabled.
 
+use crate::job::JobOutcome;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -53,8 +57,8 @@ use std::time::Instant;
 pub enum TraceLevel {
     /// Record nothing; every hook is a single predicted-false branch.
     Off,
-    /// Streaming aggregation only: quantile digests, counters, and a
-    /// [`WindowSample`] per monitor tick. No trace events.
+    /// Counters and a [`WindowSample`] per monitor tick. No trace
+    /// events.
     Ticks,
     /// Plus structured spans: completion advance windows, preempt scans,
     /// churn and chaos window edges, monitor-tick markers.
@@ -308,34 +312,12 @@ impl PhaseProfile {
     }
 }
 
-/// One completion as the barrier merge reports it to the recorder,
-/// pre-sorted by `(finish_s, id)` within the fold.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CompletionRecord {
-    /// Completion timestamp, sim seconds.
-    pub finish_s: f64,
-    /// End-to-end latency (queueing + service), seconds.
-    pub latency_s: f64,
-    /// Resolved SLO, seconds.
-    pub slo_s: f64,
-    /// Job stream id.
-    pub id: u32,
-    /// Board the job ran on.
-    pub board: usize,
-    /// Workload name.
-    pub workload: &'static str,
-}
-
 /// The flight recorder: owns every telemetry layer and exposes the
 /// hook inventory the kernel calls. Constructed per run; never shared
 /// across runs. See the module docs for the determinism argument.
 pub struct FlightRecorder {
     level: TraceLevel,
     events: Vec<TraceEvent>,
-    latency: QuantileDigest,
-    slo_ratio: QuantileDigest,
-    completions: u64,
-    slo_misses: u64,
     windows: Vec<WindowSample>,
     counters: BTreeMap<&'static str, u64>,
     wall: PhaseProfile,
@@ -347,10 +329,6 @@ impl FlightRecorder {
         FlightRecorder {
             level,
             events: Vec::new(),
-            latency: QuantileDigest::new(),
-            slo_ratio: QuantileDigest::new(),
-            completions: 0,
-            slo_misses: 0,
             windows: Vec::new(),
             counters: BTreeMap::new(),
             wall: PhaseProfile::default(),
@@ -374,7 +352,7 @@ impl FlightRecorder {
         self.level > TraceLevel::Off
     }
 
-    /// Are per-tick window samples (and digests) being recorded?
+    /// Are per-tick window samples being recorded?
     #[inline]
     pub fn wants_ticks(&self) -> bool {
         self.level >= TraceLevel::Ticks
@@ -458,19 +436,18 @@ impl FlightRecorder {
     }
 
     /// One barrier merge: the advance window `[from_s, to_s)` folded
-    /// `recs` completions (sorted by `(finish_s, id)`; `to_s` may be
-    /// infinite on the final drain). Emits the advance span, feeds the
-    /// streaming digests, and emits per-completion instants at
-    /// [`TraceLevel::Full`].
-    pub(crate) fn on_window(&mut self, from_s: f64, to_s: f64, recs: &[CompletionRecord]) {
+    /// `done` (sorted by `(finish_s, id)`; `to_s` may be infinite on
+    /// the final drain). Emits the advance span, and per-completion
+    /// instants at [`TraceLevel::Full`].
+    pub(crate) fn on_window(&mut self, from_s: f64, to_s: f64, done: &[JobOutcome]) {
         debug_assert!(self.enabled(), "on_window called on a disabled recorder");
-        if recs.is_empty() {
+        if done.is_empty() {
             return;
         }
         let end_s = if to_s.is_finite() {
             to_s
         } else {
-            recs.last().map(|r| r.finish_s).unwrap_or(from_s)
+            done.last().map(|o| o.finish_s).unwrap_or(from_s)
         };
         if self.wants_spans() {
             self.events.push(TraceEvent {
@@ -480,31 +457,23 @@ impl FlightRecorder {
                 dur_us: (end_s - from_s).max(0.0) * 1e6,
                 instant: false,
                 tid: 1,
-                args: format!("\"completions\":{}", recs.len()),
+                args: format!("\"completions\":{}", done.len()),
             });
         }
-        for r in recs {
-            self.completions += 1;
-            self.latency.add(r.latency_s);
-            if r.slo_s > 0.0 {
-                self.slo_ratio.add(r.latency_s / r.slo_s);
-            }
-            if r.latency_s > r.slo_s {
-                self.slo_misses += 1;
-            }
-            if self.wants_full() {
+        if self.wants_full() {
+            for o in done {
                 self.events.push(TraceEvent {
-                    name: format!("complete {}#{}", r.workload, r.id),
+                    name: format!("complete {}#{}", o.workload, o.id),
                     cat: "completion",
-                    ts_us: r.finish_s * 1e6,
+                    ts_us: o.finish_s * 1e6,
                     dur_us: 0.0,
                     instant: true,
                     tid: 2,
                     args: format!(
                         "\"job\":{},\"board\":{},\"latency_us\":{:.3}",
-                        r.id,
-                        r.board,
-                        r.latency_s * 1e6
+                        o.id,
+                        o.board,
+                        o.latency_s() * 1e6
                     ),
                 });
             }
@@ -596,24 +565,6 @@ impl FlightRecorder {
         self.windows.push(sample);
     }
 
-    /// Streamed p50/p95/p99 of latency so far, for tick sampling.
-    pub(crate) fn latency_so_far(&self) -> (f64, f64, f64) {
-        (
-            self.latency.quantile(50.0),
-            self.latency.quantile(95.0),
-            self.latency.quantile(99.0),
-        )
-    }
-
-    /// SLO misses so far over completions so far.
-    pub fn slo_miss_rate(&self) -> f64 {
-        if self.completions == 0 {
-            0.0
-        } else {
-            self.slo_misses as f64 / self.completions as f64
-        }
-    }
-
     // ---- wall-clock phase profiling (machine time) ----------------------
 
     /// Start a wall-clock stopwatch — `None` when the recorder is off,
@@ -663,21 +614,6 @@ impl FlightRecorder {
     /// Per-tick window samples, tick order.
     pub fn windows(&self) -> &[WindowSample] {
         &self.windows
-    }
-
-    /// The streaming latency digest.
-    pub fn latency_digest(&self) -> &QuantileDigest {
-        &self.latency
-    }
-
-    /// The streaming latency/SLO-ratio digest.
-    pub fn slo_ratio_digest(&self) -> &QuantileDigest {
-        &self.slo_ratio
-    }
-
-    /// Completions streamed through the recorder.
-    pub fn completions(&self) -> u64 {
-        self.completions
     }
 
     /// The counter registry (stable name order).
@@ -1074,27 +1010,44 @@ mod tests {
         assert!(r.events().is_empty());
         assert!(r.windows().is_empty());
         assert!(r.counters().is_empty());
-        assert_eq!(r.completions(), 0);
         assert_eq!(r.wall().total_s, 0.0);
         assert_eq!(r.wall().control_s(), 0.0);
     }
 
+    /// A completed job finishing at `finish_s` after `latency_s` of
+    /// end-to-end latency against an SLO of `slo_s`.
+    fn done(
+        id: u32,
+        board: usize,
+        workload: &'static str,
+        finish_s: f64,
+        latency_s: f64,
+        slo_s: f64,
+    ) -> JobOutcome {
+        JobOutcome {
+            id,
+            workload,
+            class: crate::job::JobClass::Mixed,
+            board,
+            arrival_s: finish_s - latency_s,
+            start_s: finish_s - latency_s,
+            finish_s,
+            service_s: latency_s,
+            energy_j: 0.0,
+            slo_s,
+            migrations: 0,
+        }
+    }
+
     #[test]
     fn levels_gate_the_event_volume() {
-        let recs = [CompletionRecord {
-            finish_s: 2.0,
-            latency_s: 0.5,
-            slo_s: 1.0,
-            id: 7,
-            board: 1,
-            workload: "w",
-        }];
+        let recs = [done(7, 1, "w", 2.0, 0.5, 1.0)];
         let mut ticks = FlightRecorder::new(TraceLevel::Ticks);
         ticks.on_window(1.0, 3.0, &recs);
         ticks.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert!(ticks.events().is_empty(), "ticks level emits no events");
-        assert_eq!(ticks.completions(), 1);
-        assert_eq!(ticks.latency_digest().count(), 1);
+        assert_eq!(ticks.counters()["barrier_merges"], 1);
+        assert_eq!(ticks.counters()["dispatches"], 1);
 
         let mut spans = FlightRecorder::new(TraceLevel::Spans);
         spans.on_window(1.0, 3.0, &recs);
@@ -1111,22 +1064,25 @@ mod tests {
     #[test]
     fn recorder_streams_slo_misses_and_renders_valid_json() {
         let mut r = FlightRecorder::new(TraceLevel::Full);
-        let rec = |id: u32, lat: f64, slo: f64| CompletionRecord {
-            finish_s: id as f64,
-            latency_s: lat,
-            slo_s: slo,
-            id,
-            board: 0,
-            workload: "swap\"tions", // exercises escaping
-        };
-        r.on_window(0.0, 1.5, &[rec(0, 0.5, 1.0), rec(1, 2.0, 1.0)]);
+        // The tick gauges read the kernel's completion sink, fed the
+        // same sorted merge the recorder sees.
+        let merge = [
+            done(0, 0, "swap\"tions", 0.0, 0.5, 1.0), // exercises escaping
+            done(1, 0, "swap\"tions", 1.0, 2.0, 1.0),
+        ];
+        let mut agg = crate::metrics::StreamAgg::default();
+        for o in &merge {
+            agg.add(o);
+        }
+        r.on_window(0.0, 1.5, &merge);
+        let [p50_s, p95_s, p99_s] = agg.latency_quantiles();
         r.on_tick(WindowSample {
             t_s: 2.0,
-            completions: r.completions(),
-            p50_s: r.latency_so_far().0,
-            p95_s: r.latency_so_far().1,
-            p99_s: r.latency_so_far().2,
-            slo_miss_rate: r.slo_miss_rate(),
+            completions: agg.jobs,
+            p50_s,
+            p95_s,
+            p99_s,
+            slo_miss_rate: agg.slo_miss_rate(),
             mean_util: 0.5,
             queue_depth: 3,
             backlog_s: 0.25,
@@ -1138,9 +1094,9 @@ mod tests {
             feedback_samples: 0,
             feedback_mean_correction: 1.0,
         });
-        assert_eq!(r.completions(), 2);
-        assert!((r.slo_miss_rate() - 0.5).abs() < 1e-12);
         assert_eq!(r.windows().len(), 1);
+        assert_eq!(r.windows()[0].completions, 2);
+        assert!((r.windows()[0].slo_miss_rate - 0.5).abs() < 1e-12);
         assert_eq!(r.counters()["barrier_merges"], 1);
         assert!(r.timestamps_monotone());
         let json = r.render_chrome_trace();

@@ -133,9 +133,13 @@ fn check(retained: &FleetOutcome, streamed: &FleetOutcome, label: &str) {
         streamed.outcomes.is_empty(),
         "{label}: streaming retained outcomes"
     );
-    assert!(
-        retained.stream.is_none(),
-        "{label}: retained run grew a stream summary"
+    // One completion sink: both runs fold the same completions in the
+    // same (finish time, id) order, so their summaries agree bit for bit
+    // (the Debug rendering of an f64 round-trips its bits).
+    assert_eq!(
+        format!("{:?}", retained.stream),
+        format!("{:?}", streamed.stream),
+        "{label}: retained and streamed stream summaries diverged"
     );
 
     // Counters and max-folds: exact.
@@ -183,10 +187,7 @@ fn check(retained: &FleetOutcome, streamed: &FleetOutcome, label: &str) {
     // The stream summary: digest estimates within one bucket, window
     // percentiles bit-exact against the retained outcomes' tail in
     // barrier-merge order.
-    let sum = streamed
-        .stream
-        .as_ref()
-        .expect("streaming run reports a summary");
+    let sum = &streamed.stream;
     assert_eq!(
         sum.jobs as usize,
         retained.outcomes.len(),
@@ -280,6 +281,6 @@ fn sliding_window_wraps_to_the_latest_completions() {
         retained.outcomes.len()
     );
     check(&retained, &streamed, "window wrap");
-    let sum = streamed.stream.as_ref().unwrap();
+    let sum = &streamed.stream;
     assert_eq!(sum.window_len, STREAM_WINDOW);
 }
