@@ -312,7 +312,7 @@ fn bench_dispatch_pick(c: &mut Criterion) {
 /// The indexed pick at 10× the dense bench's fleet: one `PhaseAware`
 /// decision over 5000 boards with spread backlogs filed in the
 /// maintained dispatch index. Where the dense bench walks every board
-/// twice, this touches the per-architecture ordered-set heads plus the
+/// twice, this touches the per-architecture ordered-heap heads plus the
 /// head equal-finish groups — O(log B) — so the number here should be
 /// flat in fleet size, not linear. Estimates are per architecture
 /// class, as the kernel builds them.
@@ -354,10 +354,10 @@ fn bench_dispatch_pick_indexed(c: &mut Criterion) {
 }
 
 /// Index maintenance under churn: 64 board-local events per iteration,
-/// each moving one board's busy-until and re-filing it in the global
-/// and per-architecture ordered sets (a BTreeSet remove + insert pair
-/// each, O(log B)). This is the per-event overhead the index charges
-/// the kernel in exchange for O(log B) picks.
+/// each moving one board's busy-until and re-keying it in place in its
+/// architecture class's indexed heap (one sift, O(log B), no
+/// allocation). This is the per-event overhead the index charges the
+/// kernel in exchange for O(log B) picks.
 fn bench_dispatch_index_repair(c: &mut Criterion) {
     use astro_fleet::{ClusterSpec, ClusterState, DispatchMode};
 

@@ -113,8 +113,10 @@ impl LeastLoaded {
     /// board)`, so the argmin is among (a) the zero-class champion —
     /// the `(dispatched, board)`-least among boards whose backlog is
     /// exactly zero, (b) the head equal-backlog group of the ordered
-    /// class (backlog order is busy-until order; equal backlogs are
-    /// contiguous because `x ↦ (x - now).max(0)` is monotone), and
+    /// class (backlog order is busy-until order, so the least backlog
+    /// is the least over the per-architecture heads, and each class's
+    /// boards at that backlog are a prefix of its order because
+    /// `x ↦ (x - now).max(0)` is monotone), and
     /// (c) the head equal-backlog group of the stale view (sorted by
     /// exact backlog bits at the current clock), or every stale board
     /// when the set is small. Candidates are then compared with the
@@ -130,16 +132,19 @@ impl LeastLoaded {
         if let Some(b) = idx.zero_min() {
             consider(&mut best, b);
         }
-        let mut it = idx.ordered_iter();
-        if let Some(b0) = it.next() {
-            let bl0 = state.backlog_s(b0);
-            consider(&mut best, b0);
-            for b in it {
-                if state.backlog_s(b) != bl0 {
-                    break;
+        let na = state.n_arch();
+        let bl0 = (0..na)
+            .filter_map(|a| idx.ordered_min_busy(a))
+            .map(|busy| state.backlog_at(busy))
+            .fold(f64::INFINITY, f64::min);
+        for a in 0..na {
+            idx.walk_ordered(a, |busy, b| {
+                let hit = state.backlog_at(busy) == bl0;
+                if hit {
+                    consider(&mut best, b);
                 }
-                consider(&mut best, b);
-            }
+                hit
+            });
         }
         match state.stale_view() {
             None => {
@@ -213,7 +218,7 @@ impl EnergyAware {
     /// architecture class, so within a class the energy
     /// term is constant and the finish term is monotone in backlog —
     /// each class's winner is in the head equal-finish group of its
-    /// ordered set (or its lowest-indexed zero-class board, which is
+    /// ordered heap (or its lowest-indexed zero-class board, which is
     /// always feasible since its backlog is zero). The fleet-minimum
     /// backlog itself is an order-independent `f64::min` fold, so it
     /// is reconstructed exactly from the class heads. Stale boards go
@@ -224,8 +229,10 @@ impl EnergyAware {
     fn pick_indexed(&self, state: &ClusterState, est: &JobEstimates, idx: &DispatchIndex) -> usize {
         let stale_view = state.stale_view();
         let mut min_backlog = if idx.has_zero() { 0.0 } else { f64::INFINITY };
-        if let Some(b) = idx.ordered_iter().next() {
-            min_backlog = min_backlog.min(state.backlog_s(b));
+        for a in 0..state.n_arch() {
+            if let Some(busy) = idx.ordered_min_busy(a) {
+                min_backlog = min_backlog.min(state.backlog_at(busy));
+            }
         }
         match &stale_view {
             None => {
@@ -257,20 +264,19 @@ impl EnergyAware {
             if let Some(b) = idx.zero_min_arch(a) {
                 consider(&mut best, b);
             }
-            let mut it = idx.ordered_iter_arch(a);
-            if let Some(b0) = it.next() {
-                let bl0 = state.backlog_s(b0);
+            if let Some(busy0) = idx.ordered_min_busy(a) {
+                let bl0 = state.backlog_at(busy0);
                 // Backlog is non-decreasing along the class order:
                 // when the head is infeasible, so is every later board.
                 if bl0 <= min_backlog + svc {
                     let f0 = state.now_s + bl0 + svc;
-                    consider(&mut best, b0);
-                    for b in it {
-                        if state.now_s + state.backlog_s(b) + svc != f0 {
-                            break;
+                    idx.walk_ordered(a, |busy, b| {
+                        let hit = state.now_s + state.backlog_at(busy) + svc == f0;
+                        if hit {
+                            consider(&mut best, b);
                         }
-                        consider(&mut best, b);
-                    }
+                        hit
+                    });
                 }
             }
         }
@@ -396,7 +402,7 @@ impl PhaseAware {
     /// Indexed pick. Pass 1's effective key is `(finish, board)`;
     /// estimates are per architecture class, so within a class
     /// the finish is monotone in backlog and the class champion is in
-    /// the head equal-finish group of its ordered set (or its
+    /// the head equal-finish group of its ordered heap (or its
     /// lowest-indexed zero-class board — zero backlogs tie on finish).
     /// Pass 2's key `(mismatch, cold, finish, board)` is constant per
     /// class in its first two terms, so each class's tie-band winner
@@ -432,16 +438,16 @@ impl PhaseAware {
             if let Some(b) = idx.zero_min_arch(a) {
                 consider(&mut c, b);
             }
-            let mut it = idx.ordered_iter_arch(a);
-            if let Some(b0) = it.next() {
-                let f0 = est.est_finish_s(state, b0);
-                consider(&mut c, b0);
-                for b in it {
-                    if est.est_finish_s(state, b) != f0 {
-                        break;
+            if let Some(busy0) = idx.ordered_min_busy(a) {
+                let svc = est.service_s[a];
+                let f0 = state.now_s + state.backlog_at(busy0) + svc;
+                idx.walk_ordered(a, |busy, b| {
+                    let hit = state.now_s + state.backlog_at(busy) + svc == f0;
+                    if hit {
+                        consider(&mut c, b);
                     }
-                    consider(&mut c, b);
-                }
+                    hit
+                });
             }
             if let Some(view) = &stale_view {
                 // Fold the class's stale winner into its champion:

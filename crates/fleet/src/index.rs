@@ -16,10 +16,12 @@
 //!   per architecture class by board index.
 //! * **Ordered** — busy-until is strictly ahead of the clock and
 //!   independent of it (oracle accumulator, or an online board whose
-//!   in-flight finish estimate has not lapsed). Filed globally and per
-//!   architecture class by `(busy_until bits, board)`; since busy and
-//!   backlog are non-negative and `x ↦ (x - now).max(0)` is monotone,
-//!   bit order on the stored busy value *is* backlog order.
+//!   in-flight finish estimate has not lapsed). Filed per architecture
+//!   class by `(busy_until bits, board)`; the fleet-wide head is the
+//!   least of the (few) class heads, so no global ordering is kept.
+//!   Since busy and backlog are non-negative and `x ↦ (x - now).max(0)`
+//!   is monotone, bit order on the stored busy value *is* backlog
+//!   order.
 //! * **Stale** — an online board whose in-flight finish estimate has
 //!   lapsed while work is still queued (or, defensively, an idle board
 //!   with queued work): its busy-until is genuinely clock-dependent
@@ -40,12 +42,19 @@
 //!   the exact per-pick walk: sorting a handful of boards costs more
 //!   than scanning them.
 //!
+//! Zero and Ordered filings live in [`IndexedHeaps`]: flat binary
+//! min-heaps over `(key bits, board)` with a board→slot map, so a
+//! refile re-keys the board in place with one sift per heap and
+//! allocates nothing. Dispatchers read class heads and walk a head
+//! equal-key group top-down ([`IndexedHeaps::walk`]), descending only
+//! below boards that are in the group.
+//!
 //! The classes are repaired *eagerly* at every mutation site (the
 //! kernel calls [`refresh_dispatch_index`](crate::state::ClusterState::refresh_dispatch_index)
 //! wherever it touches a board) plus two prefix sweeps when the clock
 //! advances: ordered entries whose busy-until the clock has reached
 //! reclassify to Zero/Stale, and in-flight estimates the clock has
-//! passed (tracked in a third ordered set) demote their boards out of
+//! passed (tracked in a third heap) demote their boards out of
 //! Ordered. Each board is swept at most once per insertion, so the
 //! sweeps are amortised O(log B) per event.
 //!
@@ -54,7 +63,12 @@
 //! then compare candidates with the exact same floating-point
 //! expressions the reference linear scan uses — which is how the
 //! indexed picks reproduce the scan bit-for-bit (the `pick_crosscheck`
-//! feature asserts this on every pick).
+//! feature asserts this on every pick). Head-group membership is
+//! decided on the filed busy-until bits, through the scan's own backlog
+//! expression ([`backlog_at`](crate::state::ClusterState::backlog_at)):
+//! eager repair keeps a filed value equal to the board's live
+//! busy-until, the invariant the ordering itself rests on, so a walk
+//! reads no board state until it accepts a candidate.
 
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeSet;
@@ -139,29 +153,185 @@ impl StaleView {
     }
 }
 
+/// Slot-map sentinel: the board is filed in no heap of the family.
+const ABSENT: u32 = u32::MAX;
+
+/// A family of indexed binary min-heaps over `(key, board)` entries:
+/// one heap per group (an architecture class, or one global group),
+/// each a flat `Vec`, plus one board→slot map shared by the family — a
+/// board sits in at most one heap, and its group is fixed by the
+/// caller (a board's architecture class never changes). Filing,
+/// re-keying and removing a board is one sift through its heap and
+/// never allocates once the heaps have grown to their working size.
+/// Entries are unique (they end in the board), so heap order is the
+/// strict `(key, board)` order the sorted sets it replaces used.
+#[derive(Clone, Debug, Default)]
+struct IndexedHeaps {
+    /// Per group: a binary min-heap over `(key, board)`.
+    heaps: Vec<Vec<(u64, u32)>>,
+    /// Per board: its position in its group's heap, or [`ABSENT`].
+    slot: Vec<u32>,
+}
+
+impl IndexedHeaps {
+    /// Empty heaps over `n` boards in `groups` groups.
+    fn new(n: usize, groups: usize) -> Self {
+        IndexedHeaps {
+            heaps: vec![Vec::new(); groups],
+            slot: vec![ABSENT; n],
+        }
+    }
+
+    /// File board `b` of group `g` under `key`, or take it out of the
+    /// family on `None`. A filed board is re-keyed in place.
+    fn set(&mut self, g: usize, b: u32, key: Option<u64>) {
+        let h = &mut self.heaps[g];
+        let s = self.slot[b as usize];
+        match key {
+            None if s == ABSENT => {}
+            None => {
+                let i = s as usize;
+                self.slot[b as usize] = ABSENT;
+                let last = h.pop().expect("a filed board has a heap entry");
+                if i < h.len() {
+                    h[i] = last;
+                    if i > 0 && last < h[(i - 1) / 2] {
+                        sift_up(h, &mut self.slot, i);
+                    } else {
+                        sift_down(h, &mut self.slot, i);
+                    }
+                }
+            }
+            Some(k) if s == ABSENT => {
+                h.push((k, b));
+                let i = h.len() - 1;
+                sift_up(h, &mut self.slot, i);
+            }
+            Some(k) => {
+                let i = s as usize;
+                let old = h[i].0;
+                h[i].0 = k;
+                if k < old {
+                    sift_up(h, &mut self.slot, i);
+                } else if k > old {
+                    sift_down(h, &mut self.slot, i);
+                }
+            }
+        }
+    }
+
+    /// The least `(key, board)` entry of group `g`.
+    #[inline]
+    fn first(&self, g: usize) -> Option<(u64, u32)> {
+        self.heaps[g].first().copied()
+    }
+
+    /// Number of groups.
+    #[inline]
+    fn groups(&self) -> usize {
+        self.heaps.len()
+    }
+
+    /// Walk group `g` top-down from its head, calling `f(key, board)`
+    /// on each visited entry and descending below an entry only when
+    /// `f` accepts it. Children never order before their parent, so for
+    /// a predicate that holds on a prefix of the `(key, board)` order —
+    /// a head group — the accepted entries are exactly that prefix, and
+    /// `f` is called at most once more per accepted entry (the rejected
+    /// frontier). Visit order is heap order, not sorted order: callers
+    /// fold accepted boards with an order-free argmin.
+    fn walk(&self, g: usize, mut f: impl FnMut(u64, usize) -> bool) {
+        let h = &self.heaps[g];
+        // Right siblings still to visit: at most one per level of the
+        // path from the root, and a heap of `u32` boards has < 33.
+        let mut pending = [0usize; 33];
+        let mut depth = 0;
+        let mut i = 0;
+        loop {
+            if i < h.len() && f(h[i].0, h[i].1 as usize) {
+                pending[depth] = 2 * i + 2;
+                depth += 1;
+                i = 2 * i + 1;
+            } else if depth == 0 {
+                return;
+            } else {
+                depth -= 1;
+                i = pending[depth];
+            }
+        }
+    }
+
+    /// Entries filed across every group (diagnostics / tests).
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.heaps.iter().map(Vec::len).sum()
+    }
+}
+
+/// Move the entry at `i` towards the root until its parent orders
+/// before it, keeping the slot map in step.
+fn sift_up(h: &mut [(u64, u32)], slot: &mut [u32], mut i: usize) {
+    let e = h[i];
+    while i > 0 {
+        let p = (i - 1) / 2;
+        if h[p] < e {
+            break;
+        }
+        h[i] = h[p];
+        slot[h[i].1 as usize] = i as u32;
+        i = p;
+    }
+    h[i] = e;
+    slot[e.1 as usize] = i as u32;
+}
+
+/// Move the entry at `i` towards the leaves until both children order
+/// after it, keeping the slot map in step.
+fn sift_down(h: &mut [(u64, u32)], slot: &mut [u32], mut i: usize) {
+    let e = h[i];
+    loop {
+        let mut c = 2 * i + 1;
+        if c >= h.len() {
+            break;
+        }
+        if c + 1 < h.len() && h[c + 1] < h[c] {
+            c += 1;
+        }
+        if e < h[c] {
+            break;
+        }
+        h[i] = h[c];
+        slot[h[i].1 as usize] = i as u32;
+        i = c;
+    }
+    h[i] = e;
+    slot[e.1 as usize] = i as u32;
+}
+
 /// The maintained index structure. Owned by
 /// [`ClusterState`](crate::state::ClusterState); all classification
 /// logic lives there (it needs the live board state), this type only
-/// keeps the sets consistent and answers ordered queries.
+/// keeps the heaps consistent and answers ordered queries.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DispatchIndex {
     /// Is the index live? Off by default: states built by tests and
     /// benches mutate boards directly, so dispatchers fall back to the
     /// reference scan unless the owner opts in and maintains it.
     pub(crate) enabled: bool,
-    /// Current class of each board (`class[b]` mirrors set membership).
+    /// Current class of each board (`class[b]` mirrors heap membership).
     class: Vec<BoardClass>,
-    /// Zero-class boards by `(dispatched bits, board)`.
-    zero: BTreeSet<(u64, u32)>,
-    /// Zero-class boards per architecture class, by board index.
-    zero_arch: Vec<BTreeSet<u32>>,
-    /// Ordered-class boards by `(busy bits, board)`.
-    ordered: BTreeSet<(u64, u32)>,
-    /// Ordered-class boards per architecture class.
-    ordered_arch: Vec<BTreeSet<(u64, u32)>>,
+    /// Zero-class boards by `(dispatched bits, board)`, one group.
+    zero: IndexedHeaps,
+    /// Zero-class boards per architecture class, by board index (every
+    /// key is `0`).
+    zero_arch: IndexedHeaps,
+    /// Ordered-class boards per architecture class, by `(busy bits,
+    /// board)`. The fleet-wide head is the least of the class heads.
+    ordered: IndexedHeaps,
     /// Ordered-class boards whose class lapses when the clock passes
-    /// their in-flight finish estimate, by `(estimate bits, board)`.
-    inflight: BTreeSet<(u64, u32)>,
+    /// their in-flight finish estimate, by `(estimate bits, board)`,
+    /// one group.
+    inflight: IndexedHeaps,
     /// Stale-class boards by `(lapse bits, board)` — ordered by when
     /// their in-flight estimate lapsed, so rebuild order (and the
     /// fallback exact walk) is deterministic.
@@ -181,11 +351,10 @@ impl DispatchIndex {
     pub(crate) fn reset(&mut self, n: usize, n_arch: usize) {
         self.enabled = true;
         self.class = vec![BoardClass::None; n];
-        self.zero = BTreeSet::new();
-        self.zero_arch = vec![BTreeSet::new(); n_arch];
-        self.ordered = BTreeSet::new();
-        self.ordered_arch = vec![BTreeSet::new(); n_arch];
-        self.inflight = BTreeSet::new();
+        self.zero = IndexedHeaps::new(n, 1);
+        self.zero_arch = IndexedHeaps::new(n, n_arch);
+        self.ordered = IndexedHeaps::new(n, n_arch);
+        self.inflight = IndexedHeaps::new(n, 1);
         self.stale = BTreeSet::new();
         // Keep the revision monotone across resets so a view cached
         // before a rebuild can never alias a fresh (clock, revision)
@@ -193,81 +362,62 @@ impl DispatchIndex {
         self.stale_rev += 1;
     }
 
-    /// Remove board `b`, of architecture class `a`, from whatever sets
-    /// its current class filed it in, then file it under `class`.
+    /// Re-file board `b`, of architecture class `a`, under `class`:
+    /// each heap re-keys, files or drops the board in place (a board
+    /// that stays Ordered moves with one sift per heap).
     pub(crate) fn set_class(&mut self, b: usize, a: usize, class: BoardClass) {
+        let old = self.class[b];
         // Any refile touching the stale class invalidates the cached
         // view — including an identical reclassification: a queue
         // mutation moves a stale board's backlog without moving its
         // lapse key, and the view orders by backlog.
-        if matches!(class, BoardClass::Stale { .. })
-            || matches!(self.class[b], BoardClass::Stale { .. })
-        {
+        if matches!(class, BoardClass::Stale { .. }) || matches!(old, BoardClass::Stale { .. }) {
             self.stale_rev += 1;
         }
-        if class == self.class[b] {
-            // Identical classification files identically: skip the
-            // remove + insert round trip.
+        if class == old {
+            // Identical classification files identically.
             return;
         }
         let bu = b as u32;
-        match self.class[b] {
-            BoardClass::None => {}
-            BoardClass::Zero { disp_bits } => {
-                self.zero.remove(&(disp_bits, bu));
-                self.zero_arch[a].remove(&bu);
-            }
+        let zero = match class {
+            BoardClass::Zero { disp_bits } => Some(disp_bits),
+            _ => None,
+        };
+        self.zero.set(0, bu, zero);
+        self.zero_arch.set(a, bu, zero.map(|_| 0));
+        let (busy, ifl) = match class {
             BoardClass::Ordered {
                 busy_bits,
                 ifl_bits,
-            } => {
-                self.ordered.remove(&(busy_bits, bu));
-                self.ordered_arch[a].remove(&(busy_bits, bu));
-                if let Some(fb) = ifl_bits {
-                    self.inflight.remove(&(fb, bu));
-                }
-            }
-            BoardClass::Stale { lapse_bits } => {
-                self.stale.remove(&(lapse_bits, bu));
-            }
+            } => (Some(busy_bits), ifl_bits),
+            _ => (None, None),
+        };
+        self.ordered.set(a, bu, busy);
+        self.inflight.set(0, bu, ifl);
+        if let BoardClass::Stale { lapse_bits } = old {
+            self.stale.remove(&(lapse_bits, bu));
         }
-        match class {
-            BoardClass::None => {}
-            BoardClass::Zero { disp_bits } => {
-                self.zero.insert((disp_bits, bu));
-                self.zero_arch[a].insert(bu);
-            }
-            BoardClass::Ordered {
-                busy_bits,
-                ifl_bits,
-            } => {
-                self.ordered.insert((busy_bits, bu));
-                self.ordered_arch[a].insert((busy_bits, bu));
-                if let Some(fb) = ifl_bits {
-                    self.inflight.insert((fb, bu));
-                }
-            }
-            BoardClass::Stale { lapse_bits } => {
-                self.stale.insert((lapse_bits, bu));
-            }
+        if let BoardClass::Stale { lapse_bits } = class {
+            self.stale.insert((lapse_bits, bu));
         }
         self.class[b] = class;
     }
 
-    /// The earliest ordered entry at or behind `now_bits`, if any —
-    /// the clock-advance sweep target.
+    /// An ordered entry at or behind `now_bits`, if any — the
+    /// clock-advance sweep target (any class head that qualifies; the
+    /// sweep drains them all).
     pub(crate) fn ordered_lapsed(&self, now_bits: u64) -> Option<usize> {
-        match self.ordered.first() {
-            Some(&(bits, b)) if bits <= now_bits => Some(b as usize),
+        (0..self.ordered.groups()).find_map(|a| match self.ordered.first(a) {
+            Some((bits, b)) if bits <= now_bits => Some(b as usize),
             _ => None,
-        }
+        })
     }
 
     /// The earliest filed in-flight estimate strictly behind
     /// `now_bits`, if any — the other clock-advance sweep target.
     pub(crate) fn inflight_lapsed(&self, now_bits: u64) -> Option<usize> {
-        match self.inflight.first() {
-            Some(&(bits, b)) if bits < now_bits => Some(b as usize),
+        match self.inflight.first(0) {
+            Some((bits, b)) if bits < now_bits => Some(b as usize),
             _ => None,
         }
     }
@@ -275,34 +425,38 @@ impl DispatchIndex {
     /// Any zero-class (backlog exactly zero) board?
     #[inline]
     pub(crate) fn has_zero(&self) -> bool {
-        !self.zero.is_empty()
+        self.zero.first(0).is_some()
     }
 
     /// The zero-class board minimising `(dispatched, board)` — the
     /// `LeastLoaded` champion among idle boards.
     #[inline]
     pub(crate) fn zero_min(&self) -> Option<usize> {
-        self.zero.first().map(|&(_, b)| b as usize)
+        self.zero.first(0).map(|(_, b)| b as usize)
     }
 
     /// The lowest-indexed zero-class board in architecture class `a` —
     /// the band champion where per-arch keys tie on everything but `b`.
     #[inline]
     pub(crate) fn zero_min_arch(&self, a: usize) -> Option<usize> {
-        self.zero_arch[a].first().map(|&b| b as usize)
+        self.zero_arch.first(a).map(|(_, b)| b as usize)
     }
 
-    /// Ordered-class boards, ascending busy-until (then board index).
+    /// The least filed busy-until among ordered-class boards of
+    /// architecture class `a` — the class head's.
     #[inline]
-    pub(crate) fn ordered_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ordered.iter().map(|&(_, b)| b as usize)
+    pub(crate) fn ordered_min_busy(&self, a: usize) -> Option<f64> {
+        self.ordered.first(a).map(|(bits, _)| f64::from_bits(bits))
     }
 
-    /// Ordered-class boards of architecture class `a`, ascending
-    /// busy-until (then board index).
+    /// Walk the ordered-class boards of architecture class `a` from the
+    /// head, calling `f(busy-until, board)` and descending only below
+    /// boards `f` accepts (see [`IndexedHeaps::walk`]). `f` must accept
+    /// a prefix of the `(busy-until, board)` order — a head equal-key
+    /// group.
     #[inline]
-    pub(crate) fn ordered_iter_arch(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        self.ordered_arch[a].iter().map(|&(_, b)| b as usize)
+    pub(crate) fn walk_ordered(&self, a: usize, mut f: impl FnMut(f64, usize) -> bool) {
+        self.ordered.walk(a, |bits, b| f(f64::from_bits(bits), b));
     }
 
     /// Stale-class boards, ascending `(lapse time, board)` — the exact
@@ -340,7 +494,7 @@ impl DispatchIndex {
         v.now_bits = now_bits;
         v.rev = self.stale_rev;
         v.by_bl.clear();
-        let n_arch = self.zero_arch.len();
+        let n_arch = self.ordered.groups();
         if v.by_bl_arch.len() != n_arch {
             v.by_bl_arch.resize(n_arch, Vec::new());
         }
@@ -375,6 +529,7 @@ impl DispatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Two architecture classes, alternating by parity: the index and
     /// the board→class map its callers pass in.
@@ -454,5 +609,215 @@ mod tests {
         let walked: Vec<usize> = idx.stale_iter().collect();
         assert_eq!(walked, vec![1, 5, 4, 0]);
         assert_eq!(idx.filed(), 4);
+    }
+
+    /// Every structural invariant of a heap family against a sorted-set
+    /// model: heap order, the slot map round-tripping both ways, and the
+    /// per-group heads.
+    fn check_heaps(h: &IndexedHeaps, model: &[BTreeSet<(u64, u32)>], key_of: &[Option<u64>]) {
+        for (g, heap) in h.heaps.iter().enumerate() {
+            assert_eq!(h.first(g), model[g].first().copied(), "group {g} head");
+            assert_eq!(heap.len(), model[g].len(), "group {g} size");
+            for (i, &(k, b)) in heap.iter().enumerate() {
+                assert_eq!(h.slot[b as usize], i as u32, "slot of board {b}");
+                assert_eq!(key_of[b as usize], Some(k), "key of board {b}");
+                if i > 0 {
+                    assert!(heap[(i - 1) / 2] < heap[i], "heap order at {i}");
+                }
+            }
+        }
+        for (b, k) in key_of.iter().enumerate() {
+            if k.is_none() {
+                assert_eq!(h.slot[b], ABSENT, "unfiled board {b} has a slot");
+            }
+        }
+    }
+
+    /// The accepted set of a walk whose predicate is `(key, board) <
+    /// cut`, sorted — must equal the model's sorted prefix below `cut`.
+    fn walk_below(
+        h: &IndexedHeaps,
+        g: usize,
+        key_of: &[Option<u64>],
+        cut: (u64, u32),
+    ) -> Vec<(u64, u32)> {
+        let mut got = Vec::new();
+        h.walk(g, |k, b| {
+            assert_eq!(key_of[b], Some(k), "walked entry carries its key");
+            let e = (k, b as u32);
+            let hit = e < cut;
+            if hit {
+                got.push(e);
+            }
+            hit
+        });
+        got.sort_unstable();
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Model check: random file / re-key / remove streams over at
+        /// most 64 boards, with keys drawn from a handful of values so
+        /// they collide and ties fall to the board index, against one
+        /// `BTreeSet<(u64, u32)>` per group. Group counts can exceed
+        /// the board count, so some groups are empty throughout.
+        #[test]
+        fn indexed_heaps_match_sorted_set_model(
+            n in 1usize..65,
+            groups in 1usize..5,
+            ops in prop::collection::vec((0usize..64, 0u64..6, 0u8..4), 0..300),
+            cuts in prop::collection::vec((0u64..7, 0u32..65), 1..8),
+        ) {
+            let mut h = IndexedHeaps::new(n, groups);
+            let mut model = vec![BTreeSet::new(); groups];
+            let mut key_of: Vec<Option<u64>> = vec![None; n];
+            check_heaps(&h, &model, &key_of);
+            for (step, &(b, k, op)) in ops.iter().enumerate() {
+                let b = b % n;
+                let g = b % groups;
+                // One op in four removes (a no-op on an unfiled board).
+                let key = (op != 0).then_some(k);
+                h.set(g, b as u32, key);
+                if let Some(old) = key_of[b] {
+                    model[g].remove(&(old, b as u32));
+                }
+                if let Some(k) = key {
+                    model[g].insert((k, b as u32));
+                }
+                key_of[b] = key;
+                check_heaps(&h, &model, &key_of);
+                let cut = cuts[step % cuts.len()];
+                for (g, set) in model.iter().enumerate() {
+                    let want: Vec<(u64, u32)> = set.range(..cut).copied().collect();
+                    prop_assert_eq!(walk_below(&h, g, &key_of, cut), want);
+                }
+            }
+            // Drain: every group ends empty, and an empty group's walk
+            // never calls its predicate.
+            for (b, k) in key_of.iter_mut().enumerate() {
+                h.set(b % groups, b as u32, None);
+                *k = None;
+            }
+            for set in &mut model {
+                set.clear();
+            }
+            check_heaps(&h, &model, &key_of);
+            for g in 0..groups {
+                h.walk(g, |_, _| panic!("walked an empty group"));
+            }
+        }
+
+        /// The index's queries against the sorted-set design it
+        /// replaced (global and per-class `BTreeSet`s): random class
+        /// streams over two or three architecture classes, including
+        /// runs where the zero class stays empty.
+        #[test]
+        fn dispatch_index_matches_sorted_set_reference(
+            n in 1usize..65,
+            n_arch in 2usize..4,
+            ops in prop::collection::vec((0usize..64, 0u8..5, 0u64..6, 0u64..6), 0..200),
+            zero_ok in 0u8..2,
+        ) {
+            let mut idx = DispatchIndex::default();
+            idx.reset(n, n_arch);
+            let mut zero = BTreeSet::new();
+            let mut zero_arch = vec![BTreeSet::new(); n_arch];
+            let mut ordered = BTreeSet::new();
+            let mut ordered_arch = vec![BTreeSet::new(); n_arch];
+            let mut inflight = BTreeSet::new();
+            let mut class = vec![BoardClass::None; n];
+            for &(b, kind, k1, k2) in &ops {
+                let b = b % n;
+                let (a, bu) = (b % n_arch, b as u32);
+                let c = match kind {
+                    1 if zero_ok == 1 => BoardClass::Zero { disp_bits: k1 },
+                    2 => BoardClass::Ordered { busy_bits: k1, ifl_bits: None },
+                    3 => BoardClass::Ordered { busy_bits: k1, ifl_bits: Some(k2) },
+                    4 => BoardClass::Stale { lapse_bits: k1 },
+                    _ => BoardClass::None,
+                };
+                idx.set_class(b, a, c);
+                match class[b] {
+                    BoardClass::Zero { disp_bits } => {
+                        zero.remove(&(disp_bits, bu));
+                        zero_arch[a].remove(&bu);
+                    }
+                    BoardClass::Ordered { busy_bits, ifl_bits } => {
+                        ordered.remove(&(busy_bits, bu));
+                        ordered_arch[a].remove(&(busy_bits, bu));
+                        if let Some(f) = ifl_bits {
+                            inflight.remove(&(f, bu));
+                        }
+                    }
+                    _ => {}
+                }
+                match c {
+                    BoardClass::Zero { disp_bits } => {
+                        zero.insert((disp_bits, bu));
+                        zero_arch[a].insert(bu);
+                    }
+                    BoardClass::Ordered { busy_bits, ifl_bits } => {
+                        ordered.insert((busy_bits, bu));
+                        ordered_arch[a].insert((busy_bits, bu));
+                        if let Some(f) = ifl_bits {
+                            inflight.insert((f, bu));
+                        }
+                    }
+                    _ => {}
+                }
+                class[b] = c;
+
+                prop_assert_eq!(idx.has_zero(), !zero.is_empty());
+                prop_assert_eq!(idx.zero_min(), zero.first().map(|&(_, b)| b as usize));
+                for a in 0..n_arch {
+                    prop_assert_eq!(idx.zero_min_arch(a), zero_arch[a].first().map(|&b| b as usize));
+                    let head = ordered_arch[a].first();
+                    prop_assert_eq!(
+                        idx.ordered_min_busy(a).map(f64::to_bits),
+                        head.map(|&(k, _)| k)
+                    );
+                    // The head equal-key group, walked top-down.
+                    if let Some(&(k0, _)) = head {
+                        let mut got = Vec::new();
+                        idx.walk_ordered(a, |busy, b| {
+                            let hit = match class[b] {
+                                BoardClass::Ordered { busy_bits, .. } => {
+                                    assert_eq!(busy.to_bits(), busy_bits);
+                                    busy_bits == k0
+                                }
+                                other => panic!("walked a {other:?} board"),
+                            };
+                            if hit {
+                                got.push(b as u32);
+                            }
+                            hit
+                        });
+                        got.sort_unstable();
+                        let want: Vec<u32> = ordered_arch[a]
+                            .range((k0, 0)..=(k0, u32::MAX))
+                            .map(|&(_, b)| b)
+                            .collect();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                for now in 0..7u64 {
+                    let lapsed = idx.ordered_lapsed(now);
+                    let any = ordered.first().is_some_and(|&(k, _)| k <= now);
+                    prop_assert_eq!(lapsed.is_some(), any);
+                    if let Some(b) = lapsed {
+                        prop_assert!(matches!(
+                            class[b],
+                            BoardClass::Ordered { busy_bits, .. } if busy_bits <= now
+                        ));
+                    }
+                    let want = inflight.first().filter(|&&(k, _)| k < now).map(|&(_, b)| b as usize);
+                    prop_assert_eq!(idx.inflight_lapsed(now), want);
+                }
+                let stale = class.iter().filter(|c| matches!(c, BoardClass::Stale { .. })).count();
+                prop_assert_eq!(idx.filed(), zero.len() + ordered.len() + stale);
+            }
+        }
     }
 }

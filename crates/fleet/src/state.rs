@@ -816,7 +816,16 @@ impl<'a> ClusterState<'a> {
     /// Queueing delay a job dispatched now would see on board `b`.
     #[inline]
     pub fn backlog_s(&self, b: usize) -> f64 {
-        (self.est_busy_until_s(b) - self.now_s).max(0.0)
+        self.backlog_at(self.est_busy_until_s(b))
+    }
+
+    /// The backlog a board busy until `busy_until_s` has at the current
+    /// clock — the one expression [`ClusterState::backlog_s`] applies,
+    /// so indexed picks reading a filed busy-until reproduce it bit for
+    /// bit.
+    #[inline]
+    pub(crate) fn backlog_at(&self, busy_until_s: f64) -> f64 {
+        (busy_until_s - self.now_s).max(0.0)
     }
 }
 

@@ -88,7 +88,7 @@ fn dispatcher(pick: u8) -> Box<dyn Dispatcher> {
 }
 
 /// A deterministic deep-queue run per dispatcher: enough boards that
-/// the index's ordered sets and per-arch champions matter, a burst
+/// the index's ordered heaps and per-arch champions matter, a burst
 /// arrival pattern that piles queues deep (exercising the ordered
 /// sweep at every completion), churn taking a board down and back up,
 /// and a misprofile window that makes service estimates systematically
