@@ -7,7 +7,7 @@
 //!
 //! * **Streamed headline**: a [`GenCursor`] pulls the seeded arrival
 //!   stream one job at a time and outcomes are folded into streaming
-//!   digests at the barrier merge — no materialised `Vec<JobSpec>`, no
+//!   digests as they complete — no materialised `Vec<JobSpec>`, no
 //!   retained `Vec<JobOutcome>`. Mid-run the kernel checkpoints itself
 //!   (the serialised image is asserted O(boards)) and keeps running —
 //!   taking a checkpoint must not perturb the run. Peak RSS (`VmHWM`)

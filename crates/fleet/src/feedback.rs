@@ -23,10 +23,9 @@
 //! the correction can never be negative, zero, NaN or infinite —
 //! whatever garbage a backend reports.
 //!
-//! Updates are applied in completion-time order by the kernel's
-//! barrier merge (see [`crate::shard`]), so the learned state — and
-//! every placement downstream of it — does not depend on the
-//! completion heap's push order.
+//! Updates are applied as completions pop, in `(finish_s, id)` order
+//! (see [`crate::shard`]), so the learned state — and every placement
+//! downstream of it — depends on the simulation alone.
 
 use crate::job::Taxon;
 use std::collections::BTreeMap;

@@ -7,29 +7,31 @@
 //! planes:
 //!
 //! * **The control plane** (this module) owns every decision that
-//!   reads global state: [`EventKind::Arrival`] (dispatcher invoked
-//!   *now* against the live [`ClusterState`]),
+//!   reads global state: arrivals from the [`ArrivalCursor`]
+//!   (dispatcher invoked *now* against the live [`ClusterState`]),
 //!   [`EventKind::MonitorTick`] (preemptive redispatch of predicted
-//!   SLO-missers), and [`EventKind::BoardDown`] /
-//!   [`EventKind::BoardUp`] churn. It runs sequentially, in one
-//!   deterministic (time, seed-order) sequence, because online
-//!   dispatch observes every board at once.
+//!   SLO-missers), [`EventKind::BoardDown`] / [`EventKind::BoardUp`]
+//!   churn and the chaos window edges, the last three scheduled on an
+//!   [`EventQueue`]. It runs sequentially, in one deterministic (time,
+//!   seed-order) sequence, because online dispatch observes every
+//!   board at once.
 //! * **The execution plane** ([`crate::shard`]) owns everything that
-//!   is board-local: [`EventKind::Completion`] chains — a board
-//!   finishing a job and starting its next — in one completion
-//!   [`EventQueue`] that advances to each control timestamp and folds
-//!   back at a barrier merge.
+//!   is board-local: completion chains — a board finishing a job and
+//!   starting its next — in one completion heap that advances to each
+//!   control timestamp, folding each completion as it pops.
 //!
-//! Everything stays seed-deterministic: events at equal timestamps pop
-//! in push order, every service time is a pure function of the
-//! request, and order-sensitive feedback observations are merged in
-//! (time, id) order at the barrier, which also keeps checkpoint resume
-//! bit-identical. [`DispatchMode::Oracle`] reproduces the original
-//! batch planner's placements through this same loop, so historical
-//! comparisons stay meaningful; [`DispatchMode::Online`] is the
-//! live-feedback upgrade, and [`Scenario::with_feedback`] closes the
-//! loop further by correcting profiled estimates with observed
-//! service times.
+//! Everything stays seed-deterministic: control events at equal
+//! timestamps pop in push order, every service time is a pure function
+//! of the request, and completions pop in `(finish_s, id)` order, a
+//! key of the simulation alone. So the order-sensitive state folded
+//! from them (feedback EWMAs, streaming sums) does not depend on how
+//! the heap was filled, and a checkpoint restore that rebuilds it from
+//! the in-flight jobs resumes bit-identically. [`DispatchMode::Oracle`]
+//! reproduces the original batch planner's placements through this
+//! same loop, so historical comparisons stay meaningful;
+//! [`DispatchMode::Online`] is the live-feedback upgrade, and
+//! [`Scenario::with_feedback`] closes the loop further by correcting
+//! profiled estimates with observed service times.
 
 use crate::arrival::ArrivalCursor;
 use crate::cache::{CacheDecision, PolicyCache};
@@ -39,7 +41,7 @@ use crate::dispatch::{Dispatcher, JobEstimates};
 use crate::feedback::ServiceFeedback;
 use crate::job::{JobOutcome, JobSpec};
 use crate::metrics::{FleetMetrics, FleetOutcome, StreamAgg};
-use crate::shard::{self, AdvanceCtx, AdvanceDelta, ProgramSet};
+use crate::shard::{self, AdvanceCtx, Completions, ProgramSet};
 use crate::sim::{FleetSim, PolicyMode, ProfileTable};
 use crate::state::{BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, QueuedJob};
 use crate::telemetry::{FlightRecorder, WindowSample};
@@ -54,13 +56,6 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// What happens at an event's timestamp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// Job `jobs[i]` enters the system.
-    Arrival(u32),
-    /// The board's in-flight job finishes.
-    Completion {
-        /// Board index.
-        board: u32,
-    },
     /// Periodic observation point (preemption scans run here).
     MonitorTick,
     /// Board churn: the board stops accepting work and its queue is
@@ -153,11 +148,10 @@ impl Ord for Event {
     }
 }
 
-/// A pending-event queue: a binary heap popping the earliest timestamp
-/// first, ties broken by push order so processing is deterministic
-/// whatever the float values. The control plane keeps one for churn,
-/// chaos and monitor ticks; the execution plane keeps one for board
-/// completions.
+/// The control plane's pending-event queue (churn, chaos edges and
+/// monitor ticks): a binary heap popping the earliest timestamp first,
+/// ties broken by push order so processing is deterministic whatever
+/// the float values.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
@@ -260,9 +254,6 @@ impl EventQueue {
                     enc.u8(6);
                     enc.u32(board);
                     enc.u32(clause);
-                }
-                EventKind::Arrival(_) | EventKind::Completion { .. } => {
-                    unreachable!("control queue never holds arrival/completion events")
                 }
             }
         }
@@ -555,8 +546,8 @@ impl EstScratch {
 impl<'a> FleetSim<'a> {
     /// A resident (streaming) kernel over this simulator: jobs are
     /// pulled lazily from `cursor` instead of a materialised slice, and
-    /// completed outcomes are folded into the streaming aggregate at the
-    /// barrier merge. With `retain = false` they are then discarded —
+    /// completed outcomes are folded into the streaming aggregate as
+    /// they complete. With `retain = false` they are then discarded —
     /// O(boards) memory however many jobs flow through; with
     /// `retain = true` they are also kept for [`FleetOutcome::outcomes`].
     /// The caller owns the loop: [`ResidentKernel::step`] advances one
@@ -585,7 +576,7 @@ impl<'a> FleetSim<'a> {
 /// [`ResidentKernel::step`] processes exactly one control event, and
 /// the caller decides when to pause, checkpoint or finish. Completed
 /// outcomes are always folded into streaming quantile digests and
-/// counters at the barrier merge; with retention off they are then
+/// counters as they complete; with retention off they are then
 /// discarded, so a run's footprint is O(boards + architectures),
 /// independent of how many jobs flow through.
 pub struct ResidentKernel<'a, 'r> {
@@ -603,7 +594,7 @@ pub struct ResidentKernel<'a, 'r> {
     progs: ProgramSet,
     profiles: ProfileTable,
     state: ClusterState<'a>,
-    completions: EventQueue,
+    completions: Completions,
     stats: KernelStats,
     feedback: Option<ServiceFeedback>,
     train_time_s: f64,
@@ -804,7 +795,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             progs,
             profiles,
             state,
-            completions: EventQueue::new(),
+            completions: Completions::new(),
             stats: KernelStats::default(),
             feedback,
             train_time_s: 0.0,
@@ -823,10 +814,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
     }
 
     /// Advances the kernel by exactly one control event — an arrival,
-    /// a churn/chaos edge or a monitor tick, each preceded by its
-    /// barrier merge — or, when no control remains, by the final drain
-    /// of the completion queue. Returns `false` once the run is complete
-    /// (after which [`ResidentKernel::finish`] assembles the outcome).
+    /// a churn/chaos edge or a monitor tick, each preceded by the
+    /// completions before it — or, when no control remains, by the
+    /// final drain of the completion queue. Returns `false` once the
+    /// run is complete (after which [`ResidentKernel::finish`]
+    /// assembles the outcome).
     pub fn step(&mut self) -> bool {
         if self.finished {
             return false;
@@ -895,15 +887,16 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             None
         };
 
-        // Barrier: every completion strictly before this control
-        // event is folded in before the decision reads any state. With
-        // no control left, the whole completion chain drains.
+        // Every completion strictly before this control event is folded
+        // in, in (finish_s, id) order, before the decision reads any
+        // state. With no control left, the whole completion chain
+        // drains.
         let to_s = ctl.as_ref().map_or(f64::INFINITY, |(t, _)| *t);
         let from_s = state.now_s;
         stats.advances += 1;
         let wall = telemetry.stopwatch();
-        let delta = shard::advance(
-            &mut state.boards,
+        shard::advance(
+            &mut *state,
             &mut *completions,
             to_s,
             &AdvanceCtx {
@@ -911,23 +904,29 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 progs: &*progs,
                 modules: &*modules,
                 specs: &sim.cluster.boards,
-                collect_observations: feedback.is_some(),
+            },
+            |state, b, fin| {
+                // The advance moved board `b` outside the control
+                // plane's view: repair its index entry before any
+                // decision reads it.
+                state.refresh_dispatch_index(b);
+                stats.events += 1;
+                stats.completions += 1;
+                *open -= 1;
+                stream.add(&fin.outcome);
+                telemetry.on_complete(&fin.outcome);
+                if let Some(fb) = feedback.as_mut() {
+                    let arch = sim.cluster.arch_key(b);
+                    fb.observe(fin.taxon, arch, fin.profiled_s, fin.raw_service_s);
+                }
+                if let Some(kept) = outcomes.as_mut() {
+                    kept.push(fin.outcome);
+                }
             },
         );
         telemetry.lap_advance(wall);
         let wall = telemetry.stopwatch();
-        fold_delta(
-            delta,
-            &mut *state,
-            &mut *stats,
-            &mut *open,
-            &mut *stream,
-            outcomes.as_mut(),
-            &mut *feedback,
-            &mut **telemetry,
-            from_s,
-            to_s,
-        );
+        telemetry.on_window_close(from_s, to_s);
         telemetry.lap_merge(wall);
         let Some((time_s, act)) = ctl else {
             *finished = true;
@@ -1043,7 +1042,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                         progs: &*progs,
                         modules: &*modules,
                         specs: &sim.cluster.boards,
-                        collect_observations: feedback.is_some(),
                     },
                 );
                 state.refresh_dispatch_index(b);
@@ -1257,14 +1255,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     board as usize,
                 );
                 state.remove_blackout(board as usize);
-            }
-
-            EventKind::Arrival(_) => {
-                unreachable!("arrivals come from the cursor, not the control queue")
-            }
-
-            EventKind::Completion { .. } => {
-                unreachable!("completions live on the completion queue, not the control queue")
             }
         }
         true
@@ -1942,7 +1932,7 @@ impl FleetSim<'_> {
         scenario: &Scenario,
         dispatcher: &mut dyn Dispatcher,
         state: &mut ClusterState,
-        completions: &mut EventQueue,
+        completions: &mut Completions,
         progs: &mut ProgramSet,
         modules: &BTreeMap<&'static str, Module>,
         feedback: Option<&ServiceFeedback>,
@@ -2009,7 +1999,6 @@ impl FleetSim<'_> {
                 progs,
                 modules,
                 specs: &self.cluster.boards,
-                collect_observations: feedback.is_some(),
             },
         );
         state.refresh_dispatch_index(b);
@@ -2029,7 +2018,7 @@ impl FleetSim<'_> {
         cache: &mut PolicyCache,
         scenario: &Scenario,
         state: &mut ClusterState,
-        completions: &mut EventQueue,
+        completions: &mut Completions,
         progs: &mut ProgramSet,
         modules: &BTreeMap<&'static str, Module>,
         feedback: Option<&ServiceFeedback>,
@@ -2046,8 +2035,12 @@ impl FleetSim<'_> {
                 Some(f) => f.est_finish_s.max(state.now_s),
                 None => state.now_s,
             };
-            let mut kept = std::collections::VecDeque::new();
-            while let Some(qj) = state.boards[b].pop_next() {
+            // One pass over the queue in place: each job leaves the
+            // front and is either migrated or re-queued at the back, so
+            // the kept jobs end up in their original order and the
+            // queue's buffer is reused.
+            for _ in 0..state.boards[b].queue_len() {
+                let qj = state.boards[b].pop_next().expect("queued job");
                 let pred_finish = t_avail + qj.est_total_s();
                 let deadline = qj.job.arrival_s + qj.slo_s;
                 // Any active misprofile window corrupts the scan's
@@ -2117,7 +2110,6 @@ impl FleetSim<'_> {
                                 progs,
                                 modules,
                                 specs: &self.cluster.boards,
-                                collect_observations: feedback.is_some(),
                             },
                         );
                         state.refresh_dispatch_index(b2);
@@ -2126,11 +2118,10 @@ impl FleetSim<'_> {
                     }
                     None => {
                         t_avail = pred_finish;
-                        kept.push_back(qj);
+                        state.boards[b].enqueue(qj);
                     }
                 }
             }
-            state.boards[b].set_queued(kept);
             state.refresh_dispatch_index(b);
         }
     }
@@ -2220,63 +2211,6 @@ fn ensure_static_build(
     }
 }
 
-/// Fold one barrier merge into the run accounting: completions become
-/// events, and the merge's outcomes are sorted by (completion time, job
-/// id) once, so the streaming aggregate, the flight recorder and the
-/// retained vector (when present) all see one pinned order that does not
-/// depend on the heap's push sequence (which a checkpoint restore
-/// rebuilds in board order). Feedback observations are applied in the
-/// same order.
-///
-/// The flight recorder observes the merge here and *only* here for
-/// completion-derived telemetry; successive advance windows
-/// `[from_s, to_s)` are disjoint and increasing, making the whole trace
-/// monotone in sim time.
-#[allow(clippy::too_many_arguments)]
-fn fold_delta(
-    mut delta: AdvanceDelta,
-    state: &mut ClusterState,
-    stats: &mut KernelStats,
-    open: &mut usize,
-    stream: &mut StreamAgg,
-    outcomes: Option<&mut Vec<JobOutcome>>,
-    feedback: &mut Option<ServiceFeedback>,
-    telemetry: &mut FlightRecorder,
-    from_s: f64,
-    to_s: f64,
-) {
-    // The advance mutates board state (completions pop queues and
-    // start successors) outside the control plane's view; the boards
-    // it touched are exactly the outcome boards, so the dispatch index
-    // is repaired here, at the barrier, before any decision reads it.
-    for o in &delta.outcomes {
-        state.refresh_dispatch_index(o.board);
-    }
-    let completions = delta.outcomes.len();
-    stats.events += completions as u64;
-    stats.completions += completions as u64;
-    *open -= completions;
-    delta
-        .outcomes
-        .sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.id.cmp(&b.id)));
-    for o in &delta.outcomes {
-        stream.add(o);
-    }
-    if telemetry.enabled() && !delta.outcomes.is_empty() {
-        telemetry.on_window(from_s, to_s, &delta.outcomes);
-    }
-    if let Some(kept) = outcomes {
-        kept.extend(delta.outcomes);
-    }
-    if let Some(fb) = feedback {
-        let mut obs = delta.observations;
-        obs.sort_by(|x, y| x.finish_s.total_cmp(&y.finish_s).then(x.id.cmp(&y.id)));
-        for o in obs {
-            fb.observe(o.taxon, o.arch, o.profiled_s, o.observed_s);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2285,16 +2219,16 @@ mod tests {
     fn event_queue_orders_by_time_then_push() {
         let mut q = EventQueue::new();
         q.push(2.0, EventKind::MonitorTick);
-        q.push(1.0, EventKind::Arrival(0));
-        q.push(1.0, EventKind::Completion { board: 3 });
+        q.push(1.0, EventKind::BoardUp(0));
+        q.push(1.0, EventKind::BoardDown(3));
         q.push(0.5, EventKind::BoardDown(1));
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop().unwrap().kind, EventKind::BoardDown(1));
         let a = q.pop().unwrap();
         let b = q.pop().unwrap();
         // Equal timestamps pop in push order.
-        assert_eq!(a.kind, EventKind::Arrival(0));
-        assert_eq!(b.kind, EventKind::Completion { board: 3 });
+        assert_eq!(a.kind, EventKind::BoardUp(0));
+        assert_eq!(b.kind, EventKind::BoardDown(3));
         assert!(a.seq < b.seq);
         assert_eq!(q.pop().unwrap().kind, EventKind::MonitorTick);
         assert!(q.pop().is_none());
@@ -2306,18 +2240,15 @@ mod tests {
     #[test]
     fn pop_before_is_strict() {
         let mut q = EventQueue::new();
-        q.push(1.0, EventKind::Completion { board: 0 });
-        q.push(2.0, EventKind::Completion { board: 1 });
+        q.push(1.0, EventKind::BoardDown(0));
+        q.push(2.0, EventKind::BoardUp(0));
         assert!(q.pop_before(1.0).is_none(), "strictly-before must exclude");
-        assert_eq!(
-            q.pop_before(1.5).unwrap().kind,
-            EventKind::Completion { board: 0 }
-        );
+        assert_eq!(q.pop_before(1.5).unwrap().kind, EventKind::BoardDown(0));
         assert!(q.pop_before(1.5).is_none());
         assert_eq!(q.peek().unwrap().time_s, 2.0);
         assert_eq!(
             q.pop_before(f64::INFINITY).unwrap().kind,
-            EventKind::Completion { board: 1 }
+            EventKind::BoardUp(0)
         );
         assert!(q.is_empty());
     }

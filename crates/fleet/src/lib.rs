@@ -24,10 +24,10 @@
 //! Everything is seed-deterministic: the same cluster, parameters, job
 //! stream and [`Scenario`] produce byte-identical outcomes.
 //!
-//! The kernel's execution plane ([`shard`]) is one completion event
-//! queue, advanced to each control timestamp and folded back into the
-//! run state at a barrier merge before the control event reads any
-//! state. On top of the kernel,
+//! The kernel's execution plane ([`shard`]) is one completion heap,
+//! advanced to each control timestamp before the control event reads
+//! any state, each completion folded into the run state as it pops in
+//! `(finish_s, id)` order. On top of the kernel,
 //! completion events feed observed service times into a
 //! per-(taxonomy, architecture) EWMA correction layer ([`feedback`])
 //! that dispatchers consult on every subsequent decision — the

@@ -164,12 +164,12 @@ fn slo_ratio(o: &JobOutcome) -> f64 {
 
 /// The kernel's one completion sink: everything [`FleetMetrics`]
 /// needs, folded one [`JobOutcome`] at a time in (finish time, id)
-/// order at the barrier merge, in every run. A streaming run holds
+/// order as completions pop, in every run. A streaming run holds
 /// only this O(1) state; a retained run keeps its outcome vector as
 /// well, and the flight recorder's tick gauges read from here.
 ///
-/// Counters and sums are exact (the fold order is pinned per barrier,
-/// so they survive a checkpoint restore bit-identically); percentiles come
+/// Counters and sums are exact (the fold order is pinned by the
+/// simulation, so they survive a checkpoint restore bit-identically); percentiles come
 /// from the fixed-size [`QuantileDigest`]s, within one digest bucket
 /// of the retained-outcome nearest-rank values.
 #[derive(Clone, Default)]
@@ -196,7 +196,7 @@ pub(crate) struct StreamAgg {
 
 impl StreamAgg {
     /// Fold one completed outcome in (callers feed outcomes in
-    /// (finish time, id) order per barrier).
+    /// (finish time, id) order).
     pub fn add(&mut self, o: &JobOutcome) {
         let lat = o.latency_s();
         self.jobs += 1;

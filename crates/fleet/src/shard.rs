@@ -1,32 +1,31 @@
-//! The execution plane of the fleet kernel: one completion
-//! [`EventQueue`] behind the control loop.
+//! The execution plane of the fleet kernel: one completion queue
+//! behind the control loop.
 //!
 //! Between two control events (arrival, monitor tick, churn, chaos
 //! edge) every completion is board-local: a board finishing a job only
 //! starts its own next job. So the kernel advances the completion
-//! queue to the next control timestamp in one call, and folds what it
-//! produced back into the run state at a **barrier merge** before the
-//! control event reads any state. Control decisions that place a job
-//! on a board (an arrival, a preemptive migration, a churn
-//! redistribution) reach the plane through `deliver` at the barrier,
-//! never mid-advance.
+//! queue to the next control timestamp in one call, folding each
+//! completion into the run state as it pops, before the control event
+//! reads any state. Control decisions that place a job on a board (an
+//! arrival, a preemptive migration, a churn redistribution) reach the
+//! plane through `deliver` between advances, never mid-advance.
 //!
-//! The advance records completions in heap pop order, which depends
-//! on push order. The merge sorts feedback observations and streaming
-//! folds by (completion time, job id) instead, so the learned state
-//! is pinned to the simulation alone; that is what lets a checkpoint
-//! restore rebuild the queue in board order (see
-//! `completion_queue`) and still resume bit-identically. See
+//! Completions pop in `(finish_s, id)` order: the queue is keyed by
+//! exactly that, and a successor always finishes after the completion
+//! that started it. The order depends on the simulation alone, never
+//! on push order, so the order-sensitive learned state (the feedback
+//! EWMA, the streaming sums) is pinned, and a checkpoint restore can
+//! rebuild the queue from the in-flight jobs in any order. See
 //! DESIGN.md "Execution plane".
 
-use crate::job::{JobOutcome, Taxon};
-use crate::kernel::{Event, EventKind, EventQueue};
-use crate::state::{BoardState, InFlight, QueuedJob};
+use crate::job::JobOutcome;
+use crate::state::{BoardState, ClusterState, InFlight, QueuedJob};
 use astro_exec::executor::{ExecPolicy, ExecRequest, Executor};
 use astro_exec::program::CompiledProgram;
 use astro_hw::boards::BoardSpec;
 use astro_ir::Module;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Key of a compiled static-binary variant: (workload, architecture,
 /// policy version), the name strings reduced to their [`sk`] addresses.
@@ -52,36 +51,6 @@ pub(crate) struct ProgramSet {
     pub warm: BTreeMap<WarmKey, CompiledProgram>,
 }
 
-/// One observed completion, recorded during an advance and folded
-/// into the feedback layer at the barrier merge in (time, id) order.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Observation {
-    /// Completion timestamp (the merge sort key).
-    pub finish_s: f64,
-    /// Job stream id (the merge tie-breaker).
-    pub id: u32,
-    /// The job's taxonomy.
-    pub taxon: Taxon,
-    /// Architecture key of the board it ran on.
-    pub arch: &'static str,
-    /// Uncorrected profiled service estimate it was admitted with.
-    pub profiled_s: f64,
-    /// Service time actually observed (excluding migration penalties).
-    pub observed_s: f64,
-}
-
-/// What one advance produced: folded into the run state at the
-/// barrier.
-#[derive(Default)]
-pub(crate) struct AdvanceDelta {
-    /// Outcomes revealed, one per completion event processed (heap
-    /// pop order; the barrier fold sorts them by `(finish_s, id)`).
-    pub outcomes: Vec<JobOutcome>,
-    /// Feedback observations (empty unless the scenario enables the
-    /// feedback layer).
-    pub observations: Vec<Observation>,
-}
-
 /// Everything an advance needs: the execution backend, the compiled
 /// programs, source modules and board specs, all read-only.
 pub(crate) struct AdvanceCtx<'a> {
@@ -94,16 +63,21 @@ pub(crate) struct AdvanceCtx<'a> {
     pub modules: &'a BTreeMap<&'static str, Module>,
     /// Board specs, global index order.
     pub specs: &'a [BoardSpec],
-    /// Record [`Observation`]s for the feedback layer?
-    pub collect_observations: bool,
 }
+
+/// The completion queue: a min-heap of `(finish_s bits, job id,
+/// board)`. Finish times are finite and non-negative, so their bit
+/// patterns order like the numbers, and job ids are unique, so every
+/// key is distinct and the pop order is the sorted order of the keys,
+/// whatever order they were pushed in.
+pub(crate) type Completions = BinaryHeap<Reverse<(u64, u32, u32)>>;
 
 /// Hand `job` to board `b`: start it now when the board is idle
 /// (pushing its completion onto `queue`), else queue it behind the
 /// board's current work.
 pub(crate) fn deliver(
     boards: &mut [BoardState],
-    queue: &mut EventQueue,
+    queue: &mut Completions,
     b: usize,
     job: QueuedJob,
     now_s: f64,
@@ -116,63 +90,63 @@ pub(crate) fn deliver(
     }
 }
 
-/// The completion queue of restored board state: exactly one event per
-/// busy board, at the in-flight job's already-resolved finish time,
-/// pushed in board order. Only events on different boards can share a
-/// timestamp (one in-flight job per board), and the barrier merge
-/// folds same-time completions in (time, id) order whatever order the
-/// heap pops them in, so the push order changes no result.
-pub(crate) fn completion_queue(boards: &[BoardState]) -> EventQueue {
-    let mut queue = EventQueue::new();
-    for (b, bs) in boards.iter().enumerate() {
-        if let Some(f) = &bs.in_flight {
-            queue.push(
-                f.outcome.finish_s,
-                EventKind::Completion { board: b as u32 },
-            );
-        }
-    }
-    queue
+/// The completion queue of restored board state: one entry per busy
+/// board, at the in-flight job's already-resolved finish time.
+pub(crate) fn completion_queue(boards: &[BoardState]) -> Completions {
+    boards
+        .iter()
+        .enumerate()
+        .filter_map(|(b, bs)| {
+            let o = &bs.in_flight.as_ref()?.outcome;
+            Some(Reverse((o.finish_s.to_bits(), o.id, b as u32)))
+        })
+        .collect()
 }
 
-/// Process every completion strictly before `to_s`, starting each
-/// board's next queued job as the previous one finishes. An empty
-/// window costs one heap peek.
+/// Pop the least `(finish_s, id, board)` only if it finishes strictly
+/// before `to_s`.
+pub(crate) fn pop_before(queue: &mut Completions, to_s: f64) -> Option<(f64, u32, usize)> {
+    let &Reverse((bits, id, board)) = queue.peek()?;
+    let finish_s = f64::from_bits(bits);
+    if finish_s >= to_s {
+        return None;
+    }
+    queue.pop();
+    Some((finish_s, id, board as usize))
+}
+
+/// Process every completion strictly before `to_s` in `(finish_s, id)`
+/// order, starting each board's next queued job as the previous one
+/// finishes, and hand each finished job to `fold` once its board has
+/// moved on. An empty window costs one heap peek.
 pub(crate) fn advance(
-    boards: &mut [BoardState],
-    queue: &mut EventQueue,
+    state: &mut ClusterState,
+    queue: &mut Completions,
     to_s: f64,
     ctx: &AdvanceCtx<'_>,
-) -> AdvanceDelta {
-    let mut delta = AdvanceDelta::default();
-    while let Some(ev) = queue.pop_before(to_s) {
-        let Event { time_s, kind, .. } = ev;
-        let EventKind::Completion { board } = kind else {
-            unreachable!("the completion queue holds only completion events");
-        };
-        let b = board as usize;
-        let bs = &mut boards[b];
+    mut fold: impl FnMut(&mut ClusterState, usize, InFlight),
+) {
+    let mut last = (0u64, 0u32);
+    while let Some((time_s, id, b)) = pop_before(queue, to_s) {
+        // A successor's completion lands strictly after its start, so
+        // pops never go backwards; a zero-length service would break
+        // that, and with it the fold order.
+        debug_assert!(
+            (time_s.to_bits(), id) >= last,
+            "completion pops went backwards"
+        );
+        last = (time_s.to_bits(), id);
+        let bs = &mut state.boards[b];
         let fin = bs
             .in_flight
             .take()
             .expect("completion event for an idle board");
         bs.completed += 1;
-        if ctx.collect_observations {
-            delta.observations.push(Observation {
-                finish_s: time_s,
-                id: fin.outcome.id,
-                taxon: fin.taxon,
-                arch: ctx.specs[b].name,
-                profiled_s: fin.profiled_s,
-                observed_s: fin.raw_service_s,
-            });
-        }
-        delta.outcomes.push(fin.outcome);
         if let Some(next) = bs.pop_next() {
             start_on(b, bs, queue, time_s, next, ctx);
         }
+        fold(state, b, fin);
     }
-    delta
 }
 
 /// Begin service of `job` on idle board `b` *now*: one executor run
@@ -181,7 +155,7 @@ pub(crate) fn advance(
 fn start_on(
     b: usize,
     bs: &mut BoardState,
-    queue: &mut EventQueue,
+    queue: &mut Completions,
     now_s: f64,
     job: QueuedJob,
     ctx: &AdvanceCtx<'_>,
@@ -244,6 +218,7 @@ fn start_on(
     }
     let service = wall_time_s * bs.slowdown + job.penalty_s;
     let finish = now_s + service;
+    debug_assert!(finish.is_finite() && finish >= 0.0);
     bs.busy_s += service;
     bs.in_flight = Some(InFlight {
         id: job.job.id,
@@ -266,5 +241,60 @@ fn start_on(
             migrations: job.migrations,
         },
     });
-    queue.push(finish, EventKind::Completion { board: b as u32 });
+    queue.push(Reverse((finish.to_bits(), job.job.id, b as u32)));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Finish times the generator draws from: few enough that they
+    /// collide, spread from zero to seconds so the bit-pattern key is
+    /// checked against the numeric order.
+    const FINISH_S: [f64; 6] = [0.0, 5e-324, 1e-6, 0.25, 1.0, 3.5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The completion heap is order-free: a random multiset of
+        /// `(finish_s, id, board)`, with colliding finish times, pushed
+        /// in a shuffled order pops in sorted order, and a bounded pop
+        /// stops exactly at the first finish at or past the bound.
+        #[test]
+        fn completion_pops_are_sorted_whatever_the_push_order(
+            entries in prop::collection::vec((0usize..6, 0u32..48, 0u32..16), 0..120),
+            swaps in prop::collection::vec((0usize..1000, 0usize..1000), 0..240),
+            cut in 0usize..7,
+        ) {
+            let mut pushed: Vec<(f64, u32, usize)> = entries
+                .iter()
+                .map(|&(f, id, b)| (FINISH_S[f], id, b as usize))
+                .collect();
+            for &(i, j) in &swaps {
+                if !pushed.is_empty() {
+                    let n = pushed.len();
+                    pushed.swap(i % n, j % n);
+                }
+            }
+            let mut queue = Completions::new();
+            for &(finish_s, id, b) in &pushed {
+                queue.push(Reverse((finish_s.to_bits(), id, b as u32)));
+            }
+            let mut want = pushed.clone();
+            want.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+
+            let to_s = FINISH_S.get(cut).copied().unwrap_or(f64::INFINITY);
+            let mut got = Vec::new();
+            while let Some(c) = pop_before(&mut queue, to_s) {
+                got.push(c);
+            }
+            prop_assert!(got.iter().all(|c| c.0 < to_s));
+            prop_assert!(queue.peek().is_none_or(|Reverse(k)| f64::from_bits(k.0) >= to_s));
+            while let Some(c) = pop_before(&mut queue, f64::INFINITY) {
+                got.push(c);
+            }
+            prop_assert_eq!(got, want);
+        }
+    }
 }

@@ -149,7 +149,7 @@ pub struct InFlight {
 ///
 /// The dispatched-but-not-started queue is private: every mutation
 /// goes through [`BoardState::enqueue`] / [`BoardState::pop_next`] /
-/// `take_queued` / `set_queued` so the
+/// `take_queued` so the
 /// board's queue revision counter stays honest — the busy-until memo
 /// below is validated against it.
 #[derive(Clone, Debug)]
@@ -270,12 +270,6 @@ impl BoardState {
     pub(crate) fn take_queued(&mut self) -> VecDeque<QueuedJob> {
         self.queue_epoch += 1;
         std::mem::take(&mut self.queue)
-    }
-
-    /// Replace the queue wholesale (preemption rebuild).
-    pub(crate) fn set_queued(&mut self, queue: VecDeque<QueuedJob>) {
-        self.queue_epoch += 1;
-        self.queue = queue;
     }
 
     /// Left fold of the queued estimates from `base`, memoised per

@@ -24,23 +24,21 @@
 //!    feedback error, blackout/throttle state, p50/p95/p99 and SLO-miss
 //!    so far). The recorder owns no digests: the latency and SLO-miss
 //!    gauges are read from the kernel's one completion sink (the
-//!    streaming aggregate every run folds into at the barrier merge),
-//!    so nothing is aggregated twice and no outcome is retained.
+//!    streaming aggregate every run folds each completion into), so
+//!    nothing is aggregated twice and no outcome is retained.
 //! 3. *Wall-clock phase profiling* ([`PhaseProfile`]) — control-plane
 //!    vs completion-advance vs barrier-merge timers. These are **machine
 //!    time**, machine-dependent by construction, and excluded from
 //!    every golden; they exist to aim the hot-path work, not to be
 //!    reproducible.
 //!
-//! **The determinism argument.** Every hook runs on the sequential
-//! control plane (never inside a completion advance); hooks *read*
-//! kernel state and *write* only
-//! recorder state; and completion-derived telemetry is taken at the
-//! barrier merge after sorting the fold's completions by
-//! `(finish_s, id)` — within one merge the order is pinned, and
-//! successive advance windows are disjoint and increasing, so the
-//! completion event stream is globally monotone in sim time. The
-//! kernel's simulation state never branches on the
+//! **The determinism argument.** Every hook runs on the kernel's one
+//! thread; hooks *read* kernel state and *write* only recorder state;
+//! and completion-derived telemetry is taken as each completion pops,
+//! in `(finish_s, id)` order, a key of the simulation alone. Pops
+//! never go backwards and successive advance windows are disjoint and
+//! increasing, so the completion event stream is globally monotone in
+//! sim time. The kernel's simulation state never branches on the
 //! recorder, so outcomes are bitwise identical with tracing on or off
 //! (pinned by the `proptest_telemetry` suite). The off path costs one
 //! branch per hook: every hook is `#[inline]` and returns immediately
@@ -293,14 +291,21 @@ pub struct WindowSample {
 /// Wall-clock phase accounting for one kernel run. Machine time, not
 /// sim time: values depend on the host and are excluded from every
 /// golden and fingerprint. All zero when the recorder is off.
+///
+/// Each completion is folded (index repair, streaming aggregate,
+/// feedback, recorder hooks) as it pops, inside the advance, so
+/// `shard_advance_s` includes the fold and `barrier_merge_s` is only
+/// the window close. Their sum is the whole cost of the completion
+/// plane, and the figure to compare across the two attributions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseProfile {
     /// Total wall seconds inside the kernel loop.
     pub total_s: f64,
     /// Wall seconds inside the completion advance (the execution
-    /// plane, [`crate::shard`]).
+    /// plane, [`crate::shard`]), folding each completion included.
     pub shard_advance_s: f64,
-    /// Wall seconds folding advance deltas at the barrier merge.
+    /// Wall seconds closing advance windows at the barrier (the
+    /// recorder's window span and merge counter).
     pub barrier_merge_s: f64,
 }
 
@@ -321,6 +326,16 @@ pub struct FlightRecorder {
     windows: Vec<WindowSample>,
     counters: BTreeMap<&'static str, u64>,
     wall: PhaseProfile,
+    window: OpenWindow,
+}
+
+/// The advance window being folded: completions so far, the last one's
+/// finish time, and where its `advance` span sits in the event list.
+#[derive(Default)]
+struct OpenWindow {
+    done: u64,
+    last_finish_s: f64,
+    span: Option<usize>,
 }
 
 impl FlightRecorder {
@@ -332,6 +347,7 @@ impl FlightRecorder {
             windows: Vec::new(),
             counters: BTreeMap::new(),
             wall: PhaseProfile::default(),
+            window: OpenWindow::default(),
         }
     }
 
@@ -435,49 +451,70 @@ impl FlightRecorder {
         }
     }
 
-    /// One barrier merge: the advance window `[from_s, to_s)` folded
-    /// `done` (sorted by `(finish_s, id)`; `to_s` may be infinite on
-    /// the final drain). Emits the advance span, and per-completion
-    /// instants at [`TraceLevel::Full`].
-    pub(crate) fn on_window(&mut self, from_s: f64, to_s: f64, done: &[JobOutcome]) {
-        debug_assert!(self.enabled(), "on_window called on a disabled recorder");
-        if done.is_empty() {
+    /// One completion folded as it popped. The first of an advance
+    /// window pushes the window's `advance` span (filled in by
+    /// [`FlightRecorder::on_window_close`]), so the span precedes its
+    /// completions in the trace; at [`TraceLevel::Full`] each
+    /// completion also emits an instant.
+    #[inline]
+    pub(crate) fn on_complete(&mut self, o: &JobOutcome) {
+        if !self.enabled() {
+            return;
+        }
+        if self.window.done == 0 && self.wants_spans() {
+            self.window.span = Some(self.events.len());
+            self.events.push(TraceEvent {
+                name: "advance".to_string(),
+                cat: "shard",
+                ts_us: 0.0,
+                dur_us: 0.0,
+                instant: false,
+                tid: 1,
+                args: String::new(),
+            });
+        }
+        self.window.done += 1;
+        self.window.last_finish_s = o.finish_s;
+        if self.wants_full() {
+            self.events.push(TraceEvent {
+                name: format!("complete {}#{}", o.workload, o.id),
+                cat: "completion",
+                ts_us: o.finish_s * 1e6,
+                dur_us: 0.0,
+                instant: true,
+                tid: 2,
+                args: format!(
+                    "\"job\":{},\"board\":{},\"latency_us\":{:.3}",
+                    o.id,
+                    o.board,
+                    o.latency_s() * 1e6
+                ),
+            });
+        }
+    }
+
+    /// The advance window `[from_s, to_s)` closed (`to_s` is infinite
+    /// on the final drain, and the window then ends at its last
+    /// completion). A window that completed anything fills in its
+    /// `advance` span and counts one barrier merge; an empty window
+    /// records nothing.
+    #[inline]
+    pub(crate) fn on_window_close(&mut self, from_s: f64, to_s: f64) {
+        if !self.enabled() || self.window.done == 0 {
             return;
         }
         let end_s = if to_s.is_finite() {
             to_s
         } else {
-            done.last().map(|o| o.finish_s).unwrap_or(from_s)
+            self.window.last_finish_s
         };
-        if self.wants_spans() {
-            self.events.push(TraceEvent {
-                name: "advance".to_string(),
-                cat: "shard",
-                ts_us: from_s * 1e6,
-                dur_us: (end_s - from_s).max(0.0) * 1e6,
-                instant: false,
-                tid: 1,
-                args: format!("\"completions\":{}", done.len()),
-            });
+        if let Some(i) = self.window.span.take() {
+            let span = &mut self.events[i];
+            span.ts_us = from_s * 1e6;
+            span.dur_us = (end_s - from_s).max(0.0) * 1e6;
+            span.args = format!("\"completions\":{}", self.window.done);
         }
-        if self.wants_full() {
-            for o in done {
-                self.events.push(TraceEvent {
-                    name: format!("complete {}#{}", o.workload, o.id),
-                    cat: "completion",
-                    ts_us: o.finish_s * 1e6,
-                    dur_us: 0.0,
-                    instant: true,
-                    tid: 2,
-                    args: format!(
-                        "\"job\":{},\"board\":{},\"latency_us\":{:.3}",
-                        o.id,
-                        o.board,
-                        o.latency_s() * 1e6
-                    ),
-                });
-            }
-        }
+        self.window.done = 0;
         self.bump("barrier_merges");
     }
 
@@ -586,7 +623,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Charge a stopwatch to the barrier-merge phase.
+    /// Charge a stopwatch to the barrier-merge phase (the window
+    /// close).
     #[inline]
     pub(crate) fn lap_merge(&mut self, t0: Option<Instant>) {
         if let Some(t0) = t0 {
@@ -1005,6 +1043,8 @@ mod tests {
         r.on_churn(2.0, 0, false);
         r.on_chaos(2.0, "throttle start", "clause", 0);
         r.on_preempt_scan(3.0, 2);
+        r.on_complete(&done(0, 0, "w", 2.0, 0.5, 1.0));
+        r.on_window_close(1.0, 3.0);
         assert!(r.stopwatch().is_none());
         r.lap_advance(None);
         assert!(r.events().is_empty());
@@ -1039,33 +1079,85 @@ mod tests {
         }
     }
 
+    /// Fold `done` as one advance window `[from_s, to_s)`, the way the
+    /// kernel does: one hook per completion, then the window close.
+    fn fold_window(r: &mut FlightRecorder, from_s: f64, to_s: f64, done: &[JobOutcome]) {
+        for o in done {
+            r.on_complete(o);
+        }
+        r.on_window_close(from_s, to_s);
+    }
+
     #[test]
     fn levels_gate_the_event_volume() {
         let recs = [done(7, 1, "w", 2.0, 0.5, 1.0)];
         let mut ticks = FlightRecorder::new(TraceLevel::Ticks);
-        ticks.on_window(1.0, 3.0, &recs);
+        fold_window(&mut ticks, 1.0, 3.0, &recs);
         ticks.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert!(ticks.events().is_empty(), "ticks level emits no events");
         assert_eq!(ticks.counters()["barrier_merges"], 1);
         assert_eq!(ticks.counters()["dispatches"], 1);
 
         let mut spans = FlightRecorder::new(TraceLevel::Spans);
-        spans.on_window(1.0, 3.0, &recs);
+        fold_window(&mut spans, 1.0, 3.0, &recs);
         spans.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert_eq!(spans.events().len(), 1, "advance span only");
 
         let mut full = FlightRecorder::new(TraceLevel::Full);
-        full.on_window(1.0, 3.0, &recs);
+        fold_window(&mut full, 1.0, 3.0, &recs);
         full.on_dispatch(3.0, 8, "w", 1, 0.4);
         assert_eq!(full.events().len(), 3, "advance + completion + dispatch");
         assert!(full.timestamps_monotone());
+    }
+
+    /// The `advance` span leads its window's completions, carries the
+    /// window's count and extent (ending at the last completion on the
+    /// final drain), and an empty window leaves no trace at all.
+    #[test]
+    fn window_span_leads_its_completions() {
+        let mut r = FlightRecorder::new(TraceLevel::Full);
+        r.on_window_close(0.0, 1.0);
+        assert!(r.events().is_empty() && r.counters().is_empty());
+        fold_window(
+            &mut r,
+            1.0,
+            3.0,
+            &[
+                done(1, 0, "w", 1.5, 0.5, 1.0),
+                done(2, 1, "w", 2.5, 0.5, 1.0),
+            ],
+        );
+        fold_window(
+            &mut r,
+            3.0,
+            f64::INFINITY,
+            &[done(3, 0, "w", 4.0, 0.5, 1.0)],
+        );
+        let kinds: Vec<(&str, f64, f64)> = r
+            .events()
+            .iter()
+            .map(|e| (e.cat, e.ts_us, e.dur_us))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ("shard", 1e6, 2e6),
+                ("completion", 1.5e6, 0.0),
+                ("completion", 2.5e6, 0.0),
+                ("shard", 3e6, 1e6),
+                ("completion", 4e6, 0.0),
+            ]
+        );
+        assert_eq!(r.events()[0].args, "\"completions\":2");
+        assert_eq!(r.events()[3].args, "\"completions\":1");
+        assert_eq!(r.counters()["barrier_merges"], 2);
     }
 
     #[test]
     fn recorder_streams_slo_misses_and_renders_valid_json() {
         let mut r = FlightRecorder::new(TraceLevel::Full);
         // The tick gauges read the kernel's completion sink, fed the
-        // same sorted merge the recorder sees.
+        // same completions the recorder sees.
         let merge = [
             done(0, 0, "swap\"tions", 0.0, 0.5, 1.0), // exercises escaping
             done(1, 0, "swap\"tions", 1.0, 2.0, 1.0),
@@ -1074,7 +1166,7 @@ mod tests {
         for o in &merge {
             agg.add(o);
         }
-        r.on_window(0.0, 1.5, &merge);
+        fold_window(&mut r, 0.0, 1.5, &merge);
         let [p50_s, p95_s, p99_s] = agg.latency_quantiles();
         r.on_tick(WindowSample {
             t_s: 2.0,

@@ -1,0 +1,145 @@
+//! Allocation gate for the kernel's steady state: once a resident run
+//! is warm, a control step (an arrival, a monitor tick with its
+//! preemption scan, and the completions folded before it) allocates
+//! nothing. The count is deterministic for a seed, so the verdict is
+//! the same on any host, however loaded.
+//!
+//! The counter is process-wide, so this binary holds exactly one
+//! `#[test]` and nothing runs beside it.
+
+use astro_fleet::{
+    ArrivalProcess, BackendKind, ClusterSpec, Dispatcher, EnergyAware, FleetParams, FleetSim,
+    FlightRecorder, GenCursor, LeastLoaded, PhaseAware, PolicyCache, PolicyMode, Scenario,
+};
+use astro_workloads::{InputSize, Workload};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting every allocation and reallocation.
+struct Counting;
+
+/// Allocations so far. A statistic that publishes no other data, so
+/// `Relaxed` suffices.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// so each upholds the `GlobalAlloc` contract exactly as `System` does;
+// the counter touches no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Steps run before counting starts.
+const WARM_STEPS: usize = 10_000;
+/// Steps counted.
+const COUNTED_STEPS: usize = 20_000;
+/// Allocations allowed over [`COUNTED_STEPS`].
+const MAX_ALLOCS: u64 = 64;
+
+fn pool() -> Vec<Workload> {
+    ["swaptions", "bfs", "streamcluster"]
+        .iter()
+        .map(|n| astro_workloads::by_name(n).unwrap())
+        .collect()
+}
+
+/// Allocations over [`COUNTED_STEPS`] steady-state steps of a Cold
+/// replay resident kernel with feedback and preemption on, retention
+/// and telemetry off, at about 60% utilisation of `boards` boards.
+fn steady_state_allocs(boards: usize, dispatcher: &mut dyn Dispatcher) -> u64 {
+    let cluster = ClusterSpec::heterogeneous(boards);
+    let mut params = FleetParams::new(3);
+    params.backend = BackendKind::Replay;
+    let sim = FleetSim::new(&cluster, params);
+
+    // Calibrate the arrival rate from an unloaded probe run.
+    let probe = ArrivalProcess::Poisson {
+        rate_jobs_per_s: 1.0,
+    }
+    .generate(48, &pool(), InputSize::Test, (4.0, 8.0), 3);
+    let out = sim.run(
+        &probe,
+        &mut LeastLoaded,
+        &mut PolicyCache::new(8),
+        &Scenario::online(PolicyMode::Cold),
+    );
+    let mean_service_s =
+        out.outcomes.iter().map(|o| o.service_s).sum::<f64>() / out.outcomes.len() as f64;
+
+    let scenario = Scenario::online(PolicyMode::Cold)
+        .with_feedback()
+        .with_preemption(2.0 * mean_service_s, 0.05 * mean_service_s, 2);
+    let mut cursor = GenCursor::new(
+        ArrivalProcess::Poisson {
+            rate_jobs_per_s: 0.6 * boards as f64 / mean_service_s,
+        },
+        2 * (WARM_STEPS + COUNTED_STEPS),
+        &pool(),
+        InputSize::Test,
+        (4.0, 8.0),
+        3,
+        &[],
+    );
+    let mut cache = PolicyCache::new(8);
+    let mut telemetry = FlightRecorder::off();
+    let mut k = sim.resident(
+        &mut cursor,
+        dispatcher,
+        &mut cache,
+        &scenario,
+        &mut telemetry,
+        false,
+    );
+    for _ in 0..WARM_STEPS {
+        assert!(k.step(), "the stream must outlast the warm-up");
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..COUNTED_STEPS {
+        assert!(k.step(), "the stream must outlast the counted steps");
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(
+        k.completions() > COUNTED_STEPS as u64 / 2,
+        "fixture completes work"
+    );
+    allocs
+}
+
+#[test]
+fn steady_state_steps_do_not_allocate() {
+    for boards in [16, 200] {
+        let dispatchers: [(&str, Box<dyn Dispatcher>); 3] = [
+            ("least-loaded", Box::new(LeastLoaded)),
+            ("energy-aware", Box::<EnergyAware>::default()),
+            ("phase-aware", Box::<PhaseAware>::default()),
+        ];
+        for (name, mut d) in dispatchers {
+            let allocs = steady_state_allocs(boards, &mut *d);
+            assert!(
+                allocs < MAX_ALLOCS,
+                "{name} at {boards} boards: {allocs} allocations over {COUNTED_STEPS} \
+                 steady-state steps (limit {MAX_ALLOCS})"
+            );
+        }
+    }
+}

@@ -285,3 +285,101 @@ fn golden_chaos_storm_shape() {
         );
     }
 }
+
+/// The flight recorder's output, frozen: an FNV-1a digest of the
+/// Chrome-trace JSON, every per-tick [`WindowSample`] (floats through
+/// `to_bits`) and the counter registry, at [`TraceLevel::Full`] over a
+/// small churn + chaos + feedback + preemption run. The trace carries
+/// the completion order itself (one instant per completion, in fold
+/// order) and the advance spans, so a change to how completions are
+/// popped or folded that moves a single byte of the trace fails here.
+///
+/// [`WindowSample`]: astro_fleet::WindowSample
+#[test]
+fn golden_full_trace_bytes() {
+    let cluster = ClusterSpec::heterogeneous(6);
+    let jobs = ArrivalProcess::Poisson {
+        rate_jobs_per_s: 25_000.0,
+    }
+    .generate(120, &pool(), InputSize::Test, (2.0, 6.0), 5);
+    let horizon = jobs.last().unwrap().arrival_s;
+    let chaos = ChaosSchedule::new()
+        .throttle(2, 2.5, 0.20 * horizon, 0.60 * horizon)
+        .blackout(vec![3], 0.30 * horizon, 0.50 * horizon)
+        .misprofile(None, 0.5, 0.40 * horizon, 0.70 * horizon);
+    let churn = vec![
+        ChurnEvent {
+            time_s: 0.25 * horizon,
+            board: 5,
+            up: false,
+        },
+        ChurnEvent {
+            time_s: 0.65 * horizon,
+            board: 5,
+            up: true,
+        },
+    ];
+    let scenario = Scenario::online(PolicyMode::Warm)
+        .with_feedback()
+        .with_migration_cost(1e-5)
+        .with_preemption(horizon / 12.0, 1e-5, 2)
+        .with_churn(churn)
+        .with_chaos(chaos);
+    let mut params = FleetParams::new(5);
+    params.backend = BackendKind::Replay;
+    let sim = FleetSim::new(&cluster, params);
+    let mut cache = PolicyCache::new(8);
+    let mut recorder = FlightRecorder::new(TraceLevel::Full);
+    let out = sim.run_traced(
+        &jobs,
+        &mut LeastLoaded,
+        &mut cache,
+        &scenario,
+        &mut recorder,
+    );
+
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    eat(recorder.render_chrome_trace().as_bytes());
+    for w in recorder.windows() {
+        for x in [
+            w.t_s.to_bits(),
+            w.completions,
+            w.p50_s.to_bits(),
+            w.p95_s.to_bits(),
+            w.p99_s.to_bits(),
+            w.slo_miss_rate.to_bits(),
+            w.mean_util.to_bits(),
+            w.queue_depth,
+            w.backlog_s.to_bits(),
+            w.boards_up as u64,
+            w.boards_placeable as u64,
+            w.throttled as u64,
+            w.blacked_out as u64,
+            w.feedback_mean_abs_rel_err.to_bits(),
+            w.feedback_samples,
+            w.feedback_mean_correction.to_bits(),
+        ] {
+            eat(&x.to_le_bytes());
+        }
+    }
+    for (name, n) in recorder.counters() {
+        eat(name.as_bytes());
+        eat(&n.to_le_bytes());
+    }
+    let digest = h;
+    assert!(recorder.timestamps_monotone());
+    assert!(recorder.counters()["barrier_merges"] > 0);
+    // The fixture must exercise what it claims to pin.
+    assert!(out.kernel.migrations > 0 && out.kernel.redistributions > 0);
+    assert!(out.metrics.feedback.samples > 0);
+    assert_eq!(
+        digest, 0x735a_ad1e_5ee5_60eb,
+        "Full-level trace drifted from the golden bytes: got {digest:#018x}"
+    );
+}

@@ -94,7 +94,7 @@ fn assert_within_one_bucket(est: f64, exact: f64, what: &str) {
 }
 
 /// The retained outcomes replayed through the streaming fold order —
-/// (finish time, id), the barrier-merge order — to reconstruct what
+/// (finish time, id), the order completions pop in — to reconstruct what
 /// the sliding window must contain.
 fn tail_latencies(outcomes: &[JobOutcome]) -> Vec<f64> {
     let mut ordered: Vec<&JobOutcome> = outcomes.iter().collect();
@@ -186,7 +186,7 @@ fn check(retained: &FleetOutcome, streamed: &FleetOutcome, label: &str) {
 
     // The stream summary: digest estimates within one bucket, window
     // percentiles bit-exact against the retained outcomes' tail in
-    // barrier-merge order.
+    // fold order.
     let sum = &streamed.stream;
     assert_eq!(
         sum.jobs as usize,
@@ -260,7 +260,7 @@ fn streamed_metrics_match_retained_within_one_bucket() {
 
 /// More completions than `STREAM_WINDOW`: the ring wraps, and the
 /// window percentiles must describe exactly the *last* `STREAM_WINDOW`
-/// completions in barrier-merge order — not the whole run.
+/// completions in fold order — not the whole run.
 #[test]
 fn sliding_window_wraps_to_the_latest_completions() {
     assert!(STREAM_WINDOW < 6_000, "fixture must overflow the window");
