@@ -292,6 +292,15 @@ impl PolicyCache {
         }
     }
 
+    /// This cache's checkpoint section as standalone bytes: exactly what
+    /// [`ResidentKernel::checkpoint`](crate::ResidentKernel::checkpoint)
+    /// embeds for it.
+    pub fn encoded(&self) -> Vec<u8> {
+        let mut enc = crate::checkpoint::Enc::new();
+        self.encode(&mut enc);
+        enc.finish()
+    }
+
     /// Decode a cache serialised by [`PolicyCache::encode`].
     pub(crate) fn decode(
         dec: &mut crate::checkpoint::Dec<'_>,

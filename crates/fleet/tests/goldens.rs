@@ -9,8 +9,8 @@
 
 use astro_fleet::{
     ArrivalProcess, BackendKind, ChaosSchedule, ChurnEvent, ClusterSpec, EnergyAware, FleetOutcome,
-    FleetParams, FleetSim, FlightRecorder, LeastLoaded, PhaseAware, PolicyCache, PolicyMode,
-    Scenario, TraceLevel,
+    FleetParams, FleetSim, FlightRecorder, GenCursor, LeastLoaded, PhaseAware, PolicyCache,
+    PolicyMode, Scenario, TraceLevel,
 };
 use astro_workloads::{InputSize, Workload};
 
@@ -381,5 +381,97 @@ fn golden_full_trace_bytes() {
     assert_eq!(
         digest, 0x735a_ad1e_5ee5_60eb,
         "Full-level trace drifted from the golden bytes: got {digest:#018x}"
+    );
+}
+
+/// Checkpoint format v3, frozen byte for byte: an FNV-1a digest of the
+/// `checkpoint()` images taken every few steps of a resident Warm +
+/// feedback + preemption + churn + chaos run on the replay backend
+/// (bounded cache, so evictions and retired versions are in the
+/// image; retention on, so outcomes are too), then of the trained
+/// cache's own encoding. Any change to what the kernel stores or the
+/// order it encodes it in fails here.
+#[test]
+fn golden_checkpoint_bytes() {
+    let cluster = ClusterSpec::heterogeneous(6);
+    let horizon = 120.0 / 20_000.0;
+    let chaos = ChaosSchedule::new()
+        .rack_outage(vec![0], 0.30 * horizon, 0.45 * horizon)
+        .throttle(2, 2.5, 0.20 * horizon, 0.60 * horizon)
+        .blackout(vec![3], 0.30 * horizon, 0.50 * horizon)
+        .misprofile(None, 0.5, 0.40 * horizon, 0.70 * horizon);
+    let churn = vec![
+        ChurnEvent {
+            time_s: 0.25 * horizon,
+            board: 5,
+            up: false,
+        },
+        ChurnEvent {
+            time_s: 0.65 * horizon,
+            board: 5,
+            up: true,
+        },
+    ];
+    let scenario = Scenario::online(PolicyMode::Warm)
+        .with_feedback()
+        .with_migration_cost(1e-5)
+        .with_preemption(horizon / 12.0, 1e-5, 2)
+        .with_churn(churn)
+        .with_chaos(chaos);
+    let mut params = FleetParams::new(17);
+    params.backend = BackendKind::Replay;
+    let sim = FleetSim::new(&cluster, params);
+    let mut cursor = GenCursor::new(
+        ArrivalProcess::Poisson {
+            rate_jobs_per_s: 20_000.0,
+        },
+        120,
+        &pool(),
+        InputSize::Test,
+        (2.0, 6.0),
+        17,
+        &[],
+    );
+    let mut cache = PolicyCache::with_capacity(3, 4);
+    let mut dispatcher = PhaseAware::default();
+    let mut recorder = FlightRecorder::off();
+
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let mut images = 0;
+    let out = {
+        let mut k = sim.resident(
+            &mut cursor,
+            &mut dispatcher,
+            &mut cache,
+            &scenario,
+            &mut recorder,
+            true,
+        );
+        let mut n = 0u64;
+        while k.step() {
+            n += 1;
+            if n % 16 == 0 {
+                eat(&k.checkpoint());
+                images += 1;
+            }
+        }
+        k.finish()
+    };
+    eat(&cache.encoded());
+    let digest = h;
+    // The fixture must exercise what it claims to pin.
+    assert!(images >= 8);
+    assert!(out.kernel.migrations > 0 && out.kernel.redistributions > 0);
+    assert!(out.cache.stale_refreshes > 0 && out.cache.evictions > 0);
+    assert!(out.guard_bypasses > 0 && out.metrics.feedback.samples > 0);
+    assert_eq!(
+        digest, 0x179c_c1ce_9f58_03a7,
+        "checkpoint bytes drifted from the golden: got {digest:#018x}"
     );
 }
