@@ -390,45 +390,35 @@ fn bench_dispatch_index_repair(c: &mut Criterion) {
     });
 }
 
-/// A window of calibration-cache lookups through one
-/// [`ReplaySession`](astro_core::replay::ReplaySession) snapshot — the
-/// batched form the fleet kernel uses per control window. The session
-/// pays the executor's rwlock once at construction; every scalar
-/// estimate inside the window then answers lock-free from the
-/// snapshot. The per-lookup cost here bounds the per-arrival estimate
-/// cost of the whole fleet (one lookup per architecture per arrival).
-fn bench_replay_session(c: &mut Criterion) {
+/// A window of replayed job answers the way the fleet kernel now
+/// reads them: the calibration is resolved and its base totals
+/// ([`ReplayExecutor::base_totals`](astro_core::replay::ReplayExecutor::base_totals))
+/// computed once, up front, and every run is
+/// [`ReplayExecutor::replay_scalar`](astro_core::replay::ReplayExecutor::replay_scalar):
+/// the totals times the run's per-seed wobble, with no lock, map probe
+/// or trace walk. The per-answer cost here is the per-start cost of
+/// every replayed job (and a third of each profile).
+fn bench_replay_resolved(c: &mut Criterion) {
     use astro_core::replay::ReplayExecutor;
-    use astro_exec::executor::{ExecPolicy, ExecRequest, Executor};
+    use astro_exec::executor::ExecPolicy;
 
     let board = BoardSpec::odroid_xu4();
     let module = (astro_workloads::by_name("hotspot").unwrap().build)(InputSize::Test);
-    let prog = compile(&module).unwrap();
     let params = MachineParams {
         checkpoint_interval: SimTime::from_micros(400.0),
         ..MachineParams::default()
     };
     let replay = ReplayExecutor::from_machine(params);
-    replay.calibrate("hotspot", &module, &board);
-    let full = board.config_space().full();
-    let session = replay.session();
+    let cal = replay.calibrate("hotspot", &module, &board);
+    let base = replay.base_totals(&cal, &board, board.config_space().full(), ExecPolicy::Gts);
     let mut seed = 0u64;
     c.bench_function("replay_batched_lookup_window", |b| {
         b.iter(|| {
-            // One control window's worth of scalar estimates (64
-            // arrivals), all through the same snapshot.
+            // One control window's worth of answers (64 starts).
             let mut acc = 0.0f64;
             for _ in 0..64 {
                 seed = seed.wrapping_add(1);
-                let (wall, energy) = session.execute_scalar(&ExecRequest {
-                    workload: "hotspot",
-                    module: &module,
-                    program: &prog,
-                    board: &board,
-                    config: full,
-                    policy: ExecPolicy::Gts,
-                    seed,
-                });
+                let (wall, energy) = replay.replay_scalar(black_box(base), seed);
                 acc += wall + energy;
             }
             black_box(acc)
@@ -459,6 +449,7 @@ fn bench_arena_queue(c: &mut Criterion) {
         };
         QueuedJob {
             job,
+            slot: 0,
             slo_s: 4.0,
             schedule: None,
             sched_arch: "xu4",
@@ -507,7 +498,7 @@ criterion_group!(
     bench_dispatch_pick,
     bench_dispatch_pick_indexed,
     bench_dispatch_index_repair,
-    bench_replay_session,
+    bench_replay_resolved,
     bench_arena_queue
 );
 criterion_main!(benches);

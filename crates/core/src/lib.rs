@@ -41,7 +41,7 @@ pub mod tracesim;
 pub use actuator::AstroLearningHooks;
 pub use pipeline::{AstroPipeline, PipelineConfig, TrainedAstro};
 pub use record::RecordingExecutor;
-pub use replay::{ReplayExecutor, ReplaySession, ReplayStats};
+pub use replay::{ReplayExecutor, ReplayStats};
 pub use reward::RewardParams;
 pub use schedule::{HybridBinaryHooks, HybridSchedule, StaticSchedule};
 pub use spha::{SphaInstance, SphaVerdict};

@@ -67,13 +67,6 @@ pub struct Calibration {
     pub pinned: TraceSet,
     /// One GTS run with all cores on.
     pub gts_full: Trace,
-    /// Memoised static-table composition totals keyed by
-    /// `(table, start config)`. [`TraceSim::compose_table`] is a pure
-    /// function of the pinned trace set and those two inputs, so a
-    /// memo hit returns bitwise the totals recomputation would — the
-    /// fleet kernel replays the same few dozen schedules millions of
-    /// times.
-    composed: RwLock<BTreeMap<([usize; astro_compiler::ProgramPhase::COUNT], usize), (f64, f64)>>,
 }
 
 /// The calibrated trace-replay backend.
@@ -168,7 +161,6 @@ impl ReplayExecutor {
         let cal = Arc::new(Calibration {
             pinned: rec.record(module, board),
             gts_full: rec.record_gts_full(module, board),
-            composed: RwLock::new(BTreeMap::new()),
         });
         cache
             .entry(workload.to_string())
@@ -207,55 +199,47 @@ impl ReplayExecutor {
         (ft, fe)
     }
 
-    /// Static-table composition totals `(time_s, energy_j)` for
-    /// `cal`, memoised per `(table, start)` — see [`Calibration`].
-    fn composed_totals(
+    /// The unjittered `(wall_time_s, energy_j)` of running `policy`
+    /// from `config` on `board` against `cal`: what
+    /// [`Executor::execute_scalar`] answers before the per-seed wobble.
+    /// A pure function of its inputs, so a caller that replays one
+    /// shape many times (the fleet kernel, per workload, architecture
+    /// and policy version) resolves it once and answers each run with
+    /// [`ReplayExecutor::replay_scalar`].
+    pub fn base_totals(
         &self,
         cal: &Calibration,
-        table: [usize; astro_compiler::ProgramPhase::COUNT],
-        start: usize,
+        board: &astro_hw::boards::BoardSpec,
+        config: astro_hw::config::HwConfig,
+        policy: ExecPolicy,
     ) -> (f64, f64) {
-        if let Some(&totals) = cal
-            .composed
-            .read()
-            .expect("composition memo poisoned")
-            .get(&(table, start))
-        {
-            return totals;
-        }
-        let mut sim = TraceSim::new(&cal.pinned);
-        sim.switch_penalty = self.switch_penalty;
-        let (out, _) = sim.compose_table(table, start);
-        let totals = (out.time_s, out.energy_j);
-        cal.composed
-            .write()
-            .expect("composition memo poisoned")
-            .insert((table, start), totals);
-        totals
-    }
-
-    /// Scalar `(wall_time_s, energy_j)` answer against an
-    /// already-resolved calibration: the same totals
-    /// [`ReplayExecutor::execute_with`] reports, with none of the
-    /// checkpoint-vector assembly.
-    fn scalar_with(&self, cal: &Calibration, req: &ExecRequest<'_>) -> (f64, f64) {
-        self.replays.fetch_add(1, Ordering::Relaxed);
-        let space = req.board.config_space();
-        let start = space.index(req.config).min(cal.pinned.num_configs() - 1);
-        let (ft, fe) = self.jitter_factors(req.seed);
-        match req.policy {
-            ExecPolicy::Gts if req.config == space.full() => {
-                (cal.gts_full.wall_time_s * ft, cal.gts_full.energy_j * fe)
+        let space = board.config_space();
+        let start = space.index(config).min(cal.pinned.num_configs() - 1);
+        match policy {
+            ExecPolicy::Gts if config == space.full() => {
+                (cal.gts_full.wall_time_s, cal.gts_full.energy_j)
             }
             ExecPolicy::Gts | ExecPolicy::Pinned => {
                 let trace = cal.pinned.trace(start);
-                (trace.wall_time_s * ft, trace.energy_j * fe)
+                (trace.wall_time_s, trace.energy_j)
             }
             ExecPolicy::StaticTable(table) => {
-                let (t, e) = self.composed_totals(cal, table, start);
-                (t * ft, e * fe)
+                let mut sim = TraceSim::new(&cal.pinned);
+                sim.switch_penalty = self.switch_penalty;
+                let (out, _) = sim.compose_table(table, start);
+                (out.time_s, out.energy_j)
             }
         }
+    }
+
+    /// One replayed run of a shape whose [`ReplayExecutor::base_totals`]
+    /// are `base`: the totals times the per-seed wobble, bitwise what
+    /// [`Executor::execute_scalar`] returns for the same request.
+    #[inline]
+    pub fn replay_scalar(&self, base: (f64, f64), seed: u64) -> (f64, f64) {
+        self.replays.fetch_add(1, Ordering::Relaxed);
+        let (ft, fe) = self.jitter_factors(seed);
+        (base.0 * ft, base.1 * fe)
     }
 
     /// Full-result answer against an already-resolved calibration.
@@ -277,24 +261,6 @@ impl ReplayExecutor {
             ExecPolicy::StaticTable(table) => {
                 self.replay_table(&cal.pinned, space, table, start, req.seed)
             }
-        }
-    }
-
-    /// A lock-free view over the calibrations recorded so far: the
-    /// cache is snapshotted once (one read-lock acquisition, a few
-    /// `Arc` clones), and every request through the session answers
-    /// from the snapshot without touching the lock again. Keys missing
-    /// from the snapshot fall back to the parent (taking the lock and
-    /// calibrating as usual), so a session is always correct — just
-    /// fastest when taken after the calibration pre-pass.
-    pub fn session(&self) -> ReplaySession<'_> {
-        ReplaySession {
-            exec: self,
-            snap: self
-                .cache
-                .read()
-                .expect("calibration cache poisoned")
-                .clone(),
         }
     }
 
@@ -417,45 +383,7 @@ impl Executor for ReplayExecutor {
 
     fn execute_scalar(&self, req: &ExecRequest<'_>) -> (f64, f64) {
         let cal = self.calibrate(req.workload, req.module, req.board);
-        self.scalar_with(&cal, req)
-    }
-}
-
-/// A calibration-cache snapshot of a [`ReplayExecutor`], answering
-/// requests without acquiring the cache lock — the fleet kernel takes
-/// one per run after its calibration pre-pass, amortising the rwlock
-/// acquisition over every admission in the run instead of paying it
-/// per job. Answers are bitwise identical to the parent's (same
-/// calibrations, same jitter, same composition memo).
-pub struct ReplaySession<'a> {
-    exec: &'a ReplayExecutor,
-    snap: BTreeMap<String, BTreeMap<&'static str, Arc<Calibration>>>,
-}
-
-impl Executor for ReplaySession<'_> {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    fn execute(&self, req: &ExecRequest<'_>) -> RunResult {
-        match self
-            .snap
-            .get(req.workload)
-            .and_then(|m| m.get(req.board.name))
-        {
-            Some(cal) => self.exec.execute_with(cal, req),
-            None => self.exec.execute(req),
-        }
-    }
-
-    fn execute_scalar(&self, req: &ExecRequest<'_>) -> (f64, f64) {
-        match self
-            .snap
-            .get(req.workload)
-            .and_then(|m| m.get(req.board.name))
-        {
-            Some(cal) => self.exec.scalar_with(cal, req),
-            None => self.exec.execute_scalar(req),
-        }
+        let base = self.base_totals(&cal, req.board, req.config, req.policy);
+        self.replay_scalar(base, req.seed)
     }
 }

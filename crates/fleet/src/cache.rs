@@ -21,9 +21,9 @@
 //! [`CacheStats`].
 
 use crate::job::Taxon;
+use crate::lines::{ArchId, LineId, LineKeys};
 use astro_core::schedule::StaticSchedule;
 use astro_rl::qlearn::PolicySnapshot;
-use std::collections::BTreeMap;
 
 /// Hit/miss/staleness/eviction accounting. All counters saturate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,12 +89,22 @@ pub enum CacheDecision {
 }
 
 /// The fleet-wide policy cache.
+///
+/// Lines live in dense tables addressed by [`LineId`] (see
+/// [`crate::lines`]): the keyed methods intern the architecture and
+/// compute the id, and the kernel, which interns its architectures
+/// once, addresses lines by id directly. Encoding and LRU tie-breaks
+/// walk the lines in `(Taxon, architecture name)` order.
 #[derive(Clone, Debug)]
 pub struct PolicyCache {
-    entries: BTreeMap<(Taxon, &'static str), PolicyEntry>,
-    /// Last version of keys whose line was evicted, so a reinstall
+    keys: LineKeys,
+    /// Live lines, indexed by [`LineId`].
+    entries: Vec<Option<PolicyEntry>>,
+    /// Live lines in `entries`.
+    live: usize,
+    /// Last version of lines that were evicted, so a reinstall
     /// continues the numbering instead of restarting at 0.
-    retired_versions: BTreeMap<(Taxon, &'static str), u32>,
+    retired_versions: Vec<Option<u32>>,
     /// Uses after which an entry must be refreshed before being served
     /// again. `0` disables staleness (entries never expire).
     pub staleness_limit: u32,
@@ -116,13 +126,28 @@ impl PolicyCache {
     /// evicting least-recently-used lines on overflow.
     pub fn with_capacity(staleness_limit: u32, capacity: usize) -> Self {
         PolicyCache {
-            entries: BTreeMap::new(),
-            retired_versions: BTreeMap::new(),
+            keys: LineKeys::default(),
+            entries: Vec::new(),
+            live: 0,
+            retired_versions: Vec::new(),
             staleness_limit,
             capacity,
             clock: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Intern `arch`, so lines on it can be addressed by
+    /// [`LineId::new`].
+    pub(crate) fn intern_arch(&mut self, arch: &'static str) -> ArchId {
+        let a = self.keys.intern(arch);
+        self.entries.resize_with(self.keys.lines(), || None);
+        self.retired_versions.resize(self.keys.lines(), None);
+        a
+    }
+
+    fn line(&mut self, taxon: Taxon, arch: &'static str) -> LineId {
+        LineId::new(taxon, self.intern_arch(arch))
     }
 
     fn tick(&mut self) -> u64 {
@@ -133,9 +158,15 @@ impl PolicyCache {
     /// Look `(taxon, arch)` up, updating accounting. A `Hit` also counts
     /// a use against the staleness limit.
     pub fn lookup(&mut self, taxon: Taxon, arch: &'static str) -> CacheDecision {
+        let id = self.line(taxon, arch);
+        self.lookup_line(id)
+    }
+
+    /// [`PolicyCache::lookup`] by line id.
+    pub(crate) fn lookup_line(&mut self, id: LineId) -> CacheDecision {
         self.stats.lookups = self.stats.lookups.saturating_add(1);
         let stamp = self.tick();
-        match self.entries.get_mut(&(taxon, arch)) {
+        match &mut self.entries[id.at()] {
             Some(e) if self.staleness_limit > 0 && e.uses >= self.staleness_limit => {
                 e.last_use = stamp;
                 self.stats.stale_refreshes = self.stats.stale_refreshes.saturating_add(1);
@@ -157,14 +188,18 @@ impl PolicyCache {
     /// Evict the least-recently-used line (ties broken by key order) to
     /// make room. Remembers its version for a possible reinstall.
     fn evict_lru(&mut self) {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(key, e)| (e.last_use, *key))
-            .map(|(key, _)| *key);
-        if let Some(key) = victim {
-            let e = self.entries.remove(&key).expect("victim exists");
-            let retired = self.retired_versions.entry(key).or_insert(0);
+        let mut victim: Option<(u64, LineId)> = None;
+        for (id, _, _) in self.keys.ordered() {
+            if let Some(e) = &self.entries[id.at()] {
+                if victim.is_none_or(|(stamp, _)| e.last_use < stamp) {
+                    victim = Some((e.last_use, id));
+                }
+            }
+        }
+        if let Some((_, id)) = victim {
+            let e = self.entries[id.at()].take().expect("victim exists");
+            self.live -= 1;
+            let retired = self.retired_versions[id.at()].get_or_insert(0);
             *retired = (*retired).max(e.version);
             self.stats.evictions = self.stats.evictions.saturating_add(1);
         }
@@ -176,9 +211,11 @@ impl PolicyCache {
     /// live line) — saturating at `u32::MAX` rather than wrapping. A
     /// reused version would alias consumers' version-keyed derived
     /// state.
-    fn next_version(&self, key: &(Taxon, &'static str)) -> u32 {
-        let retired = self.retired_versions.get(key).map(|&v| v.saturating_add(1));
-        let resident = self.entries.get(key).map(|e| e.version.saturating_add(1));
+    fn next_version(&self, id: LineId) -> u32 {
+        let retired = self.retired_versions[id.at()].map(|v| v.saturating_add(1));
+        let resident = self.entries[id.at()]
+            .as_ref()
+            .map(|e| e.version.saturating_add(1));
         retired.into_iter().chain(resident).max().unwrap_or(0)
     }
 
@@ -190,25 +227,32 @@ impl PolicyCache {
         schedule: StaticSchedule,
         snapshot: PolicySnapshot,
     ) {
-        let key = (taxon, arch);
-        if self.capacity > 0
-            && !self.entries.contains_key(&key)
-            && self.entries.len() >= self.capacity
-        {
+        let id = self.line(taxon, arch);
+        self.insert_line(id, schedule, snapshot);
+    }
+
+    /// [`PolicyCache::insert`] by line id.
+    pub(crate) fn insert_line(
+        &mut self,
+        id: LineId,
+        schedule: StaticSchedule,
+        snapshot: PolicySnapshot,
+    ) {
+        if self.capacity > 0 && self.entries[id.at()].is_none() && self.live >= self.capacity {
             self.evict_lru();
         }
-        let version = self.next_version(&key);
+        let version = self.next_version(id);
         let stamp = self.tick();
-        self.entries.insert(
-            key,
-            PolicyEntry {
-                schedule,
-                snapshot,
-                version,
-                uses: 1,
-                last_use: stamp,
-            },
-        );
+        let old = self.entries[id.at()].replace(PolicyEntry {
+            schedule,
+            snapshot,
+            version,
+            uses: 1,
+            last_use: stamp,
+        });
+        if old.is_none() {
+            self.live += 1;
+        }
     }
 
     /// Replace a stale entry after a warm retraining; bumps the version
@@ -223,8 +267,19 @@ impl PolicyCache {
         schedule: StaticSchedule,
         snapshot: PolicySnapshot,
     ) {
+        let id = self.line(taxon, arch);
+        self.refresh_line(id, schedule, snapshot);
+    }
+
+    /// [`PolicyCache::refresh`] by line id.
+    pub(crate) fn refresh_line(
+        &mut self,
+        id: LineId,
+        schedule: StaticSchedule,
+        snapshot: PolicySnapshot,
+    ) {
         let stamp = self.tick();
-        match self.entries.get_mut(&(taxon, arch)) {
+        match &mut self.entries[id.at()] {
             Some(e) => {
                 e.schedule = schedule;
                 e.snapshot = snapshot;
@@ -234,7 +289,7 @@ impl PolicyCache {
             }
             None => {
                 self.stats.evicted_refreshes = self.stats.evicted_refreshes.saturating_add(1);
-                self.insert(taxon, arch, schedule, snapshot);
+                self.insert_line(id, schedule, snapshot);
             }
         }
     }
@@ -246,24 +301,27 @@ impl PolicyCache {
     }
 
     /// Fresh-entry read: `Some` exactly when [`PolicyCache::is_warm`],
-    /// with the entry itself. One map probe where `is_warm` followed by
-    /// `peek` costs two — the arrival estimate path probes this once
-    /// per architecture per job. Read-only: no accounting.
+    /// with the entry itself. Read-only: no accounting.
     pub fn warm_peek(&self, taxon: Taxon, arch: &'static str) -> Option<&PolicyEntry> {
-        self.entries
-            .get(&(taxon, arch))
+        self.warm_line(self.keys.line(taxon, arch)?)
+    }
+
+    /// [`PolicyCache::warm_peek`] by line id.
+    pub(crate) fn warm_line(&self, id: LineId) -> Option<&PolicyEntry> {
+        self.entries[id.at()]
+            .as_ref()
             .filter(|e| self.staleness_limit == 0 || e.uses < self.staleness_limit)
     }
 
     /// Read an entry without accounting or staleness handling (service
     /// estimation, reporting).
     pub fn peek(&self, taxon: Taxon, arch: &'static str) -> Option<&PolicyEntry> {
-        self.entries.get(&(taxon, arch))
+        self.entries[self.keys.line(taxon, arch)?.at()].as_ref()
     }
 
     /// Serialise the full cache for a kernel checkpoint: configuration,
     /// clock, accounting, live lines (with LRU stamps) and retired
-    /// version watermarks, all in deterministic `BTreeMap` order.
+    /// version watermarks, each in `(Taxon, architecture name)` order.
     pub(crate) fn encode(&self, enc: &mut crate::checkpoint::Enc) {
         enc.u32(self.staleness_limit);
         enc.usize(self.capacity);
@@ -274,21 +332,25 @@ impl PolicyCache {
         enc.u64(self.stats.stale_refreshes);
         enc.u64(self.stats.evictions);
         enc.u64(self.stats.evicted_refreshes);
-        enc.usize(self.entries.len());
-        for (&(taxon, arch), e) in &self.entries {
-            crate::checkpoint::enc_taxon(enc, taxon);
-            enc.str(arch);
-            crate::checkpoint::enc_schedule(enc, &e.schedule);
-            crate::checkpoint::enc_snapshot(enc, &e.snapshot);
-            enc.u32(e.version);
-            enc.u32(e.uses);
-            enc.u64(e.last_use);
+        enc.usize(self.live);
+        for (id, taxon, arch) in self.keys.ordered() {
+            if let Some(e) = &self.entries[id.at()] {
+                crate::checkpoint::enc_taxon(enc, taxon);
+                enc.str(arch);
+                crate::checkpoint::enc_schedule(enc, &e.schedule);
+                crate::checkpoint::enc_snapshot(enc, &e.snapshot);
+                enc.u32(e.version);
+                enc.u32(e.uses);
+                enc.u64(e.last_use);
+            }
         }
-        enc.usize(self.retired_versions.len());
-        for (&(taxon, arch), &v) in &self.retired_versions {
-            crate::checkpoint::enc_taxon(enc, taxon);
-            enc.str(arch);
-            enc.u32(v);
+        enc.usize(self.retired_versions.iter().flatten().count());
+        for (id, taxon, arch) in self.keys.ordered() {
+            if let Some(v) = self.retired_versions[id.at()] {
+                crate::checkpoint::enc_taxon(enc, taxon);
+                enc.str(arch);
+                enc.u32(v);
+            }
         }
     }
 
@@ -309,8 +371,9 @@ impl PolicyCache {
         use crate::checkpoint::CheckpointError;
         let staleness_limit = dec.u32()?;
         let capacity = dec.usize()?;
-        let clock = dec.u64()?;
-        let stats = CacheStats {
+        let mut cache = PolicyCache::with_capacity(staleness_limit, capacity);
+        cache.clock = dec.u64()?;
+        cache.stats = CacheStats {
             lookups: dec.u64()?,
             hits: dec.u64()?,
             misses: dec.u64()?,
@@ -319,11 +382,10 @@ impl PolicyCache {
             evicted_refreshes: dec.u64()?,
         };
         let n = dec.count(8)?;
-        let mut entries = BTreeMap::new();
         for _ in 0..n {
             let taxon = crate::checkpoint::dec_taxon(dec)?;
             let arch = dec.str()?;
-            let arch = crate::checkpoint::resolve_arch(arch_keys, &arch)?;
+            let id = cache.line(taxon, crate::checkpoint::resolve_arch(arch_keys, &arch)?);
             let entry = PolicyEntry {
                 schedule: crate::checkpoint::dec_schedule(dec)?,
                 snapshot: crate::checkpoint::dec_snapshot(dec)?,
@@ -331,41 +393,37 @@ impl PolicyCache {
                 uses: dec.u32()?,
                 last_use: dec.u64()?,
             };
-            if entries.insert((taxon, arch), entry).is_some() {
+            if cache.entries[id.at()].replace(entry).is_some() {
                 return Err(CheckpointError::Corrupt("duplicate cache line"));
             }
+            cache.live += 1;
         }
-        if capacity > 0 && entries.len() > capacity {
+        if capacity > 0 && cache.live > capacity {
             return Err(CheckpointError::Corrupt("cache lines exceed capacity"));
         }
         let n = dec.count(8)?;
-        let mut retired_versions = BTreeMap::new();
         for _ in 0..n {
             let taxon = crate::checkpoint::dec_taxon(dec)?;
             let arch = dec.str()?;
-            let arch = crate::checkpoint::resolve_arch(arch_keys, &arch)?;
-            if retired_versions.insert((taxon, arch), dec.u32()?).is_some() {
+            let id = cache.line(taxon, crate::checkpoint::resolve_arch(arch_keys, &arch)?);
+            if cache.retired_versions[id.at()]
+                .replace(dec.u32()?)
+                .is_some()
+            {
                 return Err(CheckpointError::Corrupt("duplicate retired version"));
             }
         }
-        Ok(PolicyCache {
-            entries,
-            retired_versions,
-            staleness_limit,
-            capacity,
-            clock,
-            stats,
-        })
+        Ok(cache)
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 }
 
@@ -547,7 +605,8 @@ mod tests {
         // Force the version counter to the top, then refresh twice: it
         // must pin at u32::MAX, not wrap to 0 (version 0 still keys live
         // consumer state from the original install).
-        c.entries.get_mut(&(sig_taxon(0), "XU4")).unwrap().version = u32::MAX - 1;
+        let id = c.line(sig_taxon(0), "XU4");
+        c.entries[id.at()].as_mut().unwrap().version = u32::MAX - 1;
         c.refresh(sig_taxon(0), "XU4", schedule(1), snapshot());
         assert_eq!(c.peek(sig_taxon(0), "XU4").unwrap().version, u32::MAX);
         c.refresh(sig_taxon(0), "XU4", schedule(2), snapshot());

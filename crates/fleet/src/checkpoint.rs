@@ -529,11 +529,16 @@ pub(crate) fn enc_queued_job(enc: &mut Enc, q: &QueuedJob) {
     enc.u32(q.redispatches);
 }
 
+/// `slot_of` interns the job's workload in the resuming kernel; a
+/// workload it does not know is an [`CheckpointError::UnknownWorkload`].
 pub(crate) fn dec_queued_job(
     dec: &mut Dec<'_>,
     arch_keys: &[&'static str],
+    slot_of: &dyn Fn(&str) -> Option<usize>,
 ) -> Result<QueuedJob, CheckpointError> {
     let job = dec_job_spec(dec)?;
+    let slot = slot_of(job.workload.name)
+        .ok_or_else(|| CheckpointError::UnknownWorkload(job.workload.name.to_string()))?;
     let slo_s = dec.f64()?;
     let schedule = if dec.bool()? {
         let st = dec_schedule(dec)?;
@@ -544,6 +549,7 @@ pub(crate) fn dec_queued_job(
     let arch = dec.str()?;
     Ok(QueuedJob {
         job,
+        slot,
         slo_s,
         schedule,
         sched_arch: resolve_arch(arch_keys, &arch)?,

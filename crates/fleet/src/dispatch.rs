@@ -617,6 +617,7 @@ mod tests {
     fn qj_for_churn(svc: f64) -> crate::state::QueuedJob {
         crate::state::QueuedJob {
             job: job(JobClass::CpuHeavy),
+            slot: 0,
             slo_s: 100.0,
             schedule: None,
             sched_arch: "",

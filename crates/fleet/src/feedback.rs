@@ -28,7 +28,7 @@
 //! downstream of it — depends on the simulation alone.
 
 use crate::job::Taxon;
-use std::collections::BTreeMap;
+use crate::lines::{ArchId, LineId, LineKeys};
 
 /// Tightest correction the layer will ever apply (an observed service
 /// 8x *shorter* than profiled saturates here).
@@ -87,12 +87,17 @@ struct Cell {
 
 /// Per-(taxon, architecture) EWMA correction of profiled service
 /// estimates, learned online from completion events. See the module
-/// docs for the protocol.
+/// docs for the protocol. Cells live in a dense table addressed by
+/// [`LineId`], like the policy cache's lines.
 #[derive(Clone, Debug)]
 pub struct ServiceFeedback {
     /// EWMA weight of the newest observation, in (0, 1].
     alpha: f64,
-    cells: BTreeMap<(Taxon, &'static str), Cell>,
+    keys: LineKeys,
+    /// Learned cells, indexed by [`LineId`].
+    cells: Vec<Option<Cell>>,
+    /// Learned cells in `cells`.
+    learned: usize,
     /// Running accounting (copied into the run's metrics at exit).
     pub stats: FeedbackStats,
 }
@@ -112,16 +117,34 @@ impl ServiceFeedback {
         );
         ServiceFeedback {
             alpha,
-            cells: BTreeMap::new(),
+            keys: LineKeys::default(),
+            cells: Vec::new(),
+            learned: 0,
             stats: FeedbackStats::default(),
         }
+    }
+
+    /// Intern `arch`, so cells on it can be addressed by
+    /// [`LineId::new`].
+    pub(crate) fn intern_arch(&mut self, arch: &'static str) -> ArchId {
+        let a = self.keys.intern(arch);
+        self.cells.resize(self.keys.lines(), None);
+        a
     }
 
     /// The multiplicative correction for `(taxon, arch)`: the current
     /// observed/profiled EWMA, or `1.0` before any observation.
     /// Always finite and within `[MIN_RATIO, MAX_RATIO]`.
     pub fn correction(&self, taxon: Taxon, arch: &'static str) -> f64 {
-        self.cells.get(&(taxon, arch)).map_or(1.0, |c| c.ratio)
+        self.keys
+            .line(taxon, arch)
+            .map_or(1.0, |id| self.correction_at(id))
+    }
+
+    /// [`ServiceFeedback::correction`] by line id.
+    #[inline]
+    pub(crate) fn correction_at(&self, id: LineId) -> f64 {
+        self.cells[id.at()].map_or(1.0, |c| c.ratio)
     }
 
     /// Fold one completion into the layer: `profiled_s` is the
@@ -131,6 +154,12 @@ impl ServiceFeedback {
     /// (non-finite or non-positive on either side) are rejected and
     /// counted, never folded.
     pub fn observe(&mut self, taxon: Taxon, arch: &'static str, profiled_s: f64, observed_s: f64) {
+        let id = LineId::new(taxon, self.intern_arch(arch));
+        self.observe_at(id, profiled_s, observed_s);
+    }
+
+    /// [`ServiceFeedback::observe`] by line id.
+    pub(crate) fn observe_at(&mut self, id: LineId, profiled_s: f64, observed_s: f64) {
         if !(profiled_s.is_finite()
             && observed_s.is_finite()
             && profiled_s > 0.0
@@ -142,7 +171,7 @@ impl ServiceFeedback {
         // Mispredict accounting runs against the *corrected* prediction
         // in force when the job completes — it measures how wrong the
         // dispatchers still are with feedback applied.
-        let corrected = profiled_s * self.correction(taxon, arch);
+        let corrected = profiled_s * self.correction_at(id);
         let rel_err = (observed_s - corrected).abs() / corrected;
         self.stats.samples += 1;
         self.stats.sum_abs_rel_err += rel_err;
@@ -151,9 +180,12 @@ impl ServiceFeedback {
         }
 
         let obs_ratio = (observed_s / profiled_s).clamp(MIN_RATIO, MAX_RATIO);
-        let cell = self.cells.entry((taxon, arch)).or_insert(Cell {
-            ratio: 1.0,
-            samples: 0,
+        let cell = self.cells[id.at()].get_or_insert_with(|| {
+            self.learned += 1;
+            Cell {
+                ratio: 1.0,
+                samples: 0,
+            }
         });
         cell.ratio =
             ((1.0 - self.alpha) * cell.ratio + self.alpha * obs_ratio).clamp(MIN_RATIO, MAX_RATIO);
@@ -162,12 +194,20 @@ impl ServiceFeedback {
 
     /// Distinct (taxon, architecture) cells learned so far.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.learned
     }
 
     /// Has the layer learned nothing yet?
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.learned == 0
+    }
+
+    /// Every learned cell with its key, in `(Taxon, architecture name)`
+    /// order.
+    fn learned_cells(&self) -> impl Iterator<Item = (Taxon, &'static str, &Cell)> {
+        self.keys
+            .ordered()
+            .filter_map(|(id, taxon, arch)| Some((taxon, arch, self.cells[id.at()].as_ref()?)))
     }
 
     /// Mean EWMA correction ratio over the learned cells (1.0 when
@@ -175,25 +215,25 @@ impl ServiceFeedback {
     /// monitor ticks as a convergence gauge: it drifts away from 1.0
     /// while the layer is absorbing a bias and settles once learned.
     pub fn mean_correction(&self) -> f64 {
-        if self.cells.is_empty() {
+        if self.is_empty() {
             return 1.0;
         }
-        self.cells.values().map(|c| c.ratio).sum::<f64>() / self.cells.len() as f64
+        self.learned_cells().map(|(_, _, c)| c.ratio).sum::<f64>() / self.learned as f64
     }
 }
 
 impl ServiceFeedback {
     /// Serialise the layer for a kernel checkpoint: the EWMA weight,
-    /// accounting, and every learned cell in `BTreeMap` (deterministic)
-    /// order.
+    /// accounting, and every learned cell in `(Taxon, architecture
+    /// name)` order.
     pub(crate) fn encode(&self, enc: &mut crate::checkpoint::Enc) {
         enc.f64(self.alpha);
         enc.u64(self.stats.samples);
         enc.u64(self.stats.rejected);
         enc.u64(self.stats.mispredicts);
         enc.f64(self.stats.sum_abs_rel_err);
-        enc.usize(self.cells.len());
-        for (&(taxon, arch), cell) in &self.cells {
+        enc.usize(self.learned);
+        for (taxon, arch, cell) in self.learned_cells() {
             crate::checkpoint::enc_taxon(enc, taxon);
             enc.str(arch);
             enc.f64(cell.ratio);
@@ -231,11 +271,13 @@ impl ServiceFeedback {
             sum_abs_rel_err: dec.f64()?,
         };
         let n = dec.count(8)?;
-        let mut cells = BTreeMap::new();
+        let mut fb = ServiceFeedback::new(alpha);
+        fb.stats = stats;
         for _ in 0..n {
             let taxon = crate::checkpoint::dec_taxon(dec)?;
             let arch = dec.str()?;
             let arch = crate::checkpoint::resolve_arch(arch_keys, &arch)?;
+            let id = LineId::new(taxon, fb.intern_arch(arch));
             let ratio = dec.f64()?;
             if !(ratio.is_finite() && (MIN_RATIO..=MAX_RATIO).contains(&ratio)) {
                 return Err(CheckpointError::Corrupt(
@@ -243,18 +285,12 @@ impl ServiceFeedback {
                 ));
             }
             let samples = dec.u64()?;
-            if cells
-                .insert((taxon, arch), Cell { ratio, samples })
-                .is_some()
-            {
+            if fb.cells[id.at()].replace(Cell { ratio, samples }).is_some() {
                 return Err(CheckpointError::Corrupt("duplicate feedback cell"));
             }
+            fb.learned += 1;
         }
-        Ok(ServiceFeedback {
-            alpha,
-            cells,
-            stats,
-        })
+        Ok(fb)
     }
 }
 

@@ -33,6 +33,7 @@
 //! [`Scenario::with_feedback`] closes the loop further by correcting
 //! profiled estimates with observed service times.
 
+use crate::admission::AdmissionTable;
 use crate::arrival::ArrivalCursor;
 use crate::cache::{CacheDecision, PolicyCache};
 use crate::chaos::{ChaosSchedule, ChaosStats, ClauseStats, CompiledChaos};
@@ -41,17 +42,13 @@ use crate::dispatch::{Dispatcher, JobEstimates};
 use crate::feedback::ServiceFeedback;
 use crate::job::{JobOutcome, JobSpec};
 use crate::metrics::{FleetMetrics, FleetOutcome, StreamAgg};
-use crate::shard::{self, AdvanceCtx, Completions, ProgramSet};
-use crate::sim::{FleetSim, PolicyMode, ProfileTable};
+use crate::shard::{self, Completions};
+use crate::sim::{FleetSim, PolicyMode};
 use crate::state::{BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, QueuedJob};
 use crate::telemetry::{FlightRecorder, WindowSample};
-use astro_core::pipeline::build_static;
-use astro_core::replay::ReplaySession;
-use astro_exec::executor::{Executor, MachineExecutor};
-use astro_exec::program::compile;
-use astro_ir::Module;
+use astro_core::schedule::StaticSchedule;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// What happens at an event's timestamp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -588,11 +585,7 @@ pub struct ResidentKernel<'a, 'r> {
     telemetry: &'r mut FlightRecorder,
     chaos: CompiledChaos,
     chaos_stats: ChaosStats,
-    modules: BTreeMap<&'static str, Module>,
-    machine_exec: MachineExecutor,
-    session: Option<ReplaySession<'r>>,
-    progs: ProgramSet,
-    profiles: ProfileTable,
+    table: AdmissionTable<'a>,
     state: ClusterState<'a>,
     completions: Completions,
     stats: KernelStats,
@@ -697,53 +690,22 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             }
         }
 
-        // Source modules, one per distinct workload the cursor can
-        // yield (for generators, the whole pool).
-        let mut modules: BTreeMap<&'static str, Module> = BTreeMap::new();
-        for w in cursor.workloads() {
-            modules
-                .entry(w.name)
-                .or_insert_with(|| (w.build)(sim.params.size));
-        }
-
-        // Calibration-then-replay: record every (workload, architecture)
-        // trace set up front, in deterministic order (earlier runs of
-        // this simulator are cache hits).
-        if let Some(replay) = &sim.replay_exec {
-            for key in sim.cluster.arch_keys() {
-                let board = sim.cluster.representative_board(key);
-                for (name, module) in &modules {
-                    replay.calibrate(name, module, board);
-                }
-            }
-        }
-
-        // The execution backend every profile and job run goes through.
-        // On the replay backend this is a calibration-cache *session*
-        // snapshotted after the pre-pass above: one rwlock acquisition
-        // for the whole run, answered lock-free per job thereafter.
-        let machine_exec = MachineExecutor {
-            params: sim.params.machine,
-        };
-        let session = sim.replay_exec.as_ref().map(|r| r.session());
-
-        // Stock binaries compiled up front; static builds are compiled
-        // by the control plane at dispatch/migration time. Either way
-        // the execution plane only ever reads the memo.
-        let mut progs = ProgramSet::default();
-        for (name, module) in &modules {
-            progs.cold.insert(
-                crate::sim::sk(name),
-                compile(module).expect("workload compiles"),
-            );
-        }
-
-        let profiles = ProfileTable::new();
         let mut state = ClusterState::new(sim.cluster, scenario.dispatch);
         // Indexed argmin dispatch: the kernel maintains the index at
         // every board mutation below, so picks stop scanning O(boards).
         state.rebuild_dispatch_index();
-        let feedback = scenario.feedback.then(ServiceFeedback::default);
+        let mut feedback = scenario.feedback.then(ServiceFeedback::default);
+        // The admission tables: workloads interned, replay calibrations
+        // recorded (earlier runs of this simulator are cache hits) and
+        // resolved, stock binaries ready; the execution plane only ever
+        // reads them.
+        let table = AdmissionTable::new(
+            sim,
+            cursor.workloads(),
+            &state,
+            &mut *cache,
+            feedback.as_mut(),
+        );
         let outcomes = retain.then(|| Vec::with_capacity(cursor.total()));
         // Per-arrival scratch, refilled in place (no per-event allocs).
         let scratch = EstScratch::new(state.n_arch());
@@ -789,11 +751,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             telemetry,
             chaos,
             chaos_stats,
-            modules,
-            machine_exec,
-            session,
-            progs,
-            profiles,
+            table,
             state,
             completions: Completions::new(),
             stats: KernelStats::default(),
@@ -832,11 +790,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             telemetry,
             chaos,
             chaos_stats,
-            modules,
-            machine_exec,
-            session,
-            progs,
-            profiles,
+            table,
             state,
             completions,
             stats,
@@ -855,13 +809,6 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             ..
         } = self;
         let n_boards = sim.cluster.len();
-        // On the replay backend every profile and job run goes through
-        // the calibration-cache session snapshotted in `new` — one
-        // rwlock acquisition for the whole run, lock-free per job.
-        let exec: &dyn Executor = match session.as_ref() {
-            Some(s) => s,
-            None => &*machine_exec,
-        };
 
         // The next control event: the earlier of the arrival cursor
         // and the control queue, ties resolved churn < arrival < tick
@@ -899,12 +846,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             &mut *state,
             &mut *completions,
             to_s,
-            &AdvanceCtx {
-                exec,
-                progs: &*progs,
-                modules: &*modules,
-                specs: &sim.cluster.boards,
-            },
+            &*table,
             |state, b, fin| {
                 // The advance moved board `b` outside the control
                 // plane's view: repair its index entry before any
@@ -916,8 +858,8 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 stream.add(&fin.outcome);
                 telemetry.on_complete(&fin.outcome);
                 if let Some(fb) = feedback.as_mut() {
-                    let arch = sim.cluster.arch_key(b);
-                    fb.observe(fin.taxon, arch, fin.profiled_s, fin.raw_service_s);
+                    let line = table.fb_line(fin.taxon, state.arch_class(b));
+                    fb.observe_at(line, fin.profiled_s, fin.raw_service_s);
                 }
                 if let Some(kept) = outcomes.as_mut() {
                     kept.push(fin.outcome);
@@ -962,14 +904,15 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     telemetry.on_drop(time_s, job.id, DropReason::NoBoardUp.name());
                     return true;
                 }
-                let module = &modules[job.workload.name];
-                let slo_s = sim.estimates_into(
-                    exec,
-                    &mut *profiles,
+                let slot = table
+                    .slot(job.workload.name)
+                    .expect("the cursor yields only the workloads it declares");
+                let slo_s = estimates_into(
+                    &mut *table,
                     &**cache,
                     scenario.policy,
                     &job,
-                    module,
+                    slot,
                     &*state,
                     feedback.as_ref(),
                     &mut *scratch,
@@ -992,27 +935,26 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
 
                 // Policy resolution (training on miss/staleness) and
                 // admission latency guard.
+                let class = state.arch_class(b);
                 let (schedule, profiled_s) = sim.resolve_with_training(
-                    exec,
-                    &mut *profiles,
+                    &mut *table,
                     &mut **cache,
                     scenario.policy,
                     &job,
-                    module,
+                    slot,
                     b,
-                    scratch.base_s[state.arch_class(b)],
+                    class,
+                    scratch.base_s[class],
                     &mut *train_time_s,
                     &mut *train_energy_j,
                     &mut *guard_bypasses,
                 );
-                let arch = sim.cluster.arch_key(b);
-                ensure_static_build(&mut *progs, module, &job, &schedule, arch);
                 // The corrupted profiled estimate is what the job
                 // is admitted with — and what the feedback layer
                 // later compares observed service against, which
                 // is exactly how the EWMA learns the 1/mf repair.
                 let profiled_s = profiled_s * mf;
-                let svc_est = corrected(profiled_s, feedback.as_ref(), &job, arch);
+                let svc_est = table.corrected(feedback.as_ref(), job.taxon, class, profiled_s);
 
                 // Oracle accumulator: batch stage-1 semantics.
                 let acc = &mut state.boards[b].oracle_busy_until_s;
@@ -1021,9 +963,10 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
 
                 let qj = QueuedJob {
                     job,
+                    slot,
                     slo_s,
                     schedule,
-                    sched_arch: arch,
+                    sched_arch: sim.cluster.arch_key(b),
                     est_service_s: svc_est,
                     profiled_s,
                     penalty_s: 0.0,
@@ -1031,19 +974,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     redispatches: 0,
                 };
                 stats.messages += 1;
-                shard::deliver(
-                    &mut state.boards,
-                    &mut *completions,
-                    b,
-                    qj,
-                    state.now_s,
-                    &AdvanceCtx {
-                        exec,
-                        progs: &*progs,
-                        modules: &*modules,
-                        specs: &sim.cluster.boards,
-                    },
-                );
+                shard::deliver(&mut *state, &mut *completions, b, qj, &*table);
                 state.refresh_dispatch_index(b);
                 telemetry.on_dispatch(time_s, job.id, job.workload.name, b, svc_est);
                 return true;
@@ -1057,14 +988,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 if scenario.preemption {
                     let migrated_before = stats.migrations;
                     sim.preempt_scan(
-                        exec,
-                        &mut *profiles,
-                        &mut **cache,
+                        &mut *table,
+                        &**cache,
                         *scenario,
                         &mut *state,
                         &mut *completions,
-                        &mut *progs,
-                        &*modules,
                         feedback.as_ref(),
                         &*chaos,
                         &mut *stats,
@@ -1176,15 +1104,12 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     stats.redistributions += 1;
                     stats.messages += 1;
                     sim.redispatch(
-                        exec,
-                        &mut *profiles,
-                        &mut **cache,
+                        &mut *table,
+                        &**cache,
                         *scenario,
                         &mut **dispatcher,
                         &mut *state,
                         &mut *completions,
-                        &mut *progs,
-                        &*modules,
                         feedback.as_ref(),
                         &*chaos,
                         qj,
@@ -1580,26 +1505,18 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         let ctrl = EventQueue::decode(&mut dec, n_boards, n_clauses)?;
         let stats = dec_kernel_stats(&mut dec)?;
         let arch_keys = self.sim.cluster.arch_keys();
+        // Queued jobs must name workloads this kernel interned (the
+        // registry check in decode is necessary, not sufficient: the
+        // cursor's pool can be narrower); each gets its slot back.
+        let slot_of = |name: &str| self.table.slot(name);
         let mut boards = Vec::with_capacity(n_boards);
         for _ in 0..n_boards {
             boards.push(BoardState::decode(
-                &mut dec, &arch_keys, n_boards, n_clauses,
+                &mut dec, &arch_keys, &slot_of, n_boards, n_clauses,
             )?);
         }
-        // Queued jobs must name workloads this kernel compiled modules
-        // for (the registry check in decode is necessary, not
-        // sufficient: the cursor's pool can be narrower).
-        for board in &boards {
-            for q in board.queued() {
-                if !self.modules.contains_key(q.job.workload.name) {
-                    return Err(CheckpointError::UnknownWorkload(
-                        q.job.workload.name.to_string(),
-                    ));
-                }
-            }
-        }
         if let Some(j) = &pending {
-            if !self.modules.contains_key(j.workload.name) {
+            if self.table.slot(j.workload.name).is_none() {
                 return Err(CheckpointError::UnknownWorkload(
                     j.workload.name.to_string(),
                 ));
@@ -1679,88 +1596,130 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.dropped = dropped;
         self.finished = false;
 
-        // Warm static builds are a pure memo keyed by (workload, arch,
-        // policy version): recompile the entries every restored queued
-        // job will read when it starts. In-flight jobs carry their
-        // precomputed outcome and need no program.
+        // The restored cache and feedback layer intern afresh, and the
+        // policy versions restored queued jobs will start under are
+        // resolved before they reach the execution plane. In-flight
+        // jobs carry their precomputed outcome and need nothing.
+        self.table.bind(self.cache, self.feedback.as_mut());
         for b in 0..n_boards {
+            let class = self.state.arch_class(b);
             for q in self.state.boards[b].queued() {
-                let module = &self.modules[q.job.workload.name];
-                ensure_static_build(
-                    &mut self.progs,
-                    module,
-                    &q.job,
-                    &q.schedule,
-                    self.sim.cluster.arch_key(b),
-                );
+                if let Some((st, v)) = q.schedule {
+                    self.table.version(q.slot, class, v, st);
+                }
             }
         }
         Ok(())
     }
 }
 
+/// Refill `scratch` with `job`'s estimates, one slot per architecture
+/// class of `state` (and the uncorrected profiled walls); returns the
+/// resolved SLO. Every read is a table index, so an admission costs
+/// O(architectures) however many boards the cluster has. Read-only on
+/// the cache (peeks, no accounting).
+#[allow(clippy::too_many_arguments)]
+fn estimates_into(
+    table: &mut AdmissionTable,
+    cache: &PolicyCache,
+    policy: PolicyMode,
+    job: &JobSpec,
+    slot: usize,
+    state: &ClusterState,
+    feedback: Option<&ServiceFeedback>,
+    scratch: &mut EstScratch,
+) -> f64 {
+    let slo_s = job.slo_tightness * table.best_cold(slot);
+    debug_assert_eq!(scratch.base_s.len(), state.n_arch());
+    for a in 0..state.n_arch() {
+        let (wall, energy, warm) = estimate_on(table, cache, policy, job.taxon, slot, a);
+        scratch.base_s[a] = wall;
+        scratch.est.service_s[a] = table.corrected(feedback, job.taxon, a, wall);
+        scratch.est.energy_j[a] = energy;
+        scratch.est.warm[a] = warm;
+    }
+    slo_s
+}
+
+/// Observable (wall, energy) estimate of `slot` (of `taxon`) on
+/// architecture class `class` under the schedule it would run there
+/// (fresh cache line or stock binary), *uncorrected* — callers fold the
+/// feedback correction in via [`AdmissionTable::corrected`]. The single
+/// source of the policy-estimate rule: both arrival-time dispatch
+/// estimates and preemption-scan predictions go through here, so they
+/// can never disagree.
+fn estimate_on(
+    table: &mut AdmissionTable,
+    cache: &PolicyCache,
+    policy: PolicyMode,
+    taxon: crate::job::Taxon,
+    slot: usize,
+    class: usize,
+) -> (f64, f64, bool) {
+    let warm = match policy {
+        PolicyMode::Warm => cache.warm_line(table.cache_line(taxon, class)),
+        PolicyMode::Cold => None,
+    };
+    let (wall, energy) = match warm {
+        Some(e) => table.warm(slot, class, e.version, e.schedule),
+        None => table.cold(slot, class),
+    };
+    (wall, energy, warm.is_some())
+}
+
+/// Admission latency guard: when the schedule's profiled service on
+/// `class` regresses past the guard factor, the job runs its stock
+/// binary instead. The bypass counter ticks per admission.
+fn apply_guard(
+    table: &mut AdmissionTable,
+    slot: usize,
+    class: usize,
+    schedule: Option<(StaticSchedule, u32)>,
+    cold_est: f64,
+    guard_bypasses: &mut u64,
+) -> (Option<(StaticSchedule, u32)>, f64) {
+    match schedule {
+        None => (None, cold_est),
+        Some((st, v)) => match table.guard(slot, class, v, st) {
+            (true, wall) => (Some((st, v)), wall),
+            (false, wall) => {
+                *guard_bypasses += 1;
+                (None, wall)
+            }
+        },
+    }
+}
+
 impl FleetSim<'_> {
     // ---- admission ----------------------------------------------------------
-
-    /// Refill `scratch` with `job`'s estimates, one slot per
-    /// architecture class of `state` (and the uncorrected profiled
-    /// walls); returns the resolved SLO. Each class is profiled on its
-    /// first board, so an admission costs O(architectures) however many
-    /// boards the cluster has. Read-only on the cache (peeks, no
-    /// accounting).
-    #[allow(clippy::too_many_arguments)]
-    fn estimates_into(
-        &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
-        cache: &PolicyCache,
-        policy: PolicyMode,
-        job: &JobSpec,
-        module: &Module,
-        state: &ClusterState,
-        feedback: Option<&ServiceFeedback>,
-        scratch: &mut EstScratch,
-    ) -> f64 {
-        let slo_s = job.slo_tightness * self.best_cold_wall(exec, profiles, &job.workload, module);
-        debug_assert_eq!(scratch.base_s.len(), state.n_arch());
-        for a in 0..state.n_arch() {
-            let b = state.arch_first_board(a);
-            let (wall, energy, warm) =
-                self.estimate_on(exec, profiles, cache, policy, job, module, b);
-            scratch.base_s[a] = wall;
-            scratch.est.service_s[a] = corrected(wall, feedback, job, self.cluster.arch_key(b));
-            scratch.est.energy_j[a] = energy;
-            scratch.est.warm[a] = warm;
-        }
-        slo_s
-    }
 
     /// Arrival-path policy resolution: full cache lookup (training on
     /// miss, warm refresh on staleness — asynchronous, off the serving
     /// path, so the triggering job runs its stock binary), then the
     /// admission latency guard. Returns the schedule to run and the
-    /// guarded *uncorrected* profiled service estimate on board `b`
-    /// (the feedback correction, if any, is applied by the caller).
+    /// guarded *uncorrected* profiled service estimate on board `b` of
+    /// class `class` (the feedback correction, if any, is applied by
+    /// the caller).
     #[allow(clippy::too_many_arguments)]
     fn resolve_with_training(
         &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
+        table: &mut AdmissionTable,
         cache: &mut PolicyCache,
         policy: PolicyMode,
         job: &JobSpec,
-        module: &Module,
+        slot: usize,
         b: usize,
+        class: usize,
         cold_est: f64,
         train_time_s: &mut f64,
         train_energy_j: &mut f64,
         guard_bypasses: &mut u64,
-    ) -> (Option<(astro_core::schedule::StaticSchedule, u32)>, f64) {
+    ) -> (Option<(StaticSchedule, u32)>, f64) {
         let schedule = match policy {
             PolicyMode::Cold => None,
             PolicyMode::Warm => {
-                let arch = self.cluster.arch_key(b);
-                match cache.lookup(job.taxon, arch) {
+                let line = table.cache_line(job.taxon, class);
+                match cache.lookup_line(line) {
                     CacheDecision::Hit(s, v) => Some((s, v)),
                     CacheDecision::Stale(snap) => {
                         let (trained, t, e) =
@@ -1768,7 +1727,7 @@ impl FleetSim<'_> {
                         *train_time_s += t;
                         *train_energy_j += e;
                         let snapshot = trained.hooks.agent.snapshot();
-                        cache.refresh(job.taxon, arch, trained.static_schedule, snapshot);
+                        cache.refresh_line(line, trained.static_schedule, snapshot);
                         None
                     }
                     CacheDecision::Miss => {
@@ -1776,86 +1735,13 @@ impl FleetSim<'_> {
                         *train_time_s += t;
                         *train_energy_j += e;
                         let snapshot = trained.hooks.agent.snapshot();
-                        cache.insert(job.taxon, arch, trained.static_schedule, snapshot);
+                        cache.insert_line(line, trained.static_schedule, snapshot);
                         None
                     }
                 }
             }
         };
-        self.apply_guard(
-            exec,
-            profiles,
-            job,
-            module,
-            b,
-            schedule,
-            cold_est,
-            guard_bypasses,
-        )
-    }
-
-    /// Admission latency guard: when the schedule's profiled service on
-    /// board `b` regresses past the guard factor, the job runs its
-    /// stock binary instead.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_guard(
-        &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
-        job: &JobSpec,
-        module: &Module,
-        b: usize,
-        schedule: Option<(astro_core::schedule::StaticSchedule, u32)>,
-        cold_est: f64,
-        guard_bypasses: &mut u64,
-    ) -> (Option<(astro_core::schedule::StaticSchedule, u32)>, f64) {
-        match schedule {
-            None => (None, cold_est),
-            Some((st, v)) => {
-                // The verdict is a pure function of two memoised
-                // profiles, so it is memoised per (workload, arch,
-                // version) — the bypass counter still ticks per
-                // arrival, exactly as the recomputing path did.
-                let arch = self.cluster.arch_key(b);
-                let key = (crate::sim::sk(job.workload.name), crate::sim::sk(arch), v);
-                let (admit, wall) = match profiles.guard.get(&key) {
-                    Some(&verdict) => verdict,
-                    None => {
-                        let (cold_wall, _) = self.profile(
-                            exec,
-                            profiles,
-                            &job.workload,
-                            module,
-                            b,
-                            ProfileTable::COLD,
-                            None,
-                        );
-                        let (warm_wall, _) = self.profile(
-                            exec,
-                            profiles,
-                            &job.workload,
-                            module,
-                            b,
-                            v as u64,
-                            Some(st),
-                        );
-                        let verdict = if warm_wall > cold_wall * self.params.latency_guard {
-                            (false, cold_wall)
-                        } else {
-                            (true, warm_wall)
-                        };
-                        profiles.guard.insert(key, verdict);
-                        verdict
-                    }
-                };
-                if admit {
-                    (Some((st, v)), wall)
-                } else {
-                    *guard_bypasses += 1;
-                    (None, wall)
-                }
-            }
-        }
+        apply_guard(table, slot, class, schedule, cold_est, guard_bypasses)
     }
 
     // ---- migration ----------------------------------------------------------
@@ -1871,51 +1757,32 @@ impl FleetSim<'_> {
     #[allow(clippy::too_many_arguments)]
     fn migrate_onto(
         &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
+        table: &mut AdmissionTable,
         cache: &PolicyCache,
         scenario: &Scenario,
         mut qj: QueuedJob,
         target: usize,
+        class: usize,
         guard_bypasses: &mut u64,
-        modules: &BTreeMap<&'static str, Module>,
         feedback: Option<&ServiceFeedback>,
         misprofile: f64,
     ) -> QueuedJob {
         let arch = self.cluster.arch_key(target);
-        let module = &modules[qj.job.workload.name];
-        let schedule = if scenario.policy == PolicyMode::Warm && qj.sched_arch == arch {
-            qj.schedule
-        } else if scenario.policy == PolicyMode::Warm && cache.is_warm(qj.job.taxon, arch) {
-            let e = cache.peek(qj.job.taxon, arch).expect("warm entry exists");
-            Some((e.schedule, e.version))
-        } else {
-            None
+        let schedule = match scenario.policy {
+            PolicyMode::Warm if qj.sched_arch == arch => qj.schedule,
+            PolicyMode::Warm => cache
+                .warm_line(table.cache_line(qj.job.taxon, class))
+                .map(|e| (e.schedule, e.version)),
+            PolicyMode::Cold => None,
         };
-        let (cold_wall, _) = self.profile(
-            exec,
-            profiles,
-            &qj.job.workload,
-            module,
-            target,
-            ProfileTable::COLD,
-            None,
-        );
-        let (schedule, profiled_s) = self.apply_guard(
-            exec,
-            profiles,
-            &qj.job,
-            module,
-            target,
-            schedule,
-            cold_wall,
-            guard_bypasses,
-        );
+        let (cold_wall, _) = table.cold(qj.slot, class);
+        let (schedule, profiled_s) =
+            apply_guard(table, qj.slot, class, schedule, cold_wall, guard_bypasses);
         qj.schedule = schedule;
         qj.sched_arch = arch;
         let profiled_s = profiled_s * misprofile;
         qj.profiled_s = profiled_s;
-        qj.est_service_s = corrected(profiled_s, feedback, &qj.job, arch);
+        qj.est_service_s = table.corrected(feedback, qj.job.taxon, class, profiled_s);
         qj.penalty_s += scenario.migration_cost_s;
         qj.migrations += 1;
         qj
@@ -1926,15 +1793,12 @@ impl FleetSim<'_> {
     #[allow(clippy::too_many_arguments)]
     fn redispatch(
         &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
-        cache: &mut PolicyCache,
+        table: &mut AdmissionTable,
+        cache: &PolicyCache,
         scenario: &Scenario,
         dispatcher: &mut dyn Dispatcher,
         state: &mut ClusterState,
         completions: &mut Completions,
-        progs: &mut ProgramSet,
-        modules: &BTreeMap<&'static str, Module>,
         feedback: Option<&ServiceFeedback>,
         chaos: &CompiledChaos,
         qj: QueuedJob,
@@ -1942,13 +1806,12 @@ impl FleetSim<'_> {
         scratch: &mut EstScratch,
         chaos_stats: &mut ChaosStats,
     ) -> usize {
-        self.estimates_into(
-            exec,
-            profiles,
+        estimates_into(
+            table,
             cache,
             scenario.policy,
             &qj.job,
-            &modules[qj.job.workload.name],
+            qj.slot,
             state,
             feedback,
             scratch,
@@ -1967,40 +1830,25 @@ impl FleetSim<'_> {
             "dispatcher picked down or blacked-out board {b}"
         );
         let mut qj = self.migrate_onto(
-            exec,
-            profiles,
+            table,
             cache,
             scenario,
             qj,
             b,
+            state.arch_class(b),
             guard_bypasses,
-            modules,
             feedback,
             mf,
         );
         // Churn redistributions are capped by their own counter —
         // preemptive migrations (max_migrations) do not consume it.
         qj.redispatches += 1;
-        let module = &modules[qj.job.workload.name];
-        ensure_static_build(progs, module, &qj.job, &qj.schedule, qj.sched_arch);
         // Oracle accumulators track redistributed work too (the oracle
         // still books what it re-plans, it just never observes reality).
         let acc = &mut state.boards[b].oracle_busy_until_s;
         *acc = acc.max(state.now_s) + qj.est_total_s();
         state.boards[b].dispatched += 1;
-        shard::deliver(
-            &mut state.boards,
-            completions,
-            b,
-            qj,
-            state.now_s,
-            &AdvanceCtx {
-                exec,
-                progs,
-                modules,
-                specs: &self.cluster.boards,
-            },
-        );
+        shard::deliver(state, completions, b, qj, table);
         state.refresh_dispatch_index(b);
         b
     }
@@ -2013,14 +1861,11 @@ impl FleetSim<'_> {
     #[allow(clippy::too_many_arguments)]
     fn preempt_scan(
         &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
-        cache: &mut PolicyCache,
+        table: &mut AdmissionTable,
+        cache: &PolicyCache,
         scenario: &Scenario,
         state: &mut ClusterState,
         completions: &mut Completions,
-        progs: &mut ProgramSet,
-        modules: &BTreeMap<&'static str, Module>,
         feedback: Option<&ServiceFeedback>,
         chaos: &CompiledChaos,
         stats: &mut KernelStats,
@@ -2052,20 +1897,18 @@ impl FleetSim<'_> {
                     // Best alternative: lowest predicted finish among
                     // the other placeable boards, by observable
                     // estimates.
-                    let module = &modules[qj.job.workload.name];
                     let mut best: Option<(f64, usize)> = None;
                     for b2 in state.placeable_boards().filter(|&b2| b2 != b) {
-                        let (wall, _, _) = self.estimate_on(
-                            exec,
-                            profiles,
+                        let class = state.arch_class(b2);
+                        let (wall, _, _) = estimate_on(
+                            table,
                             cache,
                             scenario.policy,
-                            &qj.job,
-                            module,
-                            b2,
+                            qj.job.taxon,
+                            qj.slot,
+                            class,
                         );
-                        let wall =
-                            corrected(wall * mf, feedback, &qj.job, self.cluster.arch_key(b2));
+                        let wall = table.corrected(feedback, qj.job.taxon, class, wall * mf);
                         // The job keeps its already-accumulated penalty
                         // on the target board, so the prediction must
                         // carry it — or a re-migration could be
@@ -2085,33 +1928,18 @@ impl FleetSim<'_> {
                 match target {
                     Some((_, b2)) => {
                         let qj2 = self.migrate_onto(
-                            exec,
-                            profiles,
+                            table,
                             cache,
                             scenario,
                             qj,
                             b2,
+                            state.arch_class(b2),
                             guard_bypasses,
-                            modules,
                             feedback,
                             mf,
                         );
-                        let module = &modules[qj2.job.workload.name];
-                        ensure_static_build(progs, module, &qj2.job, &qj2.schedule, qj2.sched_arch);
                         state.boards[b2].dispatched += 1;
-                        shard::deliver(
-                            &mut state.boards,
-                            completions,
-                            b2,
-                            qj2,
-                            state.now_s,
-                            &AdvanceCtx {
-                                exec,
-                                progs,
-                                modules,
-                                specs: &self.cluster.boards,
-                            },
-                        );
+                        shard::deliver(state, completions, b2, qj2, table);
                         state.refresh_dispatch_index(b2);
                         stats.migrations += 1;
                         stats.messages += 1;
@@ -2124,90 +1952,6 @@ impl FleetSim<'_> {
             }
             state.refresh_dispatch_index(b);
         }
-    }
-
-    /// Observable (wall, energy) estimate of `job` on board `b` under
-    /// the schedule it would run there (fresh cache line or stock
-    /// binary), *uncorrected* — callers fold the feedback correction
-    /// in via [`corrected`]. The single source of the policy-estimate
-    /// rule: both arrival-time dispatch estimates and preemption-scan
-    /// predictions go through here, so they can never disagree.
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_on(
-        &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
-        cache: &PolicyCache,
-        policy: PolicyMode,
-        job: &JobSpec,
-        module: &Module,
-        b: usize,
-    ) -> (f64, f64, bool) {
-        let arch = self.cluster.arch_key(b);
-        // One probe answers both "is it warm?" and "which schedule?" —
-        // the estimate loop runs this per architecture per arrival.
-        let warm = match policy {
-            PolicyMode::Warm => cache.warm_peek(job.taxon, arch),
-            PolicyMode::Cold => None,
-        };
-        let (wall, energy) = match warm {
-            Some(e) => self.profile(
-                exec,
-                profiles,
-                &job.workload,
-                module,
-                b,
-                e.version as u64,
-                Some(e.schedule),
-            ),
-            None => self.profile(
-                exec,
-                profiles,
-                &job.workload,
-                module,
-                b,
-                ProfileTable::COLD,
-                None,
-            ),
-        };
-        (wall, energy, warm.is_some())
-    }
-}
-
-/// Apply the feedback correction to an uncorrected estimate (identity
-/// when the layer is disabled — bit-for-bit, not just numerically).
-fn corrected(
-    wall_s: f64,
-    feedback: Option<&ServiceFeedback>,
-    job: &JobSpec,
-    arch: &'static str,
-) -> f64 {
-    match feedback {
-        Some(fb) => wall_s * fb.correction(job.taxon, arch),
-        None => wall_s,
-    }
-}
-
-/// Make sure the static build a queued job will run on an `arch` board
-/// is compiled into the program memo before the job reaches the
-/// execution plane (which only reads it).
-fn ensure_static_build(
-    progs: &mut ProgramSet,
-    module: &Module,
-    job: &JobSpec,
-    schedule: &Option<(astro_core::schedule::StaticSchedule, u32)>,
-    arch: &'static str,
-) {
-    if let Some((st, version)) = schedule {
-        let key = (
-            crate::sim::sk(job.workload.name),
-            crate::sim::sk(arch),
-            *version,
-        );
-        progs
-            .warm
-            .entry(key)
-            .or_insert_with(|| compile(&build_static(module, st)).expect("static build compiles"));
     }
 }
 

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 
+mod admission;
 pub mod arrival;
 pub mod cache;
 pub mod chaos;
@@ -60,6 +61,7 @@ pub mod feedback;
 mod index;
 pub mod job;
 pub mod kernel;
+mod lines;
 pub mod metrics;
 pub mod shard;
 pub mod sim;

@@ -18,52 +18,11 @@
 //! rebuild the queue from the in-flight jobs in any order. See
 //! DESIGN.md "Execution plane".
 
+use crate::admission::AdmissionTable;
 use crate::job::JobOutcome;
 use crate::state::{BoardState, ClusterState, InFlight, QueuedJob};
-use astro_exec::executor::{ExecPolicy, ExecRequest, Executor};
-use astro_exec::program::CompiledProgram;
-use astro_hw::boards::BoardSpec;
-use astro_ir::Module;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-
-/// Key of a compiled static-binary variant: (workload, architecture,
-/// policy version), the name strings reduced to their [`sk`] addresses.
-/// A workload maps to exactly one taxon, and versions are per (taxon,
-/// architecture), so the key never aliases schedules.
-///
-/// [`sk`]: crate::sim::sk
-pub(crate) type WarmKey = (usize, usize, u32);
-
-/// The compiled-program memo the execution plane runs from, keyed by
-/// [`sk`](crate::sim::sk) name addresses (probed per job start — the
-/// compiled values are pure functions of the named module and
-/// schedule, and the maps are never iterated). Populated by the
-/// control plane *at dispatch/migration time* (compilation is
-/// deterministic and memoised, so moving it off the start path changes
-/// no result); the advance phase only reads it, through a plain shared
-/// reference.
-#[derive(Default)]
-pub(crate) struct ProgramSet {
-    /// Stock binaries, per workload (run under GTS).
-    pub cold: BTreeMap<usize, CompiledProgram>,
-    /// Astro static binaries, per (workload, architecture, version).
-    pub warm: BTreeMap<WarmKey, CompiledProgram>,
-}
-
-/// Everything an advance needs: the execution backend, the compiled
-/// programs, source modules and board specs, all read-only.
-pub(crate) struct AdvanceCtx<'a> {
-    /// The execution backend (answers are a pure function of the
-    /// request).
-    pub exec: &'a dyn Executor,
-    /// Compiled binaries, populated at dispatch time.
-    pub progs: &'a ProgramSet,
-    /// Source modules per workload.
-    pub modules: &'a BTreeMap<&'static str, Module>,
-    /// Board specs, global index order.
-    pub specs: &'a [BoardSpec],
-}
+use std::collections::BinaryHeap;
 
 /// The completion queue: a min-heap of `(finish_s bits, job id,
 /// board)`. Finish times are finite and non-negative, so their bit
@@ -74,19 +33,21 @@ pub(crate) type Completions = BinaryHeap<Reverse<(u64, u32, u32)>>;
 
 /// Hand `job` to board `b`: start it now when the board is idle
 /// (pushing its completion onto `queue`), else queue it behind the
-/// board's current work.
+/// board's current work. The table is only read here: everything a
+/// start needs was resolved when the job was placed.
 pub(crate) fn deliver(
-    boards: &mut [BoardState],
+    state: &mut ClusterState,
     queue: &mut Completions,
     b: usize,
     job: QueuedJob,
-    now_s: f64,
-    ctx: &AdvanceCtx<'_>,
+    table: &AdmissionTable,
 ) {
-    if boards[b].in_flight.is_none() {
-        start_on(b, &mut boards[b], queue, now_s, job, ctx);
+    let (class, now_s) = (state.arch_class(b), state.now_s);
+    let bs = &mut state.boards[b];
+    if bs.in_flight.is_none() {
+        start_on(b, class, bs, queue, now_s, job, table);
     } else {
-        boards[b].enqueue(job);
+        bs.enqueue(job);
     }
 }
 
@@ -123,7 +84,7 @@ pub(crate) fn advance(
     state: &mut ClusterState,
     queue: &mut Completions,
     to_s: f64,
-    ctx: &AdvanceCtx<'_>,
+    table: &AdmissionTable,
     mut fold: impl FnMut(&mut ClusterState, usize, InFlight),
 ) {
     let mut last = (0u64, 0u32);
@@ -136,6 +97,7 @@ pub(crate) fn advance(
             "completion pops went backwards"
         );
         last = (time_s.to_bits(), id);
+        let class = state.arch_class(b);
         let bs = &mut state.boards[b];
         let fin = bs
             .in_flight
@@ -143,71 +105,31 @@ pub(crate) fn advance(
             .expect("completion event for an idle board");
         bs.completed += 1;
         if let Some(next) = bs.pop_next() {
-            start_on(b, bs, queue, time_s, next, ctx);
+            start_on(b, class, bs, queue, time_s, next, table);
         }
         fold(state, b, fin);
     }
 }
 
-/// Begin service of `job` on idle board `b` *now*: one executor run
-/// fixes the true finish time, the completion event is pushed onto the
-/// completion queue, and dispatchers see only the estimate until then.
+/// Begin service of `job` on idle board `b` (of architecture class
+/// `class`) *now*: one run fixes the true finish time, the completion
+/// event is pushed onto the completion queue, and dispatchers see only
+/// the estimate until then.
 fn start_on(
     b: usize,
+    class: usize,
     bs: &mut BoardState,
     queue: &mut Completions,
     now_s: f64,
     job: QueuedJob,
-    ctx: &AdvanceCtx<'_>,
+    table: &AdmissionTable,
 ) {
     debug_assert!(bs.in_flight.is_none());
-    let spec = &ctx.specs[b];
     let w = &job.job.workload;
-    let module = &ctx.modules[w.name];
-    let full = spec.config_space().full();
-    // Only the run's (wall, energy) totals matter here, so the scalar
-    // executor path is used: on the replay backend it skips the whole
-    // checkpoint-vector assembly per job.
-    let (wall_time_s, energy_j) = match &job.schedule {
-        None => {
-            // Stock binary under GTS (cold mode, cache misses awaiting
-            // the async training, guard bypasses).
-            let prog = ctx
-                .progs
-                .cold
-                .get(&crate::sim::sk(w.name))
-                .expect("stock binary compiled at dispatch");
-            ctx.exec.execute_scalar(&ExecRequest {
-                workload: w.name,
-                module,
-                program: prog,
-                board: spec,
-                config: full,
-                policy: ExecPolicy::Gts,
-                seed: job.job.seed,
-            })
-        }
-        Some((st, version)) => {
-            let prog = ctx
-                .progs
-                .warm
-                .get(&(
-                    crate::sim::sk(w.name),
-                    crate::sim::sk(job.sched_arch),
-                    *version,
-                ))
-                .expect("static binary compiled at dispatch");
-            ctx.exec.execute_scalar(&ExecRequest {
-                workload: w.name,
-                module,
-                program: prog,
-                board: spec,
-                config: full,
-                policy: ExecPolicy::StaticTable(st.as_table()),
-                seed: job.job.seed,
-            })
-        }
-    };
+    // The stock binary under GTS (cold mode, cache misses awaiting the
+    // async training, guard bypasses), or the job's static build.
+    let version = job.schedule.map(|(_, v)| v);
+    let (wall_time_s, energy_j) = table.run(job.slot, class, version, b, job.job.seed);
     // A chaos throttle stretches real execution (DVFS-style: the work
     // takes longer at the capped clock) but not the migration penalty,
     // which models data movement off-board. slowdown is 1.0 outside

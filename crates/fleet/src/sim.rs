@@ -33,17 +33,13 @@ use crate::job::JobSpec;
 use crate::kernel::Scenario;
 use crate::metrics::FleetOutcome;
 use crate::telemetry::FlightRecorder;
-use astro_core::pipeline::{build_static, AstroPipeline, PipelineConfig, TrainedAstro};
+use astro_core::pipeline::{AstroPipeline, PipelineConfig, TrainedAstro};
 use astro_core::replay::ReplayExecutor;
-use astro_core::schedule::StaticSchedule;
-use astro_exec::executor::{BackendKind, ExecPolicy, ExecRequest, Executor};
+use astro_exec::executor::BackendKind;
 use astro_exec::machine::MachineParams;
-use astro_exec::program::compile;
 use astro_exec::time::SimTime;
 use astro_hw::boards::BoardSpec;
-use astro_ir::Module;
-use astro_workloads::{InputSize, Workload};
-use std::collections::BTreeMap;
+use astro_workloads::InputSize;
 use std::sync::Arc;
 
 /// How jobs are executed.
@@ -159,48 +155,6 @@ where
         .collect()
 }
 
-/// Address-identity key of a `&'static str`: workload and architecture
-/// names are interned statics, so the pointer identifies the string for
-/// the life of the process. Used to key the per-run memo tables below —
-/// every memoised value is a pure function of the string *contents*, so
-/// if two distinct addresses ever carried equal text the only effect
-/// would be a duplicated entry with a bit-identical value. The tables
-/// are probed on every arrival and never iterated, which is exactly the
-/// trade: integer key compares on the hot path, no semantic exposure to
-/// address layout.
-#[inline]
-pub(crate) fn sk(s: &'static str) -> usize {
-    s.as_ptr() as usize
-}
-
-/// Memoised (workload, architecture, policy-version) service profiles,
-/// keyed by [`sk`] addresses. Version [`ProfileTable::COLD`] is the
-/// GTS/original-binary profile.
-pub(crate) struct ProfileTable {
-    map: BTreeMap<(usize, usize, u64), (f64, f64)>,
-    /// Per-workload unloaded best-architecture cold wall (the SLO
-    /// reference). Pure function of the profile map — memoised because
-    /// every arrival re-derives its SLO from it.
-    best_cold: BTreeMap<usize, f64>,
-    /// Admission-guard verdict per (workload, arch, policy version):
-    /// `(admit, guarded wall)`. Pure function of two memoised profiles,
-    /// so the memo is bit-neutral; it spares the arrival path both
-    /// profile probes once a (workload, arch, version) has been seen.
-    pub(crate) guard: BTreeMap<(usize, usize, u32), (bool, f64)>,
-}
-
-impl ProfileTable {
-    pub(crate) const COLD: u64 = u64::MAX;
-
-    pub(crate) fn new() -> Self {
-        ProfileTable {
-            map: BTreeMap::new(),
-            best_cold: BTreeMap::new(),
-            guard: BTreeMap::new(),
-        }
-    }
-}
-
 /// The fleet simulator, bound to a cluster.
 pub struct FleetSim<'a> {
     /// The boards.
@@ -291,88 +245,7 @@ impl<'a> FleetSim<'a> {
         kernel.finish()
     }
 
-    // ---- profiling & training (kernel callbacks) ----------------------------
-
-    /// Unloaded cold service time on the fastest architecture (the SLO
-    /// reference point).
-    pub(crate) fn best_cold_wall(
-        &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
-        w: &Workload,
-        module: &Module,
-    ) -> f64 {
-        if let Some(&hit) = profiles.best_cold.get(&sk(w.name)) {
-            return hit;
-        }
-        let mut best = f64::INFINITY;
-        for key in self.cluster.arch_keys() {
-            let b = self.cluster.representative_board_idx(key);
-            let (wall, _) = self.profile(exec, profiles, w, module, b, ProfileTable::COLD, None);
-            best = best.min(wall);
-        }
-        profiles.best_cold.insert(sk(w.name), best);
-        best
-    }
-
-    /// Profiled (wall, energy) of `w` on board `b` under the given
-    /// policy version: the mean of three executor runs at distinct seeds
-    /// (the ±5% service jitter would otherwise dominate guard decisions
-    /// near the boundary), memoised per distinct key.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn profile(
-        &self,
-        exec: &dyn Executor,
-        profiles: &mut ProfileTable,
-        w: &Workload,
-        module: &Module,
-        b: usize,
-        version: u64,
-        schedule: Option<StaticSchedule>,
-    ) -> (f64, f64) {
-        const PROFILE_SAMPLES: u64 = 3;
-        let arch = self.cluster.arch_key(b);
-        let key = (sk(w.name), sk(arch), version);
-        if let Some(&hit) = profiles.map.get(&key) {
-            return hit;
-        }
-        let spec = &self.cluster.boards[b];
-        let base_seed = self
-            .params
-            .seed
-            .wrapping_add(fnv(w.name))
-            .wrapping_add(fnv(arch).rotate_left(17));
-        let full = spec.config_space().full();
-        let (program, policy) = match schedule {
-            None => (compile(module).expect("workload compiles"), ExecPolicy::Gts),
-            Some(st) => (
-                compile(&build_static(module, &st)).expect("static build compiles"),
-                ExecPolicy::StaticTable(st.as_table()),
-            ),
-        };
-        let mut wall = 0.0;
-        let mut energy = 0.0;
-        for k in 0..PROFILE_SAMPLES {
-            let seed = base_seed.wrapping_add(k.wrapping_mul(0x9E37_79B9));
-            let (wall_time_s, energy_j) = exec.execute_scalar(&ExecRequest {
-                workload: w.name,
-                module,
-                program: &program,
-                board: spec,
-                config: full,
-                policy,
-                seed,
-            });
-            wall += wall_time_s;
-            energy += energy_j;
-        }
-        let out = (
-            wall / PROFILE_SAMPLES as f64,
-            energy / PROFILE_SAMPLES as f64,
-        );
-        profiles.map.insert(key, out);
-        out
-    }
+    // ---- training (kernel callback) -----------------------------------------
 
     /// (Re)train a policy for `job`'s class on board `b`'s architecture.
     /// Returns the trained artefacts plus the wall time and energy of
@@ -405,7 +278,7 @@ impl<'a> FleetSim<'a> {
 
 /// Deterministic string hash (FNV-1a): profile/training seeds must not
 /// depend on process-level hasher state.
-fn fnv(s: &str) -> u64 {
+pub(crate) fn fnv(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;
@@ -420,6 +293,7 @@ mod tests {
     use crate::arrival::ArrivalProcess;
     use crate::dispatch::{LeastLoaded, PhaseAware};
     use crate::kernel::ChurnEvent;
+    use astro_workloads::Workload;
 
     fn jobs(n: usize, seed: u64) -> Vec<JobSpec> {
         let pool: Vec<Workload> = ["swaptions", "bfs"]

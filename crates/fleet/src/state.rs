@@ -85,6 +85,10 @@ pub struct DroppedJob {
 pub struct QueuedJob {
     /// The job.
     pub job: JobSpec,
+    /// The job's workload slot in the running kernel's admission
+    /// tables, interned from `job.workload` at admission (and again
+    /// on restore; checkpoints carry the name, not the slot).
+    pub slot: usize,
     /// Resolved latency SLO, seconds.
     pub slo_s: f64,
     /// `Some((schedule, version))` when a cached Astro policy applies.
@@ -334,6 +338,7 @@ impl BoardState {
     pub(crate) fn decode(
         dec: &mut crate::checkpoint::Dec<'_>,
         arch_keys: &[&'static str],
+        slot_of: &dyn Fn(&str) -> Option<usize>,
         n_boards: usize,
         n_throttle_clauses: usize,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
@@ -344,7 +349,7 @@ impl BoardState {
         for _ in 0..n {
             board
                 .queue
-                .push_back(crate::checkpoint::dec_queued_job(dec, arch_keys)?);
+                .push_back(crate::checkpoint::dec_queued_job(dec, arch_keys, slot_of)?);
         }
         if dec.bool()? {
             let id = dec.u32()?;
@@ -841,6 +846,7 @@ mod tests {
                 slo_tightness: 4.0,
                 seed: 1,
             },
+            slot: 0,
             slo_s: 1.0,
             schedule: None,
             sched_arch: "odroid-xu4",
