@@ -155,6 +155,12 @@ impl PolicyCache {
         self.clock
     }
 
+    /// Start the LRU clock at `clock`, so a test can reach saturation.
+    #[cfg(test)]
+    pub(crate) fn fast_forward_clock(&mut self, clock: u64) {
+        self.clock = clock;
+    }
+
     /// Look `(taxon, arch)` up, updating accounting. A `Hit` also counts
     /// a use against the staleness limit.
     pub fn lookup(&mut self, taxon: Taxon, arch: &'static str) -> CacheDecision {

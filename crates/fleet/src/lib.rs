@@ -63,6 +63,8 @@ pub mod job;
 pub mod kernel;
 mod lines;
 pub mod metrics;
+#[cfg(test)]
+mod reference_tests;
 pub mod shard;
 pub mod sim;
 pub mod state;
