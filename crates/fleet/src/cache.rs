@@ -90,16 +90,18 @@ pub enum CacheDecision {
 
 /// The fleet-wide policy cache.
 ///
-/// Lines live in dense tables addressed by [`LineId`] (see
-/// [`crate::lines`]): the keyed methods intern the architecture and
-/// compute the id, and the kernel, which interns its architectures
-/// once, addresses lines by id directly. Encoding and LRU tie-breaks
-/// walk the lines in `(Taxon, architecture name)` order.
+/// Lines live in dense tables addressed by a line id computed from the
+/// taxon and an interned architecture (the crate's `lines` module).
+/// The keyed methods intern the architecture and compute the id; the
+/// kernel interns its architectures once and addresses lines by id
+/// directly. Encoding and LRU tie-breaks walk the lines in
+/// `(Taxon, architecture name)` order.
 #[derive(Clone, Debug)]
 pub struct PolicyCache {
     keys: LineKeys,
-    /// Live lines, indexed by [`LineId`].
-    entries: Vec<Option<PolicyEntry>>,
+    /// Live lines, indexed by `LineId`. Boxed, so an empty slot of the
+    /// dense table costs a pointer, not an entry.
+    entries: Vec<Option<Box<PolicyEntry>>>,
     /// Live lines in `entries`.
     live: usize,
     /// Last version of lines that were evicted, so a reinstall
@@ -138,7 +140,7 @@ impl PolicyCache {
     }
 
     /// Intern `arch`, so lines on it can be addressed by
-    /// [`LineId::new`].
+    /// `LineId::new`.
     pub(crate) fn intern_arch(&mut self, arch: &'static str) -> ArchId {
         let a = self.keys.intern(arch);
         self.entries.resize_with(self.keys.lines(), || None);
@@ -249,13 +251,13 @@ impl PolicyCache {
         }
         let version = self.next_version(id);
         let stamp = self.tick();
-        let old = self.entries[id.at()].replace(PolicyEntry {
+        let old = self.entries[id.at()].replace(Box::new(PolicyEntry {
             schedule,
             snapshot,
             version,
             uses: 1,
             last_use: stamp,
-        });
+        }));
         if old.is_none() {
             self.live += 1;
         }
@@ -315,14 +317,14 @@ impl PolicyCache {
     /// [`PolicyCache::warm_peek`] by line id.
     pub(crate) fn warm_line(&self, id: LineId) -> Option<&PolicyEntry> {
         self.entries[id.at()]
-            .as_ref()
+            .as_deref()
             .filter(|e| self.staleness_limit == 0 || e.uses < self.staleness_limit)
     }
 
     /// Read an entry without accounting or staleness handling (service
     /// estimation, reporting).
     pub fn peek(&self, taxon: Taxon, arch: &'static str) -> Option<&PolicyEntry> {
-        self.entries[self.keys.line(taxon, arch)?.at()].as_ref()
+        self.entries[self.keys.line(taxon, arch)?.at()].as_deref()
     }
 
     /// Serialise the full cache for a kernel checkpoint: configuration,
@@ -392,13 +394,13 @@ impl PolicyCache {
             let taxon = crate::checkpoint::dec_taxon(dec)?;
             let arch = dec.str()?;
             let id = cache.line(taxon, crate::checkpoint::resolve_arch(arch_keys, &arch)?);
-            let entry = PolicyEntry {
+            let entry = Box::new(PolicyEntry {
                 schedule: crate::checkpoint::dec_schedule(dec)?,
                 snapshot: crate::checkpoint::dec_snapshot(dec)?,
                 version: dec.u32()?,
                 uses: dec.u32()?,
                 last_use: dec.u64()?,
-            };
+            });
             if cache.entries[id.at()].replace(entry).is_some() {
                 return Err(CheckpointError::Corrupt("duplicate cache line"));
             }

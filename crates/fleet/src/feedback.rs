@@ -88,13 +88,13 @@ struct Cell {
 /// Per-(taxon, architecture) EWMA correction of profiled service
 /// estimates, learned online from completion events. See the module
 /// docs for the protocol. Cells live in a dense table addressed by
-/// [`LineId`], like the policy cache's lines.
+/// `LineId`, like the policy cache's lines.
 #[derive(Clone, Debug)]
 pub struct ServiceFeedback {
     /// EWMA weight of the newest observation, in (0, 1].
     alpha: f64,
     keys: LineKeys,
-    /// Learned cells, indexed by [`LineId`].
+    /// Learned cells, indexed by `LineId`.
     cells: Vec<Option<Cell>>,
     /// Learned cells in `cells`.
     learned: usize,
@@ -125,7 +125,7 @@ impl ServiceFeedback {
     }
 
     /// Intern `arch`, so cells on it can be addressed by
-    /// [`LineId::new`].
+    /// `LineId::new`.
     pub(crate) fn intern_arch(&mut self, arch: &'static str) -> ArchId {
         let a = self.keys.intern(arch);
         self.cells.resize(self.keys.lines(), None);
