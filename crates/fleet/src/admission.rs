@@ -369,8 +369,9 @@ impl<'a> AdmissionTable<'a> {
     }
 
     /// One job's `(wall_s, energy_j)`: `slot` under policy `version`
-    /// (stock when `None`, which must have been resolved at dispatch)
-    /// on board `b` of `class`, at `seed`.
+    /// (the stock binary when `None`) on board `b` of `class`, at
+    /// `seed`. A version must have been resolved when the job was
+    /// placed; the execution plane only reads.
     pub(crate) fn run(
         &self,
         slot: usize,

@@ -241,15 +241,6 @@ impl ServiceFeedback {
         }
     }
 
-    /// This layer's checkpoint section as standalone bytes: exactly what
-    /// [`ResidentKernel::checkpoint`](crate::ResidentKernel::checkpoint)
-    /// embeds for it.
-    pub fn encoded(&self) -> Vec<u8> {
-        let mut enc = crate::checkpoint::Enc::new();
-        self.encode(&mut enc);
-        enc.finish()
-    }
-
     /// Decode a layer serialised by [`ServiceFeedback::encode`].
     /// Architecture keys are re-interned against the resuming cluster's
     /// `arch_keys`.

@@ -989,7 +989,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     let migrated_before = stats.migrations;
                     sim.preempt_scan(
                         &mut *table,
-                        &**cache,
+                        cache,
                         *scenario,
                         &mut *state,
                         &mut *completions,
@@ -1105,7 +1105,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                     stats.messages += 1;
                     sim.redispatch(
                         &mut *table,
-                        &**cache,
+                        cache,
                         *scenario,
                         &mut **dispatcher,
                         &mut *state,

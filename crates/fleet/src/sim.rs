@@ -1,4 +1,4 @@
-//! The fleet simulator: parameters, profiling/training machinery, and
+//! The fleet simulator: parameters, policy training, and
 //! the public entry point over the discrete-event kernel.
 //!
 //! Earlier revisions ran a three-stage batch (plan every placement
@@ -12,15 +12,15 @@
 //! keeping historical comparisons meaningful; [`Scenario::online`]
 //! opens the new capabilities.
 //!
-//! **Backends.** Every job and profile run goes through one
-//! [`Executor`]. The default [`BackendKind::Machine`] interprets on the
+//! **Backends.** Every job and profile run goes through one backend.
+//! The default [`BackendKind::Machine`] interprets on the
 //! cycle-accurate engine. [`BackendKind::Replay`] runs in
 //! *calibration-then-replay* mode: every distinct (workload,
 //! architecture) pair is calibrated once up front, after which each of
-//! the potentially hundreds of thousands of job runs is answered by
-//! trace composition in microseconds. Policy *training* (cache
-//! misses/refreshes) stays on the engine in both modes — learning
-//! episodes need live counter feedback.
+//! the potentially hundreds of thousands of job runs is answered from
+//! totals composed once per schedule, scaled by the run's seed wobble.
+//! Policy *training* (cache misses/refreshes) stays on the engine in
+//! both modes — learning episodes need live counter feedback.
 //!
 //! Same cluster + params + job stream + scenario ⇒ byte-identical
 //! outcome.

@@ -456,7 +456,7 @@ fn golden_checkpoint_bytes() {
         let mut n = 0u64;
         while k.step() {
             n += 1;
-            if n % 16 == 0 {
+            if n.is_multiple_of(16) {
                 eat(&k.checkpoint());
                 images += 1;
             }
