@@ -1423,13 +1423,13 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
     /// continues bit-identically to the uninterrupted run, execution
     /// counters included.
     ///
-    /// What is *not* serialised is everything rebuildable: profile and
-    /// calibration memos, compiled programs (warm static builds are
-    /// recompiled on restore for every queued job that needs one), the
-    /// completion queue (one event per busy board, rebuilt from the
-    /// in-flight jobs), the dispatch index, and telemetry (the flight
-    /// recorder's non-perturbation contract means it never affects
-    /// results).
+    /// What is *not* serialised is everything rebuildable: the
+    /// admission tables (profiles, calibrations and binaries; on
+    /// restore, the policy version every queued job will start under is
+    /// resolved again), the completion queue (one event per busy board,
+    /// rebuilt from the in-flight jobs), the dispatch index, and
+    /// telemetry (the flight recorder's non-perturbation contract means
+    /// it never affects results).
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         checkpoint::header(&mut enc, self.config_fp());
