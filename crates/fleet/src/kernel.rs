@@ -2252,6 +2252,74 @@ mod tests {
         );
     }
 
+    /// Restored queued jobs get their workload slot back from the
+    /// resuming kernel's tables: an image naming a workload this
+    /// kernel's cursor never declared is refused, and the refusal
+    /// leaves the kernel untouched.
+    #[test]
+    fn restore_rejects_a_workload_the_kernel_did_not_intern() {
+        let cluster = ClusterSpec::heterogeneous(6);
+        let scenario = ckpt_scenario();
+        let image = {
+            let sim = FleetSim::new(&cluster, ckpt_params());
+            let mut cursor = ckpt_cursor();
+            let mut dispatcher = PhaseAware::default();
+            let mut cache = PolicyCache::new(8);
+            let mut telemetry = FlightRecorder::off();
+            let mut k = sim.resident(
+                &mut cursor,
+                &mut dispatcher,
+                &mut cache,
+                &scenario,
+                &mut telemetry,
+                false,
+            );
+            for _ in 0..40 {
+                assert!(k.step());
+            }
+            assert!(
+                k.state
+                    .boards
+                    .iter()
+                    .any(|b| b.queued().any(|q| q.job.workload.name == "bfs")),
+                "fixture must queue a job the narrower kernel cannot intern"
+            );
+            k.checkpoint()
+        };
+        // Same stream length, scenario and fleet, so the header matches;
+        // only the cursor's pool is narrower.
+        let sim = FleetSim::new(&cluster, ckpt_params());
+        let pool = vec![astro_workloads::by_name("swaptions").unwrap()];
+        let mut cursor = GenCursor::new(
+            ArrivalProcess::Poisson {
+                rate_jobs_per_s: 9_000.0,
+            },
+            60,
+            &pool,
+            InputSize::Test,
+            (4.0, 8.0),
+            7,
+            &[],
+        );
+        let mut dispatcher = PhaseAware::default();
+        let mut cache = PolicyCache::new(8);
+        let mut telemetry = FlightRecorder::off();
+        let mut k = sim.resident(
+            &mut cursor,
+            &mut dispatcher,
+            &mut cache,
+            &scenario,
+            &mut telemetry,
+            false,
+        );
+        let before = k.checkpoint();
+        assert_eq!(
+            k.restore(&image),
+            Err(CheckpointError::UnknownWorkload("bfs".to_string()))
+        );
+        assert_eq!(k.checkpoint(), before, "a refused image must not apply");
+    }
+
     /// An image whose streaming aggregate (or retained outcome list)
     /// disagrees with the completion counter is refused, sealed
     /// checksum or not, and the refusal leaves the kernel untouched.
