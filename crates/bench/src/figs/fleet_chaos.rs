@@ -248,30 +248,13 @@ pub fn run(
     // BENCH_fleet.json. Advisory outside `--perf-gate` (and only
     // meaningful at the `--quick` configuration the baseline was
     // measured under).
-    let jps_wall = (n_jobs * rows.len()) as f64 / wall;
-    let floor = PR8_QUICK_CHAOS_BASELINE_JPS * (1.0 - CHAOS_PERF_GATE_TOLERANCE);
-    println!(
-        "perf gate: {jps_wall:.0} job-runs/s wall vs PR 8 chaos baseline {:.0} \
-         ({:+.1}%; floor {:.0}) — {}",
+    crate::perf_gate(
+        "wall job-runs/s (PR 8 chaos)",
+        (n_jobs * rows.len()) as f64 / wall,
         PR8_QUICK_CHAOS_BASELINE_JPS,
-        (jps_wall / PR8_QUICK_CHAOS_BASELINE_JPS - 1.0) * 100.0,
-        floor,
-        if !perf_gate {
-            "advisory (pass --perf-gate at --quick to enforce)"
-        } else if jps_wall >= floor {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        CHAOS_PERF_GATE_TOLERANCE,
+        perf_gate,
     );
-    if perf_gate {
-        assert!(
-            jps_wall >= floor,
-            "perf gate: {jps_wall:.0} job-runs/s wall is more than {:.0}% below the PR 8 \
-             chaos baseline {PR8_QUICK_CHAOS_BASELINE_JPS:.0}",
-            CHAOS_PERF_GATE_TOLERANCE * 100.0
-        );
-    }
     assert!(
         ok,
         "graceful-degradation contract violated: online+feedback p99/SLO {:.3} vs baseline \

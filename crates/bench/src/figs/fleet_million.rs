@@ -222,36 +222,18 @@ pub fn run(
     // configurations a baseline was measured under: `--quick` (the PR
     // 8 smoke floor) and `--gate` (the PR 9 mid leg that prices the
     // indexed dispatch path at 2000 boards).
-    let jps_off = n_jobs as f64 / wall;
     let (baseline, baseline_name, tolerance) = if (n_jobs, n_boards) == GATE_CONFIG {
         (PR9_GATE_BASELINE_JPS, "PR 9 gate", GATE_TOLERANCE)
     } else {
         (PR8_QUICK_BASELINE_JPS, "PR 8 quick", PERF_GATE_TOLERANCE)
     };
-    let floor = baseline * (1.0 - tolerance);
-    println!(
-        "perf gate: telemetry-off throughput {:.0} jobs/s vs {baseline_name} baseline {:.0} \
-         ({:+.1}%; floor {:.0}) — {}",
-        jps_off,
+    crate::perf_gate(
+        &format!("telemetry-off jobs/s ({baseline_name})"),
+        n_jobs as f64 / wall,
         baseline,
-        (jps_off / baseline - 1.0) * 100.0,
-        floor,
-        if !perf_gate {
-            "advisory (pass --perf-gate at --quick or --gate to enforce)"
-        } else if jps_off >= floor {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        tolerance,
+        perf_gate,
     );
-    if perf_gate {
-        assert!(
-            jps_off >= floor,
-            "perf gate: {jps_off:.0} jobs/s is more than {:.0}% below the {baseline_name} \
-             baseline {baseline:.0}",
-            tolerance * 100.0
-        );
-    }
 
     let m = &base.metrics;
     println!(

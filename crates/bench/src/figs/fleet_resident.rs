@@ -468,26 +468,12 @@ pub fn run(
     // ------------------------------------------------------------------
     // Perf gate: the streamed headline vs the PR 10 recorded baseline.
     // ------------------------------------------------------------------
-    let floor = PR10_QUICK_BASELINE_JPS * (1.0 - PERF_GATE_TOLERANCE);
-    println!(
-        "\nperf gate: streamed throughput {jps:.0} jobs/s vs PR 10 quick baseline {:.0} \
-         ({:+.1}%; floor {floor:.0}) — {}",
+    println!();
+    crate::perf_gate(
+        "streamed jobs/s (PR 10 quick)",
+        jps,
         PR10_QUICK_BASELINE_JPS,
-        (jps / PR10_QUICK_BASELINE_JPS - 1.0) * 100.0,
-        if !perf_gate {
-            "advisory (pass --perf-gate at --quick to enforce)"
-        } else if jps >= floor {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        PERF_GATE_TOLERANCE,
+        perf_gate,
     );
-    if perf_gate {
-        assert!(
-            jps >= floor,
-            "perf gate: {jps:.0} jobs/s is more than {:.0}% below the PR 10 baseline {:.0}",
-            PERF_GATE_TOLERANCE * 100.0,
-            PR10_QUICK_BASELINE_JPS
-        );
-    }
 }

@@ -23,6 +23,29 @@ pub use cli::Cli;
 use astro_exec::machine::MachineParams;
 use astro_exec::time::SimTime;
 
+/// The `--perf-gate` verdict the fleet figures share: prints one line
+/// comparing `measured` (labelled `what`) with `baseline` and its floor
+/// `baseline * (1 - tolerance)`. Advisory unless `enforce`; enforced,
+/// a measurement below the floor fails the run.
+pub fn perf_gate(what: &str, measured: f64, baseline: f64, tolerance: f64, enforce: bool) {
+    let floor = baseline * (1.0 - tolerance);
+    let pass = measured >= floor;
+    println!(
+        "perf gate: {what} {measured:.0} vs baseline {baseline:.0} ({:+.1}%; floor {floor:.0}) — {}",
+        (measured / baseline - 1.0) * 100.0,
+        match (enforce, pass) {
+            (false, _) => "advisory (pass --perf-gate to enforce)",
+            (true, true) => "PASS",
+            (true, false) => "FAIL",
+        }
+    );
+    assert!(
+        !enforce || pass,
+        "perf gate: {what} {measured:.0} is more than {:.0}% below the baseline {baseline:.0}",
+        tolerance * 100.0
+    );
+}
+
 /// Engine parameters used by the experiment binaries: the 500 ms
 /// checkpoint of §3.2.1 scaled to the workloads' millisecond-scale
 /// runtimes (see EXPERIMENTS.md, "time scaling").

@@ -543,7 +543,7 @@ impl CompiledChaos {
     ) -> f64 {
         let mut f = 1.0;
         for w in &self.misprofiles {
-            if t >= w.from_s && t < w.to_s && w.class.map_or(true, |c| c == class) {
+            if t >= w.from_s && t < w.to_s && w.class.is_none_or(|c| c == class) {
                 f *= w.factor;
                 if let Some(stats) = stats.as_deref_mut() {
                     stats.clauses[w.clause as usize].affected_jobs += 1;

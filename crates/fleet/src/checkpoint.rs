@@ -510,10 +510,25 @@ pub(crate) fn dec_snapshot(dec: &mut Dec<'_>) -> Result<PolicySnapshot, Checkpoi
     })
 }
 
+/// Destructured exhaustively, so a field added later cannot be skipped
+/// silently.
 pub(crate) fn enc_queued_job(enc: &mut Enc, q: &QueuedJob) {
-    enc_job_spec(enc, &q.job);
-    enc.f64(q.slo_s);
-    match &q.schedule {
+    let QueuedJob {
+        job,
+        // Interned afresh from the workload name on restore.
+        slot: _,
+        slo_s,
+        schedule,
+        sched_arch,
+        est_service_s,
+        profiled_s,
+        penalty_s,
+        migrations,
+        redispatches,
+    } = q;
+    enc_job_spec(enc, job);
+    enc.f64(*slo_s);
+    match schedule {
         None => enc.bool(false),
         Some((st, v)) => {
             enc.bool(true);
@@ -521,12 +536,12 @@ pub(crate) fn enc_queued_job(enc: &mut Enc, q: &QueuedJob) {
             enc.u32(*v);
         }
     }
-    enc.str(q.sched_arch);
-    enc.f64(q.est_service_s);
-    enc.f64(q.profiled_s);
-    enc.f64(q.penalty_s);
-    enc.u32(q.migrations);
-    enc.u32(q.redispatches);
+    enc.str(sched_arch);
+    enc.f64(*est_service_s);
+    enc.f64(*profiled_s);
+    enc.f64(*penalty_s);
+    enc.u32(*migrations);
+    enc.u32(*redispatches);
 }
 
 /// `slot_of` interns the job's workload in the resuming kernel; a

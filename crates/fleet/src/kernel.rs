@@ -781,408 +781,92 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         if self.finished {
             return false;
         }
-        let ResidentKernel {
-            sim,
-            cursor,
-            dispatcher,
-            cache,
-            scenario,
-            telemetry,
-            chaos,
-            chaos_stats,
-            table,
-            state,
-            completions,
-            stats,
-            feedback,
-            train_time_s,
-            train_energy_j,
-            guard_bypasses,
-            stream,
-            outcomes,
-            dropped,
-            scratch,
-            ctrl,
-            open,
-            pending,
-            finished,
-            ..
-        } = self;
-        let n_boards = sim.cluster.len();
-
-        // The next control event: the earlier of the arrival cursor
-        // and the control queue, ties resolved churn < arrival < tick
-        // (the order the sequential kernel's seeding produced). The
-        // cursor is consuming, so the peeked job waits in a one-slot
-        // buffer until the seam decides to admit it.
-        if pending.is_none() {
-            *pending = cursor.next_job();
-        }
-        let arrival_t = pending.as_ref().map(|j| j.arrival_s);
-        let queued = ctrl.peek().copied();
-        let take_ctrl = match (arrival_t, &queued) {
-            (None, None) => false,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(ta), Some(e)) => e.time_s < ta || (e.time_s == ta && e.kind.is_state_change()),
-        };
-        let ctl = if take_ctrl {
-            ctrl.pop().map(|e| (e.time_s, ControlAction::Ctl(e.kind)))
-        } else if let Some(job) = pending.take() {
-            Some((job.arrival_s, ControlAction::Arrive(job)))
-        } else {
-            None
-        };
+        let ctl = self.next_control();
 
         // Every completion strictly before this control event is folded
         // in, in (finish_s, id) order, before the decision reads any
         // state. With no control left, the whole completion chain
         // drains.
         let to_s = ctl.as_ref().map_or(f64::INFINITY, |(t, _)| *t);
-        let from_s = state.now_s;
-        stats.advances += 1;
-        let wall = telemetry.stopwatch();
+        let from_s = self.state.now_s;
+        self.stats.advances += 1;
+        let wall = self.telemetry.stopwatch();
         shard::advance(
-            &mut *state,
-            &mut *completions,
+            &mut self.state,
+            &mut self.completions,
             to_s,
-            &*table,
+            &self.table,
             |state, b, fin| {
                 // The advance moved board `b` outside the control
                 // plane's view: repair its index entry before any
                 // decision reads it.
                 state.refresh_dispatch_index(b);
-                stats.events += 1;
-                stats.completions += 1;
-                *open -= 1;
-                stream.add(&fin.outcome);
-                telemetry.on_complete(&fin.outcome);
-                if let Some(fb) = feedback.as_mut() {
-                    let line = table.fb_line(fin.taxon, state.arch_class(b));
+                self.stats.events += 1;
+                self.stats.completions += 1;
+                self.open -= 1;
+                self.stream.add(&fin.outcome);
+                self.telemetry.on_complete(&fin.outcome);
+                if let Some(fb) = self.feedback.as_mut() {
+                    let line = self.table.fb_line(fin.taxon, state.arch_class(b));
                     fb.observe_at(line, fin.profiled_s, fin.raw_service_s);
                 }
-                if let Some(kept) = outcomes.as_mut() {
+                if let Some(kept) = self.outcomes.as_mut() {
                     kept.push(fin.outcome);
                 }
             },
         );
-        telemetry.lap_advance(wall);
-        let wall = telemetry.stopwatch();
-        telemetry.on_window_close(from_s, to_s);
-        telemetry.lap_merge(wall);
+        self.telemetry.lap_advance(wall);
+        let wall = self.telemetry.stopwatch();
+        self.telemetry.on_window_close(from_s, to_s);
+        self.telemetry.lap_merge(wall);
         let Some((time_s, act)) = ctl else {
-            *finished = true;
+            self.finished = true;
             return false;
         };
         debug_assert!(
-            time_s >= state.now_s - 1e-9,
+            time_s >= self.state.now_s - 1e-9,
             "virtual clock ran backwards: {} -> {}",
-            state.now_s,
+            self.state.now_s,
             time_s
         );
-        state.advance_now(time_s);
-        stats.events += 1;
-
-        let kind = match act {
-            ControlAction::Arrive(job) => {
-                stats.arrivals += 1;
-                if !state.any_placeable() {
-                    // Whole fleet down — or every up board under a
-                    // dispatch blackout. Both route through the
-                    // existing no-board-up drop path; the chaos
-                    // accounting distinguishes them.
-                    if state.any_up() {
-                        chaos_stats.blackout_drops += 1;
-                    }
-                    dropped.push(DroppedJob {
-                        id: job.id,
-                        reason: DropReason::NoBoardUp,
-                    });
-                    stats.dropped += 1;
-                    stats.dropped_no_board += 1;
-                    *open -= 1;
-                    telemetry.on_drop(time_s, job.id, DropReason::NoBoardUp.name());
-                    return true;
-                }
-                let slot = table
-                    .slot(job.workload.name)
-                    .expect("the cursor yields only the workloads it declares");
-                let slo_s = estimates_into(
-                    &mut *table,
-                    &**cache,
-                    scenario.policy,
-                    &job,
-                    slot,
-                    &*state,
-                    feedback.as_ref(),
-                    &mut *scratch,
-                );
-                // Mis-profiled taxa: corrupt what the dispatcher
-                // and admission see (never the SLO — deadlines are
-                // contracts, not estimates).
-                let mf = chaos.misprofile_factor(job.class(), time_s, Some(&mut *chaos_stats));
-                if mf != 1.0 {
-                    for s in &mut scratch.est.service_s {
-                        *s *= mf;
-                    }
-                }
-                let b = dispatcher.pick(&*state, &job, &scratch.est);
-                assert!(b < n_boards, "dispatcher picked board {b} of {n_boards}");
-                assert!(
-                    state.placeable(b),
-                    "dispatcher picked down or blacked-out board {b}"
-                );
-
-                // Policy resolution (training on miss/staleness) and
-                // admission latency guard.
-                let class = state.arch_class(b);
-                let (schedule, profiled_s) = sim.resolve_with_training(
-                    &mut *table,
-                    &mut **cache,
-                    scenario.policy,
-                    &job,
-                    slot,
-                    b,
-                    class,
-                    scratch.base_s[class],
-                    &mut *train_time_s,
-                    &mut *train_energy_j,
-                    &mut *guard_bypasses,
-                );
-                // The corrupted profiled estimate is what the job
-                // is admitted with — and what the feedback layer
-                // later compares observed service against, which
-                // is exactly how the EWMA learns the 1/mf repair.
-                let profiled_s = profiled_s * mf;
-                let svc_est = table.corrected(feedback.as_ref(), job.taxon, class, profiled_s);
-
-                // Oracle accumulator: batch stage-1 semantics.
-                let acc = &mut state.boards[b].oracle_busy_until_s;
-                *acc = acc.max(job.arrival_s) + svc_est;
-                state.boards[b].dispatched += 1;
-
-                let qj = QueuedJob {
-                    job,
-                    slot,
-                    slo_s,
-                    schedule,
-                    sched_arch: sim.cluster.arch_key(b),
-                    est_service_s: svc_est,
-                    profiled_s,
-                    penalty_s: 0.0,
-                    migrations: 0,
-                    redispatches: 0,
-                };
-                stats.messages += 1;
-                shard::deliver(&mut *state, &mut *completions, b, qj, &*table);
-                state.refresh_dispatch_index(b);
-                telemetry.on_dispatch(time_s, job.id, job.workload.name, b, svc_est);
-                return true;
-            }
-            ControlAction::Ctl(kind) => kind,
-        };
-
-        match kind {
-            EventKind::MonitorTick => {
-                stats.ticks += 1;
-                if scenario.preemption {
-                    let migrated_before = stats.migrations;
-                    sim.preempt_scan(
-                        &mut *table,
-                        cache,
-                        *scenario,
-                        &mut *state,
-                        &mut *completions,
-                        feedback.as_ref(),
-                        &*chaos,
-                        &mut *stats,
-                        &mut *guard_bypasses,
-                    );
-                    telemetry.on_preempt_scan(time_s, stats.migrations - migrated_before);
-                }
-                // Sample the fleet's gauges for the recorder. Gated
-                // on the level so the gauge walk costs nothing when
-                // telemetry is off; reads state only, so it cannot
-                // perturb the run either way.
-                if telemetry.wants_ticks() {
-                    let nb = state.boards.len();
-                    let mut mean_util = 0.0;
-                    let mut queue_depth = 0u64;
-                    let mut backlog_s = 0.0;
-                    let mut boards_up = 0u32;
-                    let mut boards_placeable = 0u32;
-                    let mut throttled = 0u32;
-                    let mut blacked_out = 0u32;
-                    for b in 0..nb {
-                        mean_util += state.utilisation(b);
-                        queue_depth += state.queue_depth(b) as u64;
-                        backlog_s += state.backlog_s(b);
-                        if state.up(b) {
-                            boards_up += 1;
-                        }
-                        if state.placeable(b) {
-                            boards_placeable += 1;
-                        }
-                        if !state.boards[b].throttles.is_empty() {
-                            throttled += 1;
-                        }
-                        if state.boards[b].blackouts > 0 {
-                            blacked_out += 1;
-                        }
-                    }
-                    let [p50_s, p95_s, p99_s] = stream.latency_quantiles();
-                    let (fb_err, fb_samples, fb_corr) = match &feedback {
-                        Some(fb) => (
-                            fb.stats.mean_abs_rel_err(),
-                            fb.stats.samples,
-                            fb.mean_correction(),
-                        ),
-                        None => (0.0, 0, 1.0),
-                    };
-                    telemetry.on_tick(WindowSample {
-                        t_s: time_s,
-                        completions: stream.jobs,
-                        p50_s,
-                        p95_s,
-                        p99_s,
-                        slo_miss_rate: stream.slo_miss_rate(),
-                        mean_util: mean_util / nb as f64,
-                        queue_depth,
-                        backlog_s,
-                        boards_up,
-                        boards_placeable,
-                        throttled,
-                        blacked_out,
-                        feedback_mean_abs_rel_err: fb_err,
-                        feedback_samples: fb_samples,
-                        feedback_mean_correction: fb_corr,
-                    });
-                }
-                if *open > 0 {
-                    ctrl.push(
-                        state.now_s + scenario.monitor_interval_s,
-                        EventKind::MonitorTick,
-                    );
-                }
-            }
-
-            EventKind::BoardDown(b) => {
-                stats.board_downs += 1;
-                let b = b as usize;
-                telemetry.on_churn(time_s, b, false);
-                state.set_up(b, false);
-                // The in-flight job drains; queued work is
-                // redistributed (or dropped when nowhere is up or
-                // the redispatch cap is exhausted).
-                let orphans = state.boards[b].take_queued();
-                for qj in orphans {
-                    if !state.any_placeable() {
-                        if state.any_up() {
-                            chaos_stats.blackout_drops += 1;
-                        }
-                        dropped.push(DroppedJob {
-                            id: qj.job.id,
-                            reason: DropReason::NoBoardUp,
-                        });
-                        stats.dropped += 1;
-                        stats.dropped_no_board += 1;
-                        *open -= 1;
-                        telemetry.on_drop(time_s, qj.job.id, DropReason::NoBoardUp.name());
-                        continue;
-                    }
-                    if qj.redispatches >= scenario.max_redispatches {
-                        dropped.push(DroppedJob {
-                            id: qj.job.id,
-                            reason: DropReason::MigrationCap,
-                        });
-                        stats.dropped += 1;
-                        stats.dropped_migration_cap += 1;
-                        *open -= 1;
-                        telemetry.on_drop(time_s, qj.job.id, DropReason::MigrationCap.name());
-                        continue;
-                    }
-                    stats.redistributions += 1;
-                    stats.messages += 1;
-                    sim.redispatch(
-                        &mut *table,
-                        cache,
-                        *scenario,
-                        &mut **dispatcher,
-                        &mut *state,
-                        &mut *completions,
-                        feedback.as_ref(),
-                        &*chaos,
-                        qj,
-                        &mut *guard_bypasses,
-                        &mut *scratch,
-                        &mut *chaos_stats,
-                    );
-                }
-            }
-
-            EventKind::BoardUp(b) => {
-                stats.board_ups += 1;
-                telemetry.on_churn(time_s, b as usize, true);
-                state.set_up(b as usize, true);
-            }
-
-            EventKind::ThrottleStart { board, clause } => {
-                stats.chaos_events += 1;
-                chaos_stats.clauses[clause as usize].events += 1;
-                telemetry.on_chaos(
-                    time_s,
-                    "throttle start",
-                    &chaos_stats.clauses[clause as usize].label,
-                    board as usize,
-                );
-                let bs = &mut state.boards[board as usize];
-                bs.throttles.push((clause, chaos.factors[clause as usize]));
-                bs.recompute_slowdown();
-                // Throttle windows apply whether or not the board
-                // is up — a board going down mid-throttle comes
-                // back at whatever speed its open windows dictate.
-                chaos_stats.max_slowdown = chaos_stats.max_slowdown.max(bs.slowdown);
-            }
-
-            EventKind::ThrottleEnd { board, clause } => {
-                stats.chaos_events += 1;
-                chaos_stats.clauses[clause as usize].events += 1;
-                telemetry.on_chaos(
-                    time_s,
-                    "throttle end",
-                    &chaos_stats.clauses[clause as usize].label,
-                    board as usize,
-                );
-                let bs = &mut state.boards[board as usize];
-                bs.throttles.retain(|&(c, _)| c != clause);
-                bs.recompute_slowdown();
-            }
-
-            EventKind::BlackoutStart { board, clause } => {
-                stats.chaos_events += 1;
-                chaos_stats.clauses[clause as usize].events += 1;
-                telemetry.on_chaos(
-                    time_s,
-                    "blackout start",
-                    &chaos_stats.clauses[clause as usize].label,
-                    board as usize,
-                );
-                state.add_blackout(board as usize);
-            }
-
-            EventKind::BlackoutEnd { board, clause } => {
-                stats.chaos_events += 1;
-                chaos_stats.clauses[clause as usize].events += 1;
-                telemetry.on_chaos(
-                    time_s,
-                    "blackout end",
-                    &chaos_stats.clauses[clause as usize].label,
-                    board as usize,
-                );
-                state.remove_blackout(board as usize);
-            }
+        // From here the virtual clock is the event's timestamp: the
+        // handlers read it as `state.now_s`.
+        self.state.advance_now(time_s);
+        self.stats.events += 1;
+        match act {
+            ControlAction::Arrive(job) => self.on_arrival(job),
+            ControlAction::Ctl(EventKind::MonitorTick) => self.on_tick(),
+            ControlAction::Ctl(EventKind::BoardDown(b)) => self.on_board_down(b as usize),
+            ControlAction::Ctl(EventKind::BoardUp(b)) => self.on_board_up(b as usize),
+            ControlAction::Ctl(edge) => self.on_chaos_edge(edge),
         }
         true
+    }
+
+    /// The next control event: the earlier of the arrival cursor and
+    /// the control queue, ties resolved churn < chaos < arrival < tick
+    /// (the order the sequential kernel's seeding produced). The
+    /// cursor is consuming, so the peeked job waits in a one-slot
+    /// buffer until this decides to admit it.
+    fn next_control(&mut self) -> Option<(f64, ControlAction)> {
+        if self.pending.is_none() {
+            self.pending = self.cursor.next_job();
+        }
+        let take_ctrl = match (&self.pending, self.ctrl.peek()) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some(j), Some(e)) => {
+                e.time_s < j.arrival_s || (e.time_s == j.arrival_s && e.kind.is_state_change())
+            }
+        };
+        if take_ctrl {
+            self.ctrl
+                .pop()
+                .map(|e| (e.time_s, ControlAction::Ctl(e.kind)))
+        } else {
+            let job = self.pending.take()?;
+            Some((job.arrival_s, ControlAction::Arrive(job)))
+        }
     }
 
     /// Drives [`ResidentKernel::step`] until the run completes.
@@ -1384,21 +1068,28 @@ fn dec_chaos_stats(dec: &mut Dec<'_>, fresh: &ChaosStats) -> Result<ChaosStats, 
             "chaos clause count does not match the scenario",
         ));
     }
-    let mut out = fresh.clone();
-    for c in out.clauses.iter_mut() {
-        c.events = dec.u64()?;
-        c.affected_jobs = dec.u64()?;
+    let mut clauses = Vec::with_capacity(n);
+    for c in &fresh.clauses {
+        clauses.push(ClauseStats {
+            label: c.label.clone(),
+            events: dec.u64()?,
+            affected_jobs: dec.u64()?,
+        });
     }
-    out.throttled_starts = dec.u64()?;
-    out.max_slowdown = dec.f64()?;
-    if !out.max_slowdown.is_finite() || out.max_slowdown < 0.0 {
+    let throttled_starts = dec.u64()?;
+    let max_slowdown = dec.f64()?;
+    if !max_slowdown.is_finite() || max_slowdown < 0.0 {
         return Err(CheckpointError::Corrupt(
             "chaos max_slowdown is not finite and non-negative",
         ));
     }
-    out.misprofiled = dec.u64()?;
-    out.blackout_drops = dec.u64()?;
-    Ok(out)
+    Ok(ChaosStats {
+        clauses,
+        throttled_starts,
+        max_slowdown,
+        misprofiled: dec.u64()?,
+        blackout_drops: dec.u64()?,
+    })
 }
 
 impl<'a, 'r> ResidentKernel<'a, 'r> {
@@ -1613,39 +1304,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
     }
 }
 
-/// Refill `scratch` with `job`'s estimates, one slot per architecture
-/// class of `state` (and the uncorrected profiled walls); returns the
-/// resolved SLO. Every read is a table index, so an admission costs
-/// O(architectures) however many boards the cluster has. Read-only on
-/// the cache (peeks, no accounting).
-#[allow(clippy::too_many_arguments)]
-fn estimates_into(
-    table: &mut AdmissionTable,
-    cache: &PolicyCache,
-    policy: PolicyMode,
-    job: &JobSpec,
-    slot: usize,
-    state: &ClusterState,
-    feedback: Option<&ServiceFeedback>,
-    scratch: &mut EstScratch,
-) -> f64 {
-    let slo_s = job.slo_tightness * table.best_cold(slot);
-    debug_assert_eq!(scratch.base_s.len(), state.n_arch());
-    for a in 0..state.n_arch() {
-        let (wall, energy, warm) = estimate_on(table, cache, policy, job.taxon, slot, a);
-        scratch.base_s[a] = wall;
-        scratch.est.service_s[a] = table.corrected(feedback, job.taxon, a, wall);
-        scratch.est.energy_j[a] = energy;
-        scratch.est.warm[a] = warm;
-    }
-    slo_s
-}
-
 /// Observable (wall, energy) estimate of `slot` (of `taxon`) on
 /// architecture class `class` under the schedule it would run there
 /// (fresh cache line or stock binary), *uncorrected* — callers fold the
 /// feedback correction in via [`AdmissionTable::corrected`]. The single
-/// source of the policy-estimate rule: both arrival-time dispatch
+/// source of the policy-estimate rule: both admission-time dispatch
 /// estimates and preemption-scan predictions go through here, so they
 /// can never disagree.
 fn estimate_on(
@@ -1667,81 +1330,355 @@ fn estimate_on(
     (wall, energy, warm.is_some())
 }
 
-/// Admission latency guard: when the schedule's profiled service on
-/// `class` regresses past the guard factor, the job runs its stock
-/// binary instead. The bypass counter ticks per admission.
-fn apply_guard(
-    table: &mut AdmissionTable,
-    slot: usize,
-    class: usize,
-    schedule: Option<(StaticSchedule, u32)>,
-    cold_est: f64,
-    guard_bypasses: &mut u64,
-) -> (Option<(StaticSchedule, u32)>, f64) {
-    match schedule {
-        None => (None, cold_est),
-        Some((st, v)) => match table.guard(slot, class, v, st) {
-            (true, wall) => (Some((st, v)), wall),
-            (false, wall) => {
-                *guard_bypasses += 1;
-                (None, wall)
-            }
-        },
-    }
-}
+/// A resolved schedule and its policy version (`None` = stock binary).
+type Resolved = Option<(StaticSchedule, u32)>;
 
-impl FleetSim<'_> {
+impl ResidentKernel<'_, '_> {
+    // ---- control events -----------------------------------------------------
+
+    /// An arrival: the admission decision — estimates, dispatcher
+    /// pick, cached schedule (training on a miss), latency guard,
+    /// feedback correction — then placement. With no placeable board,
+    /// a drop.
+    fn on_arrival(&mut self, job: JobSpec) {
+        self.stats.arrivals += 1;
+        if !self.state.any_placeable() {
+            // Whole fleet down — or every up board under a dispatch
+            // blackout; `drop_job` tells the two apart.
+            self.drop_job(job.id, DropReason::NoBoardUp);
+            return;
+        }
+        let slot = self
+            .table
+            .slot(job.workload.name)
+            .expect("the cursor yields only the workloads it declares");
+        let (slo_s, mf, b) = self.admission_pick(&job, slot);
+        let (schedule, profiled_s) = self.resolve_with_training(&job, slot, b);
+        // The corrupted profiled estimate is what the job is admitted
+        // with — and what the feedback layer later compares observed
+        // service against, which is exactly how the EWMA learns the
+        // 1/mf repair.
+        let profiled_s = profiled_s * mf;
+        let class = self.state.arch_class(b);
+        let svc_est = self
+            .table
+            .corrected(self.feedback.as_ref(), job.taxon, class, profiled_s);
+        let (id, name) = (job.id, job.workload.name);
+        self.admit_onto(
+            b,
+            QueuedJob {
+                job,
+                slot,
+                slo_s,
+                schedule,
+                sched_arch: self.sim.cluster.arch_key(b),
+                est_service_s: svc_est,
+                profiled_s,
+                penalty_s: 0.0,
+                migrations: 0,
+                redispatches: 0,
+            },
+        );
+        self.telemetry
+            .on_dispatch(self.state.now_s, id, name, b, svc_est);
+    }
+
+    /// A monitor tick: the preemption scan (when enabled), a gauge
+    /// sample for the recorder, and the next tick while jobs are open.
+    fn on_tick(&mut self) {
+        self.stats.ticks += 1;
+        let now_s = self.state.now_s;
+        if self.scenario.preemption {
+            let migrated_before = self.stats.migrations;
+            self.preempt_scan();
+            self.telemetry
+                .on_preempt_scan(now_s, self.stats.migrations - migrated_before);
+        }
+        // Gated on the level so the gauge walk costs nothing when
+        // telemetry is off; reads state only, so it cannot perturb the
+        // run either way.
+        if self.telemetry.wants_ticks() {
+            let sample = self.window_sample(now_s);
+            self.telemetry.on_tick(sample);
+        }
+        if self.open > 0 {
+            self.ctrl.push(
+                now_s + self.scenario.monitor_interval_s,
+                EventKind::MonitorTick,
+            );
+        }
+    }
+
+    /// Board churn down: the board stops accepting work and its
+    /// in-flight job drains. Its queued work is redistributed, or
+    /// dropped when nowhere is placeable or the redispatch cap is
+    /// exhausted.
+    fn on_board_down(&mut self, b: usize) {
+        self.stats.board_downs += 1;
+        self.telemetry.on_churn(self.state.now_s, b, false);
+        self.state.set_up(b, false);
+        for qj in self.state.boards[b].take_queued() {
+            if !self.state.any_placeable() {
+                self.drop_job(qj.job.id, DropReason::NoBoardUp);
+            } else if qj.redispatches >= self.scenario.max_redispatches {
+                self.drop_job(qj.job.id, DropReason::MigrationCap);
+            } else {
+                self.redispatch(qj);
+            }
+        }
+    }
+
+    /// Board churn up: the board is available again.
+    fn on_board_up(&mut self, b: usize) {
+        self.stats.board_ups += 1;
+        self.telemetry.on_churn(self.state.now_s, b, true);
+        self.state.set_up(b, true);
+    }
+
+    /// A throttle or blackout window edge: apply it to the board, then
+    /// charge it to its clause.
+    fn on_chaos_edge(&mut self, edge: EventKind) {
+        let (what, board, clause) = match edge {
+            EventKind::ThrottleStart { board, clause } => {
+                let bs = &mut self.state.boards[board as usize];
+                bs.throttles
+                    .push((clause, self.chaos.factors[clause as usize]));
+                bs.recompute_slowdown();
+                // Throttle windows apply whether or not the board is
+                // up — a board going down mid-throttle comes back at
+                // whatever speed its open windows dictate.
+                self.chaos_stats.max_slowdown = self.chaos_stats.max_slowdown.max(bs.slowdown);
+                ("throttle start", board, clause)
+            }
+            EventKind::ThrottleEnd { board, clause } => {
+                let bs = &mut self.state.boards[board as usize];
+                bs.throttles.retain(|&(c, _)| c != clause);
+                bs.recompute_slowdown();
+                ("throttle end", board, clause)
+            }
+            EventKind::BlackoutStart { board, clause } => {
+                self.state.add_blackout(board as usize);
+                ("blackout start", board, clause)
+            }
+            EventKind::BlackoutEnd { board, clause } => {
+                self.state.remove_blackout(board as usize);
+                ("blackout end", board, clause)
+            }
+            EventKind::MonitorTick | EventKind::BoardDown(_) | EventKind::BoardUp(_) => {
+                unreachable!("ticks and churn have handlers of their own")
+            }
+        };
+        self.stats.chaos_events += 1;
+        let cs = &mut self.chaos_stats.clauses[clause as usize];
+        cs.events += 1;
+        self.telemetry
+            .on_chaos(self.state.now_s, what, &cs.label, board as usize);
+    }
+
+    /// The one drop path: count the drop under its reason, close the
+    /// job, and charge a no-board drop to the blackout accounting when
+    /// some board is up but every up board is blacked out.
+    fn drop_job(&mut self, id: u32, reason: DropReason) {
+        match reason {
+            DropReason::NoBoardUp => {
+                self.stats.dropped_no_board += 1;
+                if self.state.any_up() {
+                    self.chaos_stats.blackout_drops += 1;
+                }
+            }
+            DropReason::MigrationCap => self.stats.dropped_migration_cap += 1,
+        }
+        self.stats.dropped += 1;
+        self.open -= 1;
+        self.dropped.push(DroppedJob { id, reason });
+        self.telemetry.on_drop(self.state.now_s, id, reason.name());
+    }
+
+    /// The fleet's gauges at `t_s`, for the recorder's window series.
+    fn window_sample(&self, t_s: f64) -> WindowSample {
+        let state = &self.state;
+        let nb = state.boards.len();
+        let mut mean_util = 0.0;
+        let mut queue_depth = 0u64;
+        let mut backlog_s = 0.0;
+        let mut boards_up = 0u32;
+        let mut boards_placeable = 0u32;
+        let mut throttled = 0u32;
+        let mut blacked_out = 0u32;
+        for b in 0..nb {
+            mean_util += state.utilisation(b);
+            queue_depth += state.queue_depth(b) as u64;
+            backlog_s += state.backlog_s(b);
+            boards_up += state.up(b) as u32;
+            boards_placeable += state.placeable(b) as u32;
+            throttled += (!state.boards[b].throttles.is_empty()) as u32;
+            blacked_out += (state.boards[b].blackouts > 0) as u32;
+        }
+        let [p50_s, p95_s, p99_s] = self.stream.latency_quantiles();
+        let (fb_err, fb_samples, fb_corr) = match &self.feedback {
+            Some(fb) => (
+                fb.stats.mean_abs_rel_err(),
+                fb.stats.samples,
+                fb.mean_correction(),
+            ),
+            None => (0.0, 0, 1.0),
+        };
+        WindowSample {
+            t_s,
+            completions: self.stream.jobs,
+            p50_s,
+            p95_s,
+            p99_s,
+            slo_miss_rate: self.stream.slo_miss_rate(),
+            mean_util: mean_util / nb as f64,
+            queue_depth,
+            backlog_s,
+            boards_up,
+            boards_placeable,
+            throttled,
+            blacked_out,
+            feedback_mean_abs_rel_err: fb_err,
+            feedback_samples: fb_samples,
+            feedback_mean_correction: fb_corr,
+        }
+    }
+
     // ---- admission ----------------------------------------------------------
 
-    /// Arrival-path policy resolution: full cache lookup (training on
-    /// miss, warm refresh on staleness — asynchronous, off the serving
-    /// path, so the triggering job runs its stock binary), then the
-    /// admission latency guard. Returns the schedule to run and the
-    /// guarded *uncorrected* profiled service estimate on board `b` of
-    /// class `class` (the feedback correction, if any, is applied by
-    /// the caller).
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_with_training(
-        &self,
-        table: &mut AdmissionTable,
-        cache: &mut PolicyCache,
-        policy: PolicyMode,
-        job: &JobSpec,
-        slot: usize,
-        b: usize,
-        class: usize,
-        cold_est: f64,
-        train_time_s: &mut f64,
-        train_energy_j: &mut f64,
-        guard_bypasses: &mut u64,
-    ) -> (Option<(StaticSchedule, u32)>, f64) {
-        let schedule = match policy {
+    /// The admission prelude arrivals and churn redistribution share:
+    /// estimates, misprofile corruption, dispatcher pick. Returns the
+    /// resolved SLO, the misprofile factor and the picked board.
+    fn admission_pick(&mut self, job: &JobSpec, slot: usize) -> (f64, f64, usize) {
+        let slo_s = self.estimates_into(job, slot);
+        // Mis-profiled taxa: corrupt what the dispatcher and admission
+        // see (never the SLO — deadlines are contracts, not estimates).
+        let mf = self.chaos.misprofile_factor(
+            job.class(),
+            self.state.now_s,
+            Some(&mut self.chaos_stats),
+        );
+        if mf != 1.0 {
+            for s in &mut self.scratch.est.service_s {
+                *s *= mf;
+            }
+        }
+        let b = self.dispatcher.pick(&self.state, job, &self.scratch.est);
+        let n_boards = self.state.len();
+        assert!(b < n_boards, "dispatcher picked board {b} of {n_boards}");
+        assert!(
+            self.state.placeable(b),
+            "dispatcher picked down or blacked-out board {b}"
+        );
+        (slo_s, mf, b)
+    }
+
+    /// Refill the estimate scratch with `job`'s estimates, one slot per
+    /// architecture class (and the uncorrected profiled walls); returns
+    /// the resolved SLO. Every read is a table index, so an admission
+    /// costs O(architectures) however many boards the cluster has.
+    /// Read-only on the cache (peeks, no accounting).
+    fn estimates_into(&mut self, job: &JobSpec, slot: usize) -> f64 {
+        let slo_s = job.slo_tightness * self.table.best_cold(slot);
+        let scratch = &mut self.scratch;
+        debug_assert_eq!(scratch.base_s.len(), self.state.n_arch());
+        for a in 0..self.state.n_arch() {
+            let (wall, energy, warm) = estimate_on(
+                &mut self.table,
+                self.cache,
+                self.scenario.policy,
+                job.taxon,
+                slot,
+                a,
+            );
+            scratch.base_s[a] = wall;
+            scratch.est.service_s[a] =
+                self.table
+                    .corrected(self.feedback.as_ref(), job.taxon, a, wall);
+            scratch.est.energy_j[a] = energy;
+            scratch.est.warm[a] = warm;
+        }
+        slo_s
+    }
+
+    /// Arrival-path policy resolution on board `b`: full cache lookup
+    /// (training on miss, warm refresh on staleness — asynchronous, off
+    /// the serving path, so the triggering job runs its stock binary),
+    /// then the admission latency guard. Returns the schedule to run
+    /// and the guarded *uncorrected* profiled service estimate (the
+    /// caller applies the feedback correction).
+    fn resolve_with_training(&mut self, job: &JobSpec, slot: usize, b: usize) -> (Resolved, f64) {
+        let class = self.state.arch_class(b);
+        let sim = self.sim;
+        let schedule = match self.scenario.policy {
             PolicyMode::Cold => None,
             PolicyMode::Warm => {
-                let line = table.cache_line(job.taxon, class);
-                match cache.lookup_line(line) {
+                let line = self.table.cache_line(job.taxon, class);
+                match self.cache.lookup_line(line) {
                     CacheDecision::Hit(s, v) => Some((s, v)),
                     CacheDecision::Stale(snap) => {
                         let (trained, t, e) =
-                            self.train(job, b, Some(&snap), self.params.refresh_episodes);
-                        *train_time_s += t;
-                        *train_energy_j += e;
+                            sim.train(job, b, Some(&snap), sim.params.refresh_episodes);
+                        self.train_time_s += t;
+                        self.train_energy_j += e;
                         let snapshot = trained.hooks.agent.snapshot();
-                        cache.refresh_line(line, trained.static_schedule, snapshot);
+                        self.cache
+                            .refresh_line(line, trained.static_schedule, snapshot);
                         None
                     }
                     CacheDecision::Miss => {
-                        let (trained, t, e) = self.train(job, b, None, self.params.train.episodes);
-                        *train_time_s += t;
-                        *train_energy_j += e;
+                        let (trained, t, e) = sim.train(job, b, None, sim.params.train.episodes);
+                        self.train_time_s += t;
+                        self.train_energy_j += e;
                         let snapshot = trained.hooks.agent.snapshot();
-                        cache.insert_line(line, trained.static_schedule, snapshot);
+                        self.cache
+                            .insert_line(line, trained.static_schedule, snapshot);
                         None
                     }
                 }
             }
         };
-        apply_guard(table, slot, class, schedule, cold_est, guard_bypasses)
+        let cold_est = self.scratch.base_s[class];
+        self.apply_guard(slot, class, schedule, cold_est)
+    }
+
+    /// Admission latency guard: when the schedule's profiled service on
+    /// `class` regresses past the guard factor, the job runs its stock
+    /// binary instead. The bypass counter ticks per admission.
+    fn apply_guard(
+        &mut self,
+        slot: usize,
+        class: usize,
+        schedule: Resolved,
+        cold_est: f64,
+    ) -> (Resolved, f64) {
+        let Some((st, v)) = schedule else {
+            return (None, cold_est);
+        };
+        let (kept, wall) = self.table.guard(slot, class, v, st);
+        if !kept {
+            self.guard_bypasses += 1;
+        }
+        (kept.then_some((st, v)), wall)
+    }
+
+    /// Books an admission (an arrival or a churn redistribution) on the
+    /// oracle accumulator — batch stage-1 semantics: the oracle books
+    /// what it plans and re-plans, it just never observes reality —
+    /// then places it.
+    fn admit_onto(&mut self, b: usize, qj: QueuedJob) {
+        let acc = &mut self.state.boards[b].oracle_busy_until_s;
+        *acc = acc.max(self.state.now_s) + qj.est_total_s();
+        self.place(b, qj);
+    }
+
+    /// The placement tail every delivery shares: count the dispatch and
+    /// the message, hand the job to the execution plane, and repair the
+    /// board's index entry.
+    fn place(&mut self, b: usize, qj: QueuedJob) {
+        self.state.boards[b].dispatched += 1;
+        self.stats.messages += 1;
+        shard::deliver(&mut self.state, &mut self.completions, b, qj, &self.table);
+        self.state.refresh_dispatch_index(b);
     }
 
     // ---- migration ----------------------------------------------------------
@@ -1754,103 +1691,41 @@ impl FleetSim<'_> {
     /// migration time (1.0 when none): it scales the profiled estimate
     /// the same way it scaled the arrival-time estimate, so feedback
     /// sees a consistently corrupted signal it can learn to repair.
-    #[allow(clippy::too_many_arguments)]
-    fn migrate_onto(
-        &self,
-        table: &mut AdmissionTable,
-        cache: &PolicyCache,
-        scenario: &Scenario,
-        mut qj: QueuedJob,
-        target: usize,
-        class: usize,
-        guard_bypasses: &mut u64,
-        feedback: Option<&ServiceFeedback>,
-        misprofile: f64,
-    ) -> QueuedJob {
-        let arch = self.cluster.arch_key(target);
-        let schedule = match scenario.policy {
+    fn migrate_onto(&mut self, mut qj: QueuedJob, target: usize, misprofile: f64) -> QueuedJob {
+        let class = self.state.arch_class(target);
+        let arch = self.sim.cluster.arch_key(target);
+        let schedule = match self.scenario.policy {
             PolicyMode::Warm if qj.sched_arch == arch => qj.schedule,
-            PolicyMode::Warm => cache
-                .warm_line(table.cache_line(qj.job.taxon, class))
+            PolicyMode::Warm => self
+                .cache
+                .warm_line(self.table.cache_line(qj.job.taxon, class))
                 .map(|e| (e.schedule, e.version)),
             PolicyMode::Cold => None,
         };
-        let (cold_wall, _) = table.cold(qj.slot, class);
-        let (schedule, profiled_s) =
-            apply_guard(table, qj.slot, class, schedule, cold_wall, guard_bypasses);
+        let (cold_wall, _) = self.table.cold(qj.slot, class);
+        let (schedule, profiled_s) = self.apply_guard(qj.slot, class, schedule, cold_wall);
         qj.schedule = schedule;
         qj.sched_arch = arch;
         let profiled_s = profiled_s * misprofile;
         qj.profiled_s = profiled_s;
-        qj.est_service_s = table.corrected(feedback, qj.job.taxon, class, profiled_s);
-        qj.penalty_s += scenario.migration_cost_s;
+        qj.est_service_s =
+            self.table
+                .corrected(self.feedback.as_ref(), qj.job.taxon, class, profiled_s);
+        qj.penalty_s += self.scenario.migration_cost_s;
         qj.migrations += 1;
         qj
     }
 
-    /// Churn redistribution: place an orphaned queued job through the
-    /// dispatcher (over the boards still up), paying the migration cost.
-    #[allow(clippy::too_many_arguments)]
-    fn redispatch(
-        &self,
-        table: &mut AdmissionTable,
-        cache: &PolicyCache,
-        scenario: &Scenario,
-        dispatcher: &mut dyn Dispatcher,
-        state: &mut ClusterState,
-        completions: &mut Completions,
-        feedback: Option<&ServiceFeedback>,
-        chaos: &CompiledChaos,
-        qj: QueuedJob,
-        guard_bypasses: &mut u64,
-        scratch: &mut EstScratch,
-        chaos_stats: &mut ChaosStats,
-    ) -> usize {
-        estimates_into(
-            table,
-            cache,
-            scenario.policy,
-            &qj.job,
-            qj.slot,
-            state,
-            feedback,
-            scratch,
-        );
-        // A redispatch is a fresh admission: an active misprofile
-        // window corrupts its estimates exactly like an arrival's.
-        let mf = chaos.misprofile_factor(qj.job.class(), state.now_s, Some(chaos_stats));
-        if mf != 1.0 {
-            for s in &mut scratch.est.service_s {
-                *s *= mf;
-            }
-        }
-        let b = dispatcher.pick(state, &qj.job, &scratch.est);
-        assert!(
-            state.placeable(b),
-            "dispatcher picked down or blacked-out board {b}"
-        );
-        let mut qj = self.migrate_onto(
-            table,
-            cache,
-            scenario,
-            qj,
-            b,
-            state.arch_class(b),
-            guard_bypasses,
-            feedback,
-            mf,
-        );
+    /// Churn redistribution: a fresh admission of an orphaned queued
+    /// job over the boards still placeable, paying the migration cost.
+    fn redispatch(&mut self, qj: QueuedJob) {
+        self.stats.redistributions += 1;
+        let (_, mf, b) = self.admission_pick(&qj.job, qj.slot);
+        let mut qj = self.migrate_onto(qj, b, mf);
         // Churn redistributions are capped by their own counter —
         // preemptive migrations (max_migrations) do not consume it.
         qj.redispatches += 1;
-        // Oracle accumulators track redistributed work too (the oracle
-        // still books what it re-plans, it just never observes reality).
-        let acc = &mut state.boards[b].oracle_busy_until_s;
-        *acc = acc.max(state.now_s) + qj.est_total_s();
-        state.boards[b].dispatched += 1;
-        shard::deliver(state, completions, b, qj, table);
-        state.refresh_dispatch_index(b);
-        b
+        self.admit_onto(b, qj);
     }
 
     /// Preemptive redispatch scan: walk every live board's queue in
@@ -1858,100 +1733,84 @@ impl FleetSim<'_> {
     /// and migrate predicted SLO-missers to a board predicted to *meet*
     /// the deadline (never a sideways bounce — a migration must turn a
     /// predicted miss into a predicted hit).
-    #[allow(clippy::too_many_arguments)]
-    fn preempt_scan(
-        &self,
-        table: &mut AdmissionTable,
-        cache: &PolicyCache,
-        scenario: &Scenario,
-        state: &mut ClusterState,
-        completions: &mut Completions,
-        feedback: Option<&ServiceFeedback>,
-        chaos: &CompiledChaos,
-        stats: &mut KernelStats,
-        guard_bypasses: &mut u64,
-    ) {
-        let n_boards = self.cluster.len();
-        for b in 0..n_boards {
-            if !state.up(b) || state.boards[b].queue_is_empty() {
+    fn preempt_scan(&mut self) {
+        let now_s = self.state.now_s;
+        for b in 0..self.state.len() {
+            if !self.state.up(b) || self.state.boards[b].queue_is_empty() {
                 continue;
             }
-            let mut t_avail = match &state.boards[b].in_flight {
-                Some(f) => f.est_finish_s.max(state.now_s),
-                None => state.now_s,
+            let mut t_avail = match &self.state.boards[b].in_flight {
+                Some(f) => f.est_finish_s.max(now_s),
+                None => now_s,
             };
             // One pass over the queue in place: each job leaves the
             // front and is either migrated or re-queued at the back, so
             // the kept jobs end up in their original order and the
             // queue's buffer is reused.
-            for _ in 0..state.boards[b].queue_len() {
-                let qj = state.boards[b].pop_next().expect("queued job");
+            for _ in 0..self.state.boards[b].queue_len() {
+                let qj = self.state.boards[b].pop_next().expect("queued job");
                 let pred_finish = t_avail + qj.est_total_s();
                 let deadline = qj.job.arrival_s + qj.slo_s;
                 // Any active misprofile window corrupts the scan's
                 // predictions too (the scan sees the same lie arrivals
                 // do); not charged to clause stats — predictions are
                 // not admissions.
-                let mf = chaos.misprofile_factor(qj.job.class(), state.now_s, None);
-                let target = if pred_finish > deadline && qj.migrations < scenario.max_migrations {
-                    // Best alternative: lowest predicted finish among
-                    // the other placeable boards, by observable
-                    // estimates.
-                    let mut best: Option<(f64, usize)> = None;
-                    for b2 in state.placeable_boards().filter(|&b2| b2 != b) {
-                        let class = state.arch_class(b2);
-                        let (wall, _, _) = estimate_on(
-                            table,
-                            cache,
-                            scenario.policy,
-                            qj.job.taxon,
-                            qj.slot,
-                            class,
-                        );
-                        let wall = table.corrected(feedback, qj.job.taxon, class, wall * mf);
-                        // The job keeps its already-accumulated penalty
-                        // on the target board, so the prediction must
-                        // carry it — or a re-migration could be
-                        // approved that is itself predicted to miss.
-                        let alt = state.online_busy_until_s(b2).max(state.now_s)
-                            + qj.penalty_s
-                            + scenario.migration_cost_s
-                            + wall;
-                        if best.map(|(t, _)| alt < t).unwrap_or(true) {
-                            best = Some((alt, b2));
-                        }
-                    }
-                    best.filter(|&(alt_finish, _)| alt_finish <= deadline)
-                } else {
-                    None
-                };
+                let mf = self.chaos.misprofile_factor(qj.job.class(), now_s, None);
+                let target =
+                    if pred_finish > deadline && qj.migrations < self.scenario.max_migrations {
+                        self.best_alternative(&qj, b, mf)
+                            .filter(|&(alt_finish, _)| alt_finish <= deadline)
+                    } else {
+                        None
+                    };
                 match target {
                     Some((_, b2)) => {
-                        let qj2 = self.migrate_onto(
-                            table,
-                            cache,
-                            scenario,
-                            qj,
-                            b2,
-                            state.arch_class(b2),
-                            guard_bypasses,
-                            feedback,
-                            mf,
-                        );
-                        state.boards[b2].dispatched += 1;
-                        shard::deliver(state, completions, b2, qj2, table);
-                        state.refresh_dispatch_index(b2);
-                        stats.migrations += 1;
-                        stats.messages += 1;
+                        let qj = self.migrate_onto(qj, b2, mf);
+                        self.place(b2, qj);
+                        self.stats.migrations += 1;
                     }
                     None => {
                         t_avail = pred_finish;
-                        state.boards[b].enqueue(qj);
+                        self.state.boards[b].enqueue(qj);
                     }
                 }
             }
-            state.refresh_dispatch_index(b);
+            self.state.refresh_dispatch_index(b);
         }
+    }
+
+    /// The lowest predicted finish for `qj` among the placeable boards
+    /// other than `from`, by observable estimates (corrupted by the
+    /// active misprofile factor `mf`), with the board that offers it.
+    fn best_alternative(&mut self, qj: &QueuedJob, from: usize, mf: f64) -> Option<(f64, usize)> {
+        let now_s = self.state.now_s;
+        let mut best: Option<(f64, usize)> = None;
+        for b2 in self.state.placeable_boards().filter(|&b2| b2 != from) {
+            let class = self.state.arch_class(b2);
+            let (wall, _, _) = estimate_on(
+                &mut self.table,
+                self.cache,
+                self.scenario.policy,
+                qj.job.taxon,
+                qj.slot,
+                class,
+            );
+            let wall = self
+                .table
+                .corrected(self.feedback.as_ref(), qj.job.taxon, class, wall * mf);
+            // The job keeps its already-accumulated penalty on the
+            // target board, so the prediction must carry it — or a
+            // re-migration could be approved that is itself predicted
+            // to miss.
+            let alt = self.state.online_busy_until_s(b2).max(now_s)
+                + qj.penalty_s
+                + self.scenario.migration_cost_s
+                + wall;
+            if best.map(|(t, _)| alt < t).unwrap_or(true) {
+                best = Some((alt, b2));
+            }
+        }
+        best
     }
 }
 

@@ -295,40 +295,68 @@ impl BoardState {
         t
     }
 
-    /// Serialise this board for a kernel checkpoint. The busy-until
-    /// memo and queue epoch are *not* written: the memo is a pure cache
-    /// (a fresh board refolds to bitwise the same value) and the epoch
-    /// only orders memo validity.
+    /// Serialise this board for a kernel checkpoint. The exhaustive
+    /// destructuring makes a field added later but not encoded a
+    /// compile error rather than a silent resume divergence.
     pub(crate) fn encode(&self, enc: &mut crate::checkpoint::Enc) {
-        enc.bool(self.up);
-        enc.usize(self.queue.len());
-        for q in &self.queue {
+        let BoardState {
+            up,
+            queue,
+            // The busy-until memo is a pure cache (a fresh board refolds
+            // to bitwise the same value) and the epochs only order its
+            // validity.
+            queue_epoch: _,
+            memo_epoch: _,
+            memo_base: _,
+            memo_value: _,
+            in_flight,
+            dispatched,
+            completed,
+            busy_s,
+            // Refolded from the throttle windows on decode.
+            slowdown: _,
+            throttles,
+            blackouts,
+            throttled_starts,
+            oracle_busy_until_s,
+        } = self;
+        enc.bool(*up);
+        enc.usize(queue.len());
+        for q in queue {
             crate::checkpoint::enc_queued_job(enc, q);
         }
-        match &self.in_flight {
+        match in_flight {
             None => enc.bool(false),
-            Some(f) => {
+            Some(InFlight {
+                id,
+                taxon,
+                start_s,
+                est_finish_s,
+                profiled_s,
+                raw_service_s,
+                outcome,
+            }) => {
                 enc.bool(true);
-                enc.u32(f.id);
-                crate::checkpoint::enc_taxon(enc, f.taxon);
-                enc.f64(f.start_s);
-                enc.f64(f.est_finish_s);
-                enc.f64(f.profiled_s);
-                enc.f64(f.raw_service_s);
-                crate::checkpoint::enc_outcome(enc, &f.outcome);
+                enc.u32(*id);
+                crate::checkpoint::enc_taxon(enc, *taxon);
+                enc.f64(*start_s);
+                enc.f64(*est_finish_s);
+                enc.f64(*profiled_s);
+                enc.f64(*raw_service_s);
+                crate::checkpoint::enc_outcome(enc, outcome);
             }
         }
-        enc.usize(self.dispatched);
-        enc.usize(self.completed);
-        enc.f64(self.busy_s);
-        enc.usize(self.throttles.len());
-        for &(clause, factor) in &self.throttles {
+        enc.usize(*dispatched);
+        enc.usize(*completed);
+        enc.f64(*busy_s);
+        enc.usize(throttles.len());
+        for &(clause, factor) in throttles {
             enc.u32(clause);
             enc.f64(factor);
         }
-        enc.u32(self.blackouts);
-        enc.u64(self.throttled_starts);
-        enc.f64(self.oracle_busy_until_s);
+        enc.u32(*blackouts);
+        enc.u64(*throttled_starts);
+        enc.f64(*oracle_busy_until_s);
     }
 
     /// Decode a board serialised by [`BoardState::encode`]. The

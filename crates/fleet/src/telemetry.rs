@@ -128,11 +128,11 @@ impl QuantileDigest {
     }
 
     /// Bucket index of a sample: `floor(log(x / FLOOR) / log(GROWTH))`,
-    /// clamped into the array. Non-finite and non-positive samples
-    /// clamp to bucket 0 (they cannot occur from the kernel, but a
-    /// digest must never panic on data).
+    /// clamped into the array. NaN and samples at or below the floor
+    /// land in bucket 0, infinities in the last (they cannot occur from
+    /// the kernel, but a digest must never panic on data).
     fn bucket(x: f64) -> usize {
-        if !(x > DIGEST_FLOOR) {
+        if x.is_nan() || x <= DIGEST_FLOOR {
             return 0;
         }
         let i = (x / DIGEST_FLOOR).ln() / DIGEST_GROWTH.ln();

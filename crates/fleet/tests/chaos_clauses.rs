@@ -1,14 +1,15 @@
 //! Kernel-level behaviour of individual chaos clauses: throttle
 //! windows compose multiplicatively on real service times, boards
 //! that go down mid-throttle come back at the speed their open
-//! windows dictate, a whole-fleet blackout drops through the existing
-//! `NoBoardUp` path, misprofile windows feed the EWMA repair loop,
+//! windows dictate, a whole-fleet blackout drops arrivals and churn
+//! orphans through the existing `NoBoardUp` path, misprofile windows
+//! feed the EWMA repair loop,
 //! and incoherent liveness schedules are rejected with a pinned
 //! message.
 
 use astro_fleet::{
     ArrivalProcess, ChaosSchedule, ChurnEvent, ClusterSpec, DropReason, FleetParams, FleetSim,
-    JobSpec, LeastLoaded, PolicyCache, PolicyMode, Scenario,
+    FlightRecorder, JobSpec, LeastLoaded, PolicyCache, PolicyMode, Scenario, TraceLevel,
 };
 use astro_workloads::{InputSize, Workload};
 
@@ -117,6 +118,59 @@ fn whole_fleet_blackout_drops_via_no_board_up() {
         "drops with all boards up are charged to the blackout"
     );
     assert_eq!(out.kernel.chaos_events, 6, "3 boards x (start + end)");
+}
+
+/// The second drop site: the last placeable board goes down with work
+/// queued while every other board is blacked out. Its orphans have
+/// nowhere to go, so they drop through `NoBoardUp` exactly like the
+/// arrivals after them, each charged to the blackout because boards
+/// are still up.
+#[test]
+fn board_down_into_blacked_out_fleet_drops_orphans_via_no_board_up() {
+    let n_jobs = 40;
+    let jobs = ArrivalProcess::Poisson {
+        rate_jobs_per_s: 20_000.0,
+    }
+    .generate(n_jobs, &[workload()], InputSize::Test, (4.0, 8.0), 11);
+    let horizon = jobs.last().unwrap().arrival_s;
+    let down_s = jobs[n_jobs / 2].arrival_s;
+
+    let cluster = ClusterSpec::heterogeneous(3);
+    let sim = FleetSim::new(&cluster, FleetParams::new(11));
+    let chaos = ChaosSchedule::new().blackout(vec![1, 2], 0.0, horizon * 2.0);
+    let scenario = Scenario::online(PolicyMode::Cold)
+        .with_chaos(chaos)
+        .with_churn(vec![ChurnEvent {
+            time_s: down_s,
+            board: 0,
+            up: false,
+        }]);
+    let mut cache = PolicyCache::new(0);
+    let mut recorder = FlightRecorder::new(TraceLevel::Full);
+    let out = sim.run_traced(
+        &jobs,
+        &mut LeastLoaded,
+        &mut cache,
+        &scenario,
+        &mut recorder,
+    );
+
+    // Churn beats an arrival at the same timestamp, so the arrival at
+    // `down_s` already finds the fleet unplaceable.
+    let arrivals_after = jobs.iter().filter(|j| j.arrival_s >= down_s).count();
+    assert_eq!(out.kernel.board_downs, 1);
+    assert!(out
+        .dropped
+        .iter()
+        .all(|d| d.reason == DropReason::NoBoardUp));
+    assert!(
+        out.dropped.len() > arrivals_after,
+        "{} drops for {arrivals_after} arrivals after the down edge: no orphan dropped",
+        out.dropped.len()
+    );
+    assert_eq!(out.chaos.blackout_drops, out.kernel.dropped_no_board);
+    assert_eq!(out.kernel.dropped, out.dropped.len() as u64);
+    assert_eq!(recorder.counters()["drops"], out.kernel.dropped);
 }
 
 /// A misprofile window corrupts every admission's estimate and the
