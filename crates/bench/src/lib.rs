@@ -66,3 +66,20 @@ pub fn experiment_params_seeded(seed: u64) -> MachineParams {
     p.seed = p.seed.wrapping_add(seed);
     p
 }
+
+#[cfg(test)]
+mod tests {
+    use super::perf_gate;
+
+    #[test]
+    fn perf_gate_passes_above_the_floor_and_only_advises_unenforced() {
+        perf_gate("jobs/s", 66.0, 100.0, 0.35, true);
+        perf_gate("jobs/s", 1.0, 100.0, 0.35, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "jobs/s 64 is more than 35% below the baseline 100")]
+    fn enforced_perf_gate_fails_below_the_floor() {
+        perf_gate("jobs/s", 64.0, 100.0, 0.35, true);
+    }
+}

@@ -829,8 +829,9 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             self.state.now_s,
             time_s
         );
-        // From here the virtual clock is the event's timestamp: the
-        // handlers read it as `state.now_s`.
+        // A control event never predates the clock, so from here
+        // `state.now_s` is the event's timestamp; the handlers read it
+        // there.
         self.state.advance_now(time_s);
         self.stats.events += 1;
         match act {
