@@ -238,8 +238,7 @@ pub fn run(
     };
     let mk_cursor = {
         let pool = pool.clone();
-        let process = process.clone();
-        move || GenCursor::new(process.clone(), n_jobs, &pool, size, (4.0, 8.0), seed, &[])
+        move || GenCursor::new(process, n_jobs, &pool, size, (4.0, 8.0), seed, &[])
     };
 
     // Calibrations are a pure function of (workload, architecture,

@@ -165,7 +165,7 @@ pub fn run(size: InputSize, max_jobs: usize, n_boards: usize, seed: u64, backend
         }
         .generate(n, &pool, size, (4.0, 8.0), seed);
         let staleness = (n / 4).max(8) as u32;
-        let cases = vec![
+        let cases = [
             Case {
                 dispatcher: DispatcherKind::LeastLoaded,
                 scenario: Scenario::oracle(PolicyMode::Cold),

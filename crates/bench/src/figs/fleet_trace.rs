@@ -204,8 +204,19 @@ pub fn run(
         );
     }
 
-    println!("\ncounter registry:");
-    for (name, n) in recorder.counters() {
+    // Counts come from the kernel; the recorder owns only its window
+    // count.
+    let k = &traced.kernel;
+    println!("\ncounters:");
+    for (name, n) in [
+        ("dispatches", k.dispatches()),
+        ("drops", k.dropped),
+        ("ticks", k.ticks),
+        ("board_downs", k.board_downs),
+        ("board_ups", k.board_ups),
+        ("chaos_events", k.chaos_events),
+        ("advance_windows", recorder.advance_windows()),
+    ] {
         println!("  {name:<16} {n}");
     }
 

@@ -519,6 +519,14 @@ pub struct KernelStats {
     pub advances: u64,
 }
 
+impl KernelStats {
+    /// Arrivals admitted onto a board: every delivery that is not a
+    /// migration or a redistribution.
+    pub fn dispatches(&self) -> u64 {
+        self.messages - self.migrations - self.redistributions
+    }
+}
+
 /// Per-run scratch for estimate construction, refilled in place per
 /// admission so estimating allocates nothing however many jobs stream
 /// through. Both parts hold one slot per architecture class of the

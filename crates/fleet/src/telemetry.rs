@@ -19,13 +19,17 @@
 //!    Chrome-trace/Perfetto JSON by [`FlightRecorder::render_chrome_trace`].
 //!    Timestamps are **sim time** (microseconds of virtual clock), so
 //!    traces are byte-identical across machines.
-//! 2. *Gauges over sim time* ([`WindowSample`]) — a counter registry
-//!    and per-tick gauge samples (utilisation, queue depth, backlog,
-//!    feedback error, blackout/throttle state, p50/p95/p99 and SLO-miss
-//!    so far). The recorder owns no digests: the latency and SLO-miss
+//! 2. *Gauges over sim time* ([`WindowSample`]) — per-tick gauge
+//!    samples (utilisation, queue depth, backlog, feedback error,
+//!    blackout/throttle state, p50/p95/p99 and SLO-miss so far). The
+//!    recorder owns no digests and no counters: the latency and SLO-miss
 //!    gauges are read from the kernel's one completion sink (the
-//!    streaming aggregate every run folds each completion into), so
-//!    nothing is aggregated twice and no outcome is retained.
+//!    streaming aggregate every run folds each completion into), and
+//!    event counts are the kernel's own
+//!    [`KernelStats`](crate::kernel::KernelStats), so nothing is counted
+//!    or aggregated twice and no outcome is retained. The one count the
+//!    kernel has no source for, advance windows that completed
+//!    something, is [`FlightRecorder::advance_windows`].
 //! 3. *Wall-clock phase profiling* ([`PhaseProfile`]) — control-plane
 //!    vs completion-advance vs barrier-merge timers. These are **machine
 //!    time**, machine-dependent by construction, and excluded from
@@ -45,7 +49,6 @@
 //! unless its [`TraceLevel`] is enabled.
 
 use crate::job::JobOutcome;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -55,8 +58,8 @@ use std::time::Instant;
 pub enum TraceLevel {
     /// Record nothing; every hook is a single predicted-false branch.
     Off,
-    /// Counters and a [`WindowSample`] per monitor tick. No trace
-    /// events.
+    /// A [`WindowSample`] per monitor tick and the advance-window
+    /// count. No trace events.
     Ticks,
     /// Plus structured spans: completion advance windows, preempt scans,
     /// churn and chaos window edges, monitor-tick markers.
@@ -305,7 +308,7 @@ pub struct PhaseProfile {
     /// plane, [`crate::shard`]), folding each completion included.
     pub shard_advance_s: f64,
     /// Wall seconds closing advance windows at the barrier (the
-    /// recorder's window span and merge counter).
+    /// recorder's window span and window count).
     pub barrier_merge_s: f64,
 }
 
@@ -324,9 +327,9 @@ pub struct FlightRecorder {
     level: TraceLevel,
     events: Vec<TraceEvent>,
     windows: Vec<WindowSample>,
-    counters: BTreeMap<&'static str, u64>,
     wall: PhaseProfile,
     window: OpenWindow,
+    advance_windows: u64,
 }
 
 /// The advance window being folded: completions so far, the last one's
@@ -345,9 +348,9 @@ impl FlightRecorder {
             level,
             events: Vec::new(),
             windows: Vec::new(),
-            counters: BTreeMap::new(),
             wall: PhaseProfile::default(),
             window: OpenWindow::default(),
+            advance_windows: 0,
         }
     }
 
@@ -388,15 +391,6 @@ impl FlightRecorder {
 
     // ---- hook inventory (called by the kernel, control plane only) ------
 
-    /// Count one occurrence of a named event in the counter registry.
-    #[inline]
-    pub(crate) fn bump(&mut self, name: &'static str) {
-        if !self.enabled() {
-            return;
-        }
-        *self.counters.entry(name).or_insert(0) += 1;
-    }
-
     /// Arrival handled: `job` was dispatched to `board` with the given
     /// (possibly feedback-corrected, possibly chaos-corrupted) service
     /// estimate. Emits a zero-width dispatch span at [`TraceLevel::Full`].
@@ -409,46 +403,40 @@ impl FlightRecorder {
         board: usize,
         est_service_s: f64,
     ) {
-        if !self.enabled() {
+        if !self.wants_full() {
             return;
         }
-        self.bump("dispatches");
-        if self.wants_full() {
-            let args = format!(
-                "\"job\":{id},\"board\":{board},\"est_service_us\":{:.3}",
-                est_service_s * 1e6
-            );
-            self.events.push(TraceEvent {
-                name: format!("dispatch {workload}#{id}"),
-                cat: "dispatch",
-                ts_us: t_s * 1e6,
-                dur_us: 0.0,
-                instant: false,
-                tid: 0,
-                args,
-            });
-        }
+        let args = format!(
+            "\"job\":{id},\"board\":{board},\"est_service_us\":{:.3}",
+            est_service_s * 1e6
+        );
+        self.events.push(TraceEvent {
+            name: format!("dispatch {workload}#{id}"),
+            cat: "dispatch",
+            ts_us: t_s * 1e6,
+            dur_us: 0.0,
+            instant: false,
+            tid: 0,
+            args,
+        });
     }
 
     /// A job was dropped instead of dispatched (`reason` is the stable
     /// [`DropReason`](crate::state::DropReason) label).
     #[inline]
     pub(crate) fn on_drop(&mut self, t_s: f64, id: u32, reason: &'static str) {
-        if !self.enabled() {
+        if !self.wants_full() {
             return;
         }
-        self.bump("drops");
-        if self.wants_full() {
-            self.events.push(TraceEvent {
-                name: format!("drop #{id} ({reason})"),
-                cat: "drop",
-                ts_us: t_s * 1e6,
-                dur_us: 0.0,
-                instant: true,
-                tid: 0,
-                args: format!("\"job\":{id}"),
-            });
-        }
+        self.events.push(TraceEvent {
+            name: format!("drop #{id} ({reason})"),
+            cat: "drop",
+            ts_us: t_s * 1e6,
+            dur_us: 0.0,
+            instant: true,
+            tid: 0,
+            args: format!("\"job\":{id}"),
+        });
     }
 
     /// One completion folded as it popped. The first of an advance
@@ -496,8 +484,9 @@ impl FlightRecorder {
     /// The advance window `[from_s, to_s)` closed (`to_s` is infinite
     /// on the final drain, and the window then ends at its last
     /// completion). A window that completed anything fills in its
-    /// `advance` span and counts one barrier merge; an empty window
-    /// records nothing.
+    /// `advance` span and counts toward
+    /// [`FlightRecorder::advance_windows`]; an empty window records
+    /// nothing.
     #[inline]
     pub(crate) fn on_window_close(&mut self, from_s: f64, to_s: f64) {
         if !self.enabled() || self.window.done == 0 {
@@ -515,68 +504,59 @@ impl FlightRecorder {
             span.args = format!("\"completions\":{}", self.window.done);
         }
         self.window.done = 0;
-        self.bump("barrier_merges");
+        self.advance_windows += 1;
     }
 
     /// One preemption scan ran at `t_s` and migrated `migrated` jobs.
     #[inline]
     pub(crate) fn on_preempt_scan(&mut self, t_s: f64, migrated: u64) {
-        if !self.enabled() {
+        if !self.wants_spans() {
             return;
         }
-        self.bump("preempt_scans");
-        if self.wants_spans() {
-            self.events.push(TraceEvent {
-                name: format!("preempt scan ({migrated} migrated)"),
-                cat: "preempt",
-                ts_us: t_s * 1e6,
-                dur_us: 0.0,
-                instant: false,
-                tid: 0,
-                args: format!("\"migrated\":{migrated}"),
-            });
-        }
+        self.events.push(TraceEvent {
+            name: format!("preempt scan ({migrated} migrated)"),
+            cat: "preempt",
+            ts_us: t_s * 1e6,
+            dur_us: 0.0,
+            instant: false,
+            tid: 0,
+            args: format!("\"migrated\":{migrated}"),
+        });
     }
 
     /// A churn edge: board `b` went down (`up == false`) or came back.
     #[inline]
     pub(crate) fn on_churn(&mut self, t_s: f64, b: usize, up: bool) {
-        if !self.enabled() {
+        if !self.wants_spans() {
             return;
         }
-        self.bump(if up { "board_ups" } else { "board_downs" });
-        if self.wants_spans() {
-            self.events.push(TraceEvent {
-                name: format!("board {b} {}", if up { "up" } else { "down" }),
-                cat: "churn",
-                ts_us: t_s * 1e6,
-                dur_us: 0.0,
-                instant: true,
-                tid: 0,
-                args: String::new(),
-            });
-        }
+        self.events.push(TraceEvent {
+            name: format!("board {b} {}", if up { "up" } else { "down" }),
+            cat: "churn",
+            ts_us: t_s * 1e6,
+            dur_us: 0.0,
+            instant: true,
+            tid: 0,
+            args: String::new(),
+        });
     }
 
     /// A chaos clause window edge (`what` is e.g. `"throttle start"`,
     /// `label` the clause's human label).
     #[inline]
     pub(crate) fn on_chaos(&mut self, t_s: f64, what: &str, label: &str, board: usize) {
-        if !self.enabled() {
+        if !self.wants_spans() {
             return;
         }
-        self.bump("chaos_events");
-        if self.wants_spans() {
-            self.events.push(TraceEvent {
-                name: format!("{what}: {label} (board {board})"),
-                cat: "chaos",
-                ts_us: t_s * 1e6,
-                dur_us: 0.0,
-                instant: true,
-                tid: 0,
-                args: String::new(),
-            });
-        }
+        self.events.push(TraceEvent {
+            name: format!("{what}: {label} (board {board})"),
+            cat: "chaos",
+            ts_us: t_s * 1e6,
+            dur_us: 0.0,
+            instant: true,
+            tid: 0,
+            args: String::new(),
+        });
     }
 
     /// A monitor tick sampled the fleet's gauges. The kernel only
@@ -598,7 +578,6 @@ impl FlightRecorder {
                 ),
             });
         }
-        self.bump("ticks");
         self.windows.push(sample);
     }
 
@@ -654,9 +633,13 @@ impl FlightRecorder {
         &self.windows
     }
 
-    /// The counter registry (stable name order).
-    pub fn counters(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counters
+    /// Advance windows that completed at least one job — the one count
+    /// the recorder owns, because [`KernelStats`](crate::kernel::KernelStats)
+    /// counts every advance, empty or not. At [`TraceLevel::Spans`] and
+    /// above it equals the number of `advance` spans. Zero when the
+    /// recorder is off, and counted from zero on a resumed kernel.
+    pub fn advance_windows(&self) -> u64 {
+        self.advance_windows
     }
 
     /// Wall-clock phase accounting (machine-dependent; all zero when
@@ -967,7 +950,7 @@ mod tests {
         for q in [1.0, 50.0, 99.0] {
             let est = d.quantile(q);
             assert!(
-                est >= 0.0125 && est <= 0.0125 * DIGEST_GROWTH * (1.0 + 1e-12),
+                (0.0125..=0.0125 * DIGEST_GROWTH * (1.0 + 1e-12)).contains(&est),
                 "single-sample q{q} estimate {est} outside one bucket of 0.0125"
             );
         }
@@ -1037,7 +1020,6 @@ mod tests {
     fn recorder_off_records_nothing_and_reads_zero() {
         let mut r = FlightRecorder::off();
         assert!(!r.enabled() && !r.wants_ticks() && !r.wants_spans() && !r.wants_full());
-        r.bump("dispatches");
         r.on_dispatch(1.0, 0, "w", 0, 0.5);
         r.on_drop(1.0, 1, "no-board-up");
         r.on_churn(2.0, 0, false);
@@ -1049,7 +1031,7 @@ mod tests {
         r.lap_advance(None);
         assert!(r.events().is_empty());
         assert!(r.windows().is_empty());
-        assert!(r.counters().is_empty());
+        assert_eq!(r.advance_windows(), 0);
         assert_eq!(r.wall().total_s, 0.0);
         assert_eq!(r.wall().control_s(), 0.0);
     }
@@ -1095,8 +1077,7 @@ mod tests {
         fold_window(&mut ticks, 1.0, 3.0, &recs);
         ticks.on_dispatch(1.0, 7, "w", 1, 0.4);
         assert!(ticks.events().is_empty(), "ticks level emits no events");
-        assert_eq!(ticks.counters()["barrier_merges"], 1);
-        assert_eq!(ticks.counters()["dispatches"], 1);
+        assert_eq!(ticks.advance_windows(), 1, "ticks level counts windows");
 
         let mut spans = FlightRecorder::new(TraceLevel::Spans);
         fold_window(&mut spans, 1.0, 3.0, &recs);
@@ -1117,7 +1098,7 @@ mod tests {
     fn window_span_leads_its_completions() {
         let mut r = FlightRecorder::new(TraceLevel::Full);
         r.on_window_close(0.0, 1.0);
-        assert!(r.events().is_empty() && r.counters().is_empty());
+        assert!(r.events().is_empty() && r.advance_windows() == 0);
         fold_window(
             &mut r,
             1.0,
@@ -1150,7 +1131,7 @@ mod tests {
         );
         assert_eq!(r.events()[0].args, "\"completions\":2");
         assert_eq!(r.events()[3].args, "\"completions\":1");
-        assert_eq!(r.counters()["barrier_merges"], 2);
+        assert_eq!(r.advance_windows(), 2);
     }
 
     #[test]
@@ -1189,7 +1170,7 @@ mod tests {
         assert_eq!(r.windows().len(), 1);
         assert_eq!(r.windows()[0].completions, 2);
         assert!((r.windows()[0].slo_miss_rate - 0.5).abs() < 1e-12);
-        assert_eq!(r.counters()["barrier_merges"], 1);
+        assert_eq!(r.advance_windows(), 1);
         assert!(r.timestamps_monotone());
         let json = r.render_chrome_trace();
         validate_json(&json).expect("emitted trace must be well-formed JSON");

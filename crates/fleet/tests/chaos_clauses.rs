@@ -170,7 +170,10 @@ fn board_down_into_blacked_out_fleet_drops_orphans_via_no_board_up() {
     );
     assert_eq!(out.chaos.blackout_drops, out.kernel.dropped_no_board);
     assert_eq!(out.kernel.dropped, out.dropped.len() as u64);
-    assert_eq!(recorder.counters()["drops"], out.kernel.dropped);
+    // Every drop site reaches the recorder: one Full-level drop instant
+    // per dropped job.
+    let drop_events = recorder.events().iter().filter(|e| e.cat == "drop");
+    assert_eq!(drop_events.count() as u64, out.kernel.dropped);
 }
 
 /// A misprofile window corrupts every admission's estimate and the

@@ -288,7 +288,7 @@ fn golden_chaos_storm_shape() {
 
 /// The flight recorder's output, frozen: an FNV-1a digest of the
 /// Chrome-trace JSON, every per-tick [`WindowSample`] (floats through
-/// `to_bits`) and the counter registry, at [`TraceLevel::Full`] over a
+/// `to_bits`) and the run's [`trace_counts`], at [`TraceLevel::Full`] over a
 /// small churn + chaos + feedback + preemption run. The trace carries
 /// the completion order itself (one instant per completion, in fold
 /// order) and the advance spans, so a change to how completions are
@@ -368,13 +368,13 @@ fn golden_full_trace_bytes() {
             eat(&x.to_le_bytes());
         }
     }
-    for (name, n) in recorder.counters() {
+    for (name, n) in trace_counts(&out, &recorder, scenario.preemption) {
         eat(name.as_bytes());
         eat(&n.to_le_bytes());
     }
     let digest = h;
     assert!(recorder.timestamps_monotone());
-    assert!(recorder.counters()["barrier_merges"] > 0);
+    assert!(recorder.advance_windows() > 0);
     // The fixture must exercise what it claims to pin.
     assert!(out.kernel.migrations > 0 && out.kernel.redistributions > 0);
     assert!(out.metrics.feedback.samples > 0);
@@ -382,6 +382,33 @@ fn golden_full_trace_bytes() {
         digest, 0x735a_ad1e_5ee5_60eb,
         "Full-level trace drifted from the golden bytes: got {digest:#018x}"
     );
+}
+
+/// The traced run's event counts as `(name, count)` pairs, in name
+/// order and without zero counts: the kernel's [`KernelStats`] plus
+/// the recorder's advance-window count. Every monitor tick runs one
+/// preempt scan when preemption is on.
+///
+/// [`KernelStats`]: astro_fleet::KernelStats
+fn trace_counts(
+    out: &FleetOutcome,
+    recorder: &FlightRecorder,
+    preemption: bool,
+) -> Vec<(&'static str, u64)> {
+    let k = &out.kernel;
+    [
+        ("barrier_merges", recorder.advance_windows()),
+        ("board_downs", k.board_downs),
+        ("board_ups", k.board_ups),
+        ("chaos_events", k.chaos_events),
+        ("dispatches", k.dispatches()),
+        ("drops", k.dropped),
+        ("preempt_scans", if preemption { k.ticks } else { 0 }),
+        ("ticks", k.ticks),
+    ]
+    .into_iter()
+    .filter(|&(_, n)| n > 0)
+    .collect()
 }
 
 /// Checkpoint format v3, frozen byte for byte: an FNV-1a digest of the

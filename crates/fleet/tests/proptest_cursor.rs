@@ -134,7 +134,7 @@ proptest! {
         let p = process(kind, rate, burst, spread_grid);
         let chaos = traffic(warp_bits, 30, 15);
         let mk = || GenCursor::new(
-            p.clone(), n, &pool(), InputSize::Test, (3.0, 8.0), seed, &chaos.traffic,
+            p, n, &pool(), InputSize::Test, (3.0, 8.0), seed, &chaos.traffic,
         );
 
         let mut reference = mk();

@@ -3,7 +3,9 @@
 //! must never perturb the simulation — the outcome fingerprints with
 //! telemetry on and off are byte-identical — and the recorder's own
 //! invariants must hold:
-//! trace timestamps are monotone sim time, the streamed completion
+//! trace timestamps are monotone sim time, the trace holds exactly one
+//! event per occurrence the kernel counts in its
+//! [`KernelStats`](astro_fleet::KernelStats), the streamed completion
 //! count matches the post-hoc metrics, and every streamed percentile
 //! lands within one log bucket of the exact nearest-rank value. The
 //! streamed figures come from the kernel's completion sink, reported in
@@ -218,6 +220,23 @@ proptest! {
         // aggregate (which the recorder's tick gauges read) agrees with
         // the post-hoc metrics.
         prop_assert!(recorder.timestamps_monotone(), "trace timestamps regressed");
+
+        // The trace agrees with the kernel's counts: one event per
+        // dispatch, drop, churn edge, chaos edge, tick and preempt scan,
+        // and one advance span per window that completed something.
+        let k = &traced.kernel;
+        let in_trace = |cat: &str| recorder.events().iter().filter(|e| e.cat == cat).count() as u64;
+        for (cat, expected) in [
+            ("dispatch", k.dispatches()),
+            ("drop", k.dropped),
+            ("churn", k.board_downs + k.board_ups),
+            ("chaos", k.chaos_events),
+            ("tick", k.ticks),
+            ("preempt", if scenario.preemption { k.ticks } else { 0 }),
+            ("shard", recorder.advance_windows()),
+        ] {
+            prop_assert_eq!(in_trace(cat), expected, "{} events vs kernel count (seed {})", cat, seed);
+        }
         let m = &traced.metrics;
         let sum = &traced.stream;
         prop_assert_eq!(sum.jobs, m.jobs as u64);

@@ -60,7 +60,7 @@ impl Fixture {
     fn run_streamed(&self, dpick: u8) -> FleetOutcome {
         let sim = FleetSim::new(&self.cluster, self.params());
         let mut cursor = GenCursor::new(
-            self.process.clone(),
+            self.process,
             self.n_jobs,
             &pool(),
             InputSize::Test,
@@ -263,7 +263,7 @@ fn streamed_metrics_match_retained_within_one_bucket() {
 /// completions in fold order — not the whole run.
 #[test]
 fn sliding_window_wraps_to_the_latest_completions() {
-    assert!(STREAM_WINDOW < 6_000, "fixture must overflow the window");
+    const { assert!(STREAM_WINDOW < 6_000, "fixture must overflow the window") };
     let f = Fixture {
         cluster: ClusterSpec::heterogeneous(8),
         scenario: Scenario::online(PolicyMode::Cold).with_migration_cost(1e-6),
