@@ -119,7 +119,7 @@ proptest! {
                                depth in 0u8..3) {
         let f = build(&items, depth);
         let fv = extract_function_features(&f);
-        let has = |p: fn(&Item) -> bool| items.iter().any(|i| p(i));
+        let has = |p: fn(&Item) -> bool| items.iter().any(p);
         prop_assert_eq!(fv.barrier, has(|i| matches!(i, Item::Barrier)));
         prop_assert_eq!(fv.sleep, has(|i| matches!(i, Item::Sleep)));
         prop_assert_eq!(fv.net, has(|i| matches!(i, Item::Net)));

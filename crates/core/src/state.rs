@@ -117,9 +117,7 @@ mod tests {
         assert_ne!(full_a, full_b, "full encoding distinguishes phases");
         // The blind encoding equals the full one with the phase field zeroed.
         let mut zeroed = full_a.clone();
-        for i in 24..28 {
-            zeroed[i] = 0.0;
-        }
+        zeroed[24..28].fill(0.0);
         assert_eq!(blind_a, zeroed);
     }
 }

@@ -7,15 +7,15 @@
 //! pattern of Poisson burst starts, each releasing a volley of jobs.
 //! Same seed ⇒ byte-identical stream.
 //!
-//! Streams can be consumed two ways. The batch path
-//! ([`ArrivalProcess::generate`]) materialises a `Vec<JobSpec>`. The
-//! resident path pulls jobs one at a time through an [`ArrivalCursor`]
-//! — [`GenCursor`] regenerates the *exact same* sequence lazily in
-//! O(1) memory (traffic warps applied per pull), [`SliceCursor`] wraps
-//! a materialised slice, and [`TraceCursor`] streams a line-delimited
-//! external trace file. Cursor positions are checkpointable
-//! ([`ArrivalCursor::save`]), which is what lets the resident kernel
-//! resume mid-stream bit-identically.
+//! There is one generator, [`GenCursor`]: it draws a stream one job per
+//! pull in O(1) memory, with traffic warps applied per pull. The
+//! resident path pulls jobs through it, or through any other
+//! [`ArrivalCursor`] — [`SliceCursor`] wraps a materialised slice, and
+//! [`TraceCursor`] streams a line-delimited external trace file. The
+//! batch path ([`ArrivalProcess::generate`]) drains a `GenCursor` into
+//! a `Vec<JobSpec>`, so both paths see the same bits by construction.
+//! Cursor positions are checkpointable ([`ArrivalCursor::save`]), which
+//! is what lets the resident kernel resume mid-stream bit-identically.
 
 use crate::chaos::{traffic_breakpoints, TrafficClause};
 use crate::checkpoint::{CheckpointError, CursorState};
@@ -71,7 +71,8 @@ impl ArrivalProcess {
     /// otherwise flow through the metrics layer as a ratio of 0.0 —
     /// silently sorting as the *best* p99 latency/SLO ratio in the
     /// fleet. Rejected here, at stream construction, in the same spirit
-    /// as the kernel's churn/chaos schedule validation.
+    /// as the kernel's churn/chaos schedule validation. The rate must be
+    /// positive and finite, and a bursty process needs a non-zero burst.
     pub fn generate(
         &self,
         n: usize,
@@ -80,33 +81,7 @@ impl ArrivalProcess {
         slo_tightness: (f64, f64),
         seed: u64,
     ) -> Vec<JobSpec> {
-        validate_stream(pool, slo_tightness);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xA1217_F1EE7);
-        // Classify each pool entry once (module construction is not free).
-        let taxa: Vec<Taxon> = pool.iter().map(|w| taxon_of(&(w.build)(size))).collect();
-
-        let mut arrivals = self.arrival_times(n, &mut rng);
-        arrivals.sort_by(f64::total_cmp);
-
-        arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(i, arrival_s)| {
-                let k = rng.gen_range(0..pool.len());
-                let (lo, hi) = slo_tightness;
-                let slo = if hi > lo { rng.gen_range(lo..hi) } else { lo };
-                JobSpec {
-                    id: i as u32,
-                    workload: pool[k],
-                    taxon: taxa[k],
-                    arrival_s,
-                    slo_tightness: slo,
-                    seed: seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i as u64),
-                }
-            })
-            .collect()
+        self.generate_shaped(n, pool, size, slo_tightness, seed, &[])
     }
 
     /// [`generate`](Self::generate), then warp arrival times through a
@@ -119,6 +94,9 @@ impl ArrivalProcess {
     /// proportionally more of the stream concentrated where the
     /// intensity multiplier is high. With no clauses the stream is
     /// byte-identical to [`generate`](Self::generate)'s.
+    ///
+    /// The stream is a [`GenCursor`] drained `n` times, so the batch and
+    /// resident paths share one generator.
     pub fn generate_shaped(
         &self,
         n: usize,
@@ -128,79 +106,10 @@ impl ArrivalProcess {
         seed: u64,
         traffic: &[TrafficClause],
     ) -> Vec<JobSpec> {
-        let mut jobs = self.generate(n, pool, size, slo_tightness, seed);
-        if traffic.is_empty() || jobs.is_empty() {
-            return jobs;
-        }
-        let horizon = jobs.last().unwrap().arrival_s;
-        if horizon <= 0.0 {
-            return jobs;
-        }
-        // Piecewise-constant multiplier m(u) over horizon fraction
-        // u ∈ [0, 1], as (start, multiplier) segments; cumulative
-        // weight table W so W[j] = ∫₀^{segs[j].0} m.
-        let segs = traffic_breakpoints(traffic);
-        let mut cum = Vec::with_capacity(segs.len() + 1);
-        cum.push(0.0);
-        for j in 0..segs.len() {
-            let end = if j + 1 < segs.len() {
-                segs[j + 1].0
-            } else {
-                1.0
-            };
-            cum.push(cum[j] + segs[j].1 * (end - segs[j].0));
-        }
-        let total = *cum.last().unwrap();
-        // Each original time maps through W⁻¹: the fraction of jobs a
-        // window [a, b] receives becomes (W(b) − W(a)) / W(1). Times
-        // are sorted and the map is monotone, so one forward pointer
-        // suffices and the stream stays sorted.
-        let mut j = 0;
-        for job in &mut jobs {
-            let target = (job.arrival_s / horizon).clamp(0.0, 1.0) * total;
-            if target >= total {
-                // The stream's last arrival defines the horizon; pin it
-                // exactly rather than round-tripping through W⁻¹.
-                job.arrival_s = horizon;
-                continue;
-            }
-            while j + 1 < segs.len() && cum[j + 1] <= target {
-                j += 1;
-            }
-            let q = segs[j].0 + (target - cum[j]) / segs[j].1;
-            job.arrival_s = (q * horizon).min(horizon);
-        }
+        let mut cursor = GenCursor::new(*self, n, pool, size, slo_tightness, seed, traffic);
+        let mut jobs = Vec::with_capacity(n);
+        jobs.extend(std::iter::from_fn(|| cursor.next_job()));
         jobs
-    }
-
-    fn arrival_times(&self, n: usize, rng: &mut SmallRng) -> Vec<f64> {
-        let mut times = Vec::with_capacity(n);
-        match *self {
-            ArrivalProcess::Poisson { rate_jobs_per_s } => {
-                assert!(rate_jobs_per_s > 0.0);
-                let mut t = 0.0;
-                for _ in 0..n {
-                    t += exponential(rng, rate_jobs_per_s);
-                    times.push(t);
-                }
-            }
-            ArrivalProcess::Bursty {
-                rate_jobs_per_s,
-                burst,
-                spread_s,
-            } => {
-                assert!(rate_jobs_per_s > 0.0 && burst > 0);
-                let burst_rate = rate_jobs_per_s / burst as f64;
-                let mut t = 0.0;
-                while times.len() < n {
-                    t += exponential(rng, burst_rate);
-                    for _ in 0..burst.min(n - times.len()) {
-                        times.push(t + rng.gen_range(0.0..spread_s.max(1e-9)));
-                    }
-                }
-            }
-        }
-        times
     }
 }
 
@@ -210,9 +119,10 @@ fn exponential(rng: &mut SmallRng, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
-/// Shared stream validation (batch and cursor construction): non-empty
-/// pool, positive finite ordered SLO tightness.
-fn validate_stream(pool: &[Workload], slo_tightness: (f64, f64)) {
+/// Stream validation at cursor construction: a non-empty pool, a
+/// positive finite ordered SLO tightness, a positive finite rate and a
+/// non-zero burst.
+fn validate_stream(process: ArrivalProcess, pool: &[Workload], slo_tightness: (f64, f64)) {
     assert!(!pool.is_empty(), "workload pool must not be empty");
     let (lo, hi) = slo_tightness;
     assert!(
@@ -221,6 +131,28 @@ fn validate_stream(pool: &[Workload], slo_tightness: (f64, f64)) {
          finite and ordered — a job with slo_s <= 0 can never meet its deadline and \
          would corrupt the SLO-ratio metrics"
     );
+    let (rate, burst) = match process {
+        ArrivalProcess::Poisson { rate_jobs_per_s } => (rate_jobs_per_s, 1),
+        ArrivalProcess::Bursty {
+            rate_jobs_per_s,
+            burst,
+            ..
+        } => (rate_jobs_per_s, burst),
+    };
+    assert!(
+        rate > 0.0 && rate.is_finite(),
+        "invalid arrival stream: rate {rate} jobs/s must be positive and finite"
+    );
+    assert!(
+        burst > 0,
+        "invalid arrival stream: burst {burst} must be at least 1"
+    );
+}
+
+/// A time a stream can hold: finite and non-negative (sign bit clear,
+/// so IEEE bit order is numeric order).
+fn is_time(t: f64) -> bool {
+    t.is_finite() && t.is_sign_positive()
 }
 
 /// A pull-based job stream: the resident kernel's replacement for a
@@ -310,165 +242,86 @@ impl ArrivalCursor for SliceCursor<'_> {
     }
 }
 
-/// The lazy traffic-warp table: piecewise-constant intensity segments
-/// and their cumulative weights, exactly as
-/// [`ArrivalProcess::generate_shaped`] builds them.
+/// The traffic warp: piecewise-constant intensity segments, their
+/// cumulative weights, and the horizon (the unwarped stream's last
+/// arrival) they stretch over.
 struct WarpTable {
     /// `(start_fraction, multiplier)` segments over `[0, 1]`.
     segs: Vec<(f64, f64)>,
-    /// `cum[j] = ∫₀^{segs[j].0} m` plus a final total entry.
+    /// `cum[j] = ∫₀^{segs[j].0} m`, then the total weight `∫₀¹ m`.
     cum: Vec<f64>,
-    /// Total weight `∫₀¹ m`.
-    total: f64,
+    /// Last arrival of the unwarped stream.
+    horizon: f64,
 }
 
 impl WarpTable {
-    fn new(traffic: &[TrafficClause]) -> Self {
+    fn new(traffic: &[TrafficClause], horizon: f64) -> Self {
         let segs = traffic_breakpoints(traffic);
-        let mut cum = Vec::with_capacity(segs.len() + 1);
-        cum.push(0.0);
-        for j in 0..segs.len() {
-            let end = if j + 1 < segs.len() {
-                segs[j + 1].0
-            } else {
-                1.0
-            };
-            cum.push(cum[j] + segs[j].1 * (end - segs[j].0));
+        let mut cum = vec![0.0];
+        for (j, &(start, m)) in segs.iter().enumerate() {
+            let end = segs.get(j + 1).map_or(1.0, |s| s.0);
+            cum.push(cum[j] + m * (end - start));
         }
-        let total = *cum.last().unwrap();
-        WarpTable { segs, cum, total }
+        WarpTable { segs, cum, horizon }
+    }
+
+    /// Maps a raw time through W⁻¹: the fraction of jobs a window
+    /// [a, b] receives becomes (W(b) − W(a)) / W(1). Raw times arrive
+    /// sorted and the map is monotone, so the segment pointer `seg`
+    /// only moves right and the stream stays sorted.
+    fn apply(&self, raw: f64, seg: &mut usize) -> f64 {
+        let total = self.cum[self.segs.len()];
+        let target = (raw / self.horizon).clamp(0.0, 1.0) * total;
+        if target >= total {
+            // The stream's last arrival defines the horizon; pin it
+            // exactly rather than round-tripping through W⁻¹.
+            return self.horizon;
+        }
+        while *seg + 1 < self.segs.len() && self.cum[*seg + 1] <= target {
+            *seg += 1;
+        }
+        let q = self.segs[*seg].0 + (target - self.cum[*seg]) / self.segs[*seg].1;
+        (q * self.horizon).min(self.horizon)
     }
 }
 
-/// A streaming [`ArrivalCursor`] over a seeded generator: regenerates
-/// the exact sequence [`ArrivalProcess::generate_shaped`] would have
-/// materialised, one job per pull, in O(1) memory (O(burst) for the
-/// bursty regime's merge heap).
-///
-/// Two generator streams share one seed expansion: construction
-/// fast-forwards a clone of the seeded RNG through all `n`
-/// arrival-time draws (discarding values, recording the horizon), which
-/// positions the per-job draw stream exactly where the batch path's
-/// post-sort draws begin; a second, freshly seeded RNG then re-draws
-/// arrival times lazily. Poisson times are already sorted; bursty times
-/// are merged through a min-heap bounded by the burst-base frontier
-/// (no future burst can land before the most recent base, and ties are
-/// value-equal, so emission order matches the batch sort bitwise).
-pub struct GenCursor {
+/// The one arrival-time draw routine: a seeded process's `n` times,
+/// emitted in sorted order. Poisson times are drawn sorted; bursty
+/// times are merged through a min-heap bounded by the burst-base
+/// frontier (no future burst can land before the most recent base, and
+/// ties are value-equal, so emission order is the sorted order bit for
+/// bit).
+struct TimeStream {
     process: ArrivalProcess,
     n: usize,
-    pool: Vec<Workload>,
-    taxa: Vec<Taxon>,
-    slo_tightness: (f64, f64),
-    seed: u64,
-    /// Lazy arrival-time regeneration stream.
-    rng_t: SmallRng,
-    /// Per-job draw stream, positioned after all time draws.
-    rng_j: SmallRng,
-    /// Jobs emitted so far (also the next job's id).
-    pos: usize,
-    /// Arrival times drawn from `rng_t` so far.
+    rng: SmallRng,
+    /// Times drawn from `rng` so far.
     drawn: usize,
     /// Running burst base (bursty) / running time (poisson).
     frontier: f64,
-    /// Generated-but-not-emitted times (bursty), as non-negative IEEE
-    /// bits (bit order == numeric order for non-negative floats).
+    /// Drawn-but-not-emitted times (bursty), as non-negative IEEE bits
+    /// (bit order == numeric order for non-negative floats).
     heap: BinaryHeap<Reverse<u64>>,
-    /// Last arrival of the full stream (known at construction).
-    horizon: f64,
-    /// Lazy warp, when traffic clauses are active.
-    warp: Option<WarpTable>,
-    /// Forward segment pointer of the warp (arrivals are emitted in
-    /// sorted order, so it only moves right — same as the batch path).
-    warp_seg: usize,
 }
 
-impl GenCursor {
-    /// Builds a cursor equivalent to
-    /// [`ArrivalProcess::generate_shaped`]`(n, pool, size, slo_tightness,
-    /// seed, traffic)`. Pass no traffic clauses for the plain
-    /// [`generate`](ArrivalProcess::generate) sequence.
-    ///
-    /// # Panics
-    ///
-    /// On an empty pool or an invalid SLO tightness range, exactly as
-    /// the batch path does.
-    pub fn new(
-        process: ArrivalProcess,
-        n: usize,
-        pool: &[Workload],
-        size: InputSize,
-        slo_tightness: (f64, f64),
-        seed: u64,
-        traffic: &[TrafficClause],
-    ) -> Self {
-        validate_stream(pool, slo_tightness);
-        let taxa: Vec<Taxon> = pool.iter().map(|w| taxon_of(&(w.build)(size))).collect();
-        // Fast-forward a clone of the seeded stream through every
-        // arrival-time draw — the exact loop `arrival_times` runs —
-        // recording only the maximum (the sorted stream's last entry).
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xA1217_F1EE7);
-        let mut horizon = 0.0f64;
-        match process {
-            ArrivalProcess::Poisson { rate_jobs_per_s } => {
-                assert!(rate_jobs_per_s > 0.0);
-                let mut t = 0.0;
-                for _ in 0..n {
-                    t += exponential(&mut rng, rate_jobs_per_s);
-                }
-                horizon = t;
-            }
-            ArrivalProcess::Bursty {
-                rate_jobs_per_s,
-                burst,
-                spread_s,
-            } => {
-                assert!(rate_jobs_per_s > 0.0 && burst > 0);
-                let burst_rate = rate_jobs_per_s / burst as f64;
-                let mut t = 0.0;
-                let mut len = 0usize;
-                while len < n {
-                    t += exponential(&mut rng, burst_rate);
-                    for _ in 0..burst.min(n - len) {
-                        let v = t + rng.gen_range(0.0..spread_s.max(1e-9));
-                        if v > horizon {
-                            horizon = v;
-                        }
-                        len += 1;
-                    }
-                }
-            }
-        }
-        let warp = if !traffic.is_empty() && n > 0 && horizon > 0.0 {
-            Some(WarpTable::new(traffic))
-        } else {
-            None
-        };
-        GenCursor {
+impl TimeStream {
+    fn new(process: ArrivalProcess, n: usize, seed: u64) -> Self {
+        TimeStream {
             process,
             n,
-            pool: pool.to_vec(),
-            taxa,
-            slo_tightness,
-            seed,
-            rng_t: SmallRng::seed_from_u64(seed ^ 0xA1217_F1EE7),
-            rng_j: rng,
-            pos: 0,
+            rng: SmallRng::seed_from_u64(seed ^ 0xA1217_F1EE7),
             drawn: 0,
             frontier: 0.0,
             heap: BinaryHeap::new(),
-            horizon,
-            warp,
-            warp_seg: 0,
         }
     }
 
-    /// The next arrival time in sorted order (caller guarantees
-    /// `pos < n`).
-    fn next_time(&mut self) -> f64 {
+    /// The next arrival time in sorted order (caller guarantees fewer
+    /// than `n` emitted).
+    fn next(&mut self) -> f64 {
         match self.process {
             ArrivalProcess::Poisson { rate_jobs_per_s } => {
-                self.frontier += exponential(&mut self.rng_t, rate_jobs_per_s);
+                self.frontier += exponential(&mut self.rng, rate_jobs_per_s);
                 self.drawn += 1;
                 self.frontier
             }
@@ -480,20 +333,19 @@ impl GenCursor {
                 let burst_rate = rate_jobs_per_s / burst as f64;
                 loop {
                     if let Some(&Reverse(min_bits)) = self.heap.peek() {
-                        // Every not-yet-generated job lands at or after
-                        // the current burst base, so a pending time at
-                        // or before the frontier is globally minimal
-                        // (ties are value-equal and therefore
-                        // order-insensitive).
+                        // Every not-yet-drawn job lands at or after the
+                        // current burst base, so a pending time at or
+                        // before the frontier is globally minimal (ties
+                        // are value-equal and therefore order-insensitive).
                         if self.drawn >= self.n || f64::from_bits(min_bits) <= self.frontier {
                             self.heap.pop();
                             return f64::from_bits(min_bits);
                         }
                     }
                     debug_assert!(self.drawn < self.n, "heap empty with stream unfinished");
-                    self.frontier += exponential(&mut self.rng_t, burst_rate);
+                    self.frontier += exponential(&mut self.rng, burst_rate);
                     for _ in 0..burst.min(self.n - self.drawn) {
-                        let v = self.frontier + self.rng_t.gen_range(0.0..spread_s.max(1e-9));
+                        let v = self.frontier + self.rng.gen_range(0.0..spread_s.max(1e-9));
                         self.heap.push(Reverse(v.to_bits()));
                         self.drawn += 1;
                     }
@@ -501,31 +353,86 @@ impl GenCursor {
             }
         }
     }
+}
 
-    /// Applies the lazy traffic warp: the same W⁻¹ map
-    /// [`ArrivalProcess::generate_shaped`] applies post-hoc, with the
-    /// same monotone forward pointer.
-    fn warp_time(&mut self, raw: f64) -> f64 {
-        let Some(w) = &self.warp else { return raw };
-        let target = (raw / self.horizon).clamp(0.0, 1.0) * w.total;
-        if target >= w.total {
-            return self.horizon;
+/// A streaming [`ArrivalCursor`] over a seeded generator, and the one
+/// generator behind [`ArrivalProcess::generate_shaped`]: one job per
+/// pull, in O(1) memory (O(burst) for the bursty regime's merge heap).
+///
+/// Two `TimeStream`s share one seed expansion. Construction pulls a
+/// throwaway one through all `n` times: its last time is the horizon
+/// the traffic warp needs, and its RNG is left exactly where the
+/// per-job draws (workload, SLO) begin. A second, freshly seeded one
+/// then re-draws the times lazily, one per pull.
+pub struct GenCursor {
+    pool: Vec<Workload>,
+    taxa: Vec<Taxon>,
+    slo_tightness: (f64, f64),
+    seed: u64,
+    /// Lazy arrival-time stream.
+    times: TimeStream,
+    /// Per-job draw stream, positioned after all time draws.
+    rng_j: SmallRng,
+    /// Jobs emitted so far (also the next job's id).
+    pos: usize,
+    /// Traffic warp, when clauses are active.
+    warp: Option<WarpTable>,
+    /// The warp's forward segment pointer.
+    warp_seg: usize,
+}
+
+impl GenCursor {
+    /// Builds the cursor for
+    /// [`ArrivalProcess::generate_shaped`]`(n, pool, size, slo_tightness,
+    /// seed, traffic)`. Pass no traffic clauses for the plain
+    /// [`generate`](ArrivalProcess::generate) sequence.
+    ///
+    /// # Panics
+    ///
+    /// On an empty pool, an invalid SLO tightness range, a non-positive
+    /// or non-finite rate, or a zero burst.
+    pub fn new(
+        process: ArrivalProcess,
+        n: usize,
+        pool: &[Workload],
+        size: InputSize,
+        slo_tightness: (f64, f64),
+        seed: u64,
+        traffic: &[TrafficClause],
+    ) -> Self {
+        validate_stream(process, pool, slo_tightness);
+        // Classify each pool entry once (module construction is not free).
+        let taxa: Vec<Taxon> = pool.iter().map(|w| taxon_of(&(w.build)(size))).collect();
+        let mut ahead = TimeStream::new(process, n, seed);
+        let mut horizon = 0.0;
+        for _ in 0..n {
+            horizon = ahead.next();
         }
-        while self.warp_seg + 1 < w.segs.len() && w.cum[self.warp_seg + 1] <= target {
-            self.warp_seg += 1;
+        let warp = (!traffic.is_empty() && horizon > 0.0).then(|| WarpTable::new(traffic, horizon));
+        GenCursor {
+            pool: pool.to_vec(),
+            taxa,
+            slo_tightness,
+            seed,
+            times: TimeStream::new(process, n, seed),
+            rng_j: ahead.rng,
+            pos: 0,
+            warp,
+            warp_seg: 0,
         }
-        let q = w.segs[self.warp_seg].0 + (target - w.cum[self.warp_seg]) / w.segs[self.warp_seg].1;
-        (q * self.horizon).min(self.horizon)
     }
 }
 
 impl ArrivalCursor for GenCursor {
     fn next_job(&mut self) -> Option<JobSpec> {
-        if self.pos >= self.n {
+        if self.pos >= self.times.n {
             return None;
         }
-        let raw = self.next_time();
-        let arrival_s = self.warp_time(raw);
+        let raw = self.times.next();
+        let arrival_s = match &self.warp {
+            Some(w) => w.apply(raw, &mut self.warp_seg),
+            None => raw,
+        };
         let k = self.rng_j.gen_range(0..self.pool.len());
         let (lo, hi) = self.slo_tightness;
         let slo = if hi > lo {
@@ -549,7 +456,7 @@ impl ArrivalCursor for GenCursor {
     }
 
     fn total(&self) -> usize {
-        self.n
+        self.times.n
     }
 
     fn position(&self) -> usize {
@@ -561,21 +468,22 @@ impl ArrivalCursor for GenCursor {
     }
 
     fn save(&self) -> CursorState {
-        let mut heap_bits: Vec<u64> = self.heap.iter().map(|r| r.0).collect();
+        let mut heap_bits: Vec<u64> = self.times.heap.iter().map(|r| r.0).collect();
         heap_bits.sort_unstable();
         CursorState {
             pos: self.pos as u64,
-            rng_t: self.rng_t.state(),
+            rng_t: self.times.rng.state(),
             rng_j: self.rng_j.state(),
             heap_bits,
-            frontier_bits: self.frontier.to_bits(),
-            drawn: self.drawn as u64,
+            frontier_bits: self.times.frontier.to_bits(),
+            drawn: self.times.drawn as u64,
             warp_seg: self.warp_seg as u64,
         }
     }
 
     fn load(&mut self, s: &CursorState) -> Result<(), CheckpointError> {
-        if s.pos > self.n as u64 || s.drawn > self.n as u64 || s.pos > s.drawn {
+        let n = self.times.n as u64;
+        if s.pos > n || s.drawn > n || s.pos > s.drawn {
             return Err(CheckpointError::Corrupt("cursor position past stream end"));
         }
         if s.heap_bits.len() as u64 != s.drawn - s.pos {
@@ -583,23 +491,24 @@ impl ArrivalCursor for GenCursor {
                 "cursor merge heap inconsistent with position",
             ));
         }
-        if let Some(w) = &self.warp {
-            if s.warp_seg as usize >= w.segs.len() {
-                return Err(CheckpointError::Corrupt(
-                    "warp segment pointer out of range",
-                ));
-            }
-        } else if s.warp_seg != 0 {
+        let frontier = f64::from_bits(s.frontier_bits);
+        if !is_time(frontier) || !s.heap_bits.iter().all(|&b| is_time(f64::from_bits(b))) {
             return Err(CheckpointError::Corrupt(
-                "warp segment pointer without warp",
+                "cursor time negative or not finite",
+            ));
+        }
+        // Without a warp the pointer never moves off 0.
+        if s.warp_seg >= self.warp.as_ref().map_or(1, |w| w.segs.len() as u64) {
+            return Err(CheckpointError::Corrupt(
+                "warp segment pointer out of range",
             ));
         }
         self.pos = s.pos as usize;
-        self.drawn = s.drawn as usize;
-        self.rng_t = SmallRng::from_state(s.rng_t);
+        self.times.drawn = s.drawn as usize;
+        self.times.rng = SmallRng::from_state(s.rng_t);
+        self.times.frontier = frontier;
+        self.times.heap = s.heap_bits.iter().map(|&b| Reverse(b)).collect();
         self.rng_j = SmallRng::from_state(s.rng_j);
-        self.frontier = f64::from_bits(s.frontier_bits);
-        self.heap = s.heap_bits.iter().map(|&b| Reverse(b)).collect();
         self.warp_seg = s.warp_seg as usize;
         Ok(())
     }
@@ -634,9 +543,12 @@ pub fn write_trace<W: Write>(mut w: W, jobs: &[JobSpec]) -> io::Result<()> {
 /// A streaming [`ArrivalCursor`] over a [`write_trace`]-format file:
 /// one buffered line per pull, O(1) memory however long the trace is.
 ///
-/// Malformed lines and unknown workload names panic with the offending
-/// line number — a trace file is an input artefact, and replaying a
-/// corrupt one deterministically wrong would be worse than stopping.
+/// [`open`](TraceCursor::open) parses every line and rejects the file
+/// with the offending line number if any job is malformed — a trace
+/// file is an input artefact, and replaying a corrupt one
+/// deterministically wrong would be worse than refusing it. Pulls reuse
+/// the same parser; a file edited between `open` and a pull is the one
+/// case a pull can still panic on.
 pub struct TraceCursor {
     path: PathBuf,
     reader: io::BufReader<std::fs::File>,
@@ -646,11 +558,20 @@ pub struct TraceCursor {
 }
 
 impl TraceCursor {
-    /// Opens a trace file, scanning it once to count jobs and collect
-    /// the distinct workloads (the kernel needs both up front).
+    /// Opens a trace file, parsing it once to validate every job, count
+    /// them and collect the distinct workloads (the kernel needs both up
+    /// front).
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`], naming the line, on a malformed
+    /// field, an unknown workload, a class index out of range, a
+    /// non-finite, negative or decreasing arrival, or a non-positive or
+    /// non-finite SLO tightness.
     pub fn open(path: &Path) -> io::Result<Self> {
         let mut total = 0usize;
         let mut pool: Vec<Workload> = Vec::new();
+        let mut last_arrival = 0.0;
         for (ln, line) in io::BufReader::new(std::fs::File::open(path)?)
             .lines()
             .enumerate()
@@ -659,16 +580,22 @@ impl TraceCursor {
             if line.trim().is_empty() {
                 continue;
             }
+            let resolve = |name: &str| {
+                if let Some(w) = pool.iter().find(|w| w.name == name) {
+                    return Some(*w);
+                }
+                let w = astro_workloads::by_name(name)?;
+                pool.push(w);
+                Some(w)
+            };
+            let job = parse_line(&line, total, last_arrival, resolve).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("trace line {}: {e}", ln + 1),
+                )
+            })?;
+            last_arrival = job.arrival_s;
             total += 1;
-            let name = line
-                .split_whitespace()
-                .next()
-                .unwrap_or_else(|| panic!("trace line {} is empty", ln + 1));
-            if !pool.iter().any(|w| w.name == name) {
-                pool.push(astro_workloads::by_name(name).unwrap_or_else(|| {
-                    panic!("trace line {} names unknown workload {name:?}", ln + 1)
-                }));
-            }
         }
         Ok(TraceCursor {
             path: path.to_path_buf(),
@@ -679,66 +606,66 @@ impl TraceCursor {
         })
     }
 
-    fn parse_line(&self, line: &str, id: usize) -> JobSpec {
-        let mut f = line.split_whitespace();
-        let mut field = |what: &str| {
-            f.next()
-                .unwrap_or_else(|| panic!("trace job {id}: missing {what}"))
-                .to_string()
-        };
-        let name = field("workload");
-        let arrival_bits = u64::from_str_radix(&field("arrival bits"), 16)
-            .unwrap_or_else(|e| panic!("trace job {id}: bad arrival bits: {e}"));
-        let slo_bits = u64::from_str_radix(&field("slo bits"), 16)
-            .unwrap_or_else(|e| panic!("trace job {id}: bad slo bits: {e}"));
-        let seed: u64 = field("seed")
-            .parse()
-            .unwrap_or_else(|e| panic!("trace job {id}: bad seed: {e}"));
-        let class_idx: usize = field("class index")
-            .parse()
-            .unwrap_or_else(|e| panic!("trace job {id}: bad class index: {e}"));
-        let signature: u8 = field("signature")
-            .parse()
-            .unwrap_or_else(|e| panic!("trace job {id}: bad signature: {e}"));
-        assert!(
-            class_idx < JobClass::ALL.len(),
-            "trace job {id}: class index {class_idx} out of range"
-        );
-        let workload = self
-            .pool
-            .iter()
-            .find(|w| w.name == name)
-            .copied()
-            .unwrap_or_else(|| panic!("trace job {id}: unknown workload {name:?}"));
-        JobSpec {
-            id: id as u32,
-            workload,
-            taxon: Taxon {
-                class: JobClass::ALL[class_idx],
-                signature,
-            },
-            arrival_s: f64::from_bits(arrival_bits),
-            slo_tightness: f64::from_bits(slo_bits),
-            seed,
-        }
-    }
-
     /// Reads the next non-empty line, or `None` at end of file.
-    fn next_line(&mut self) -> Option<String> {
+    fn next_line(&mut self) -> io::Result<Option<String>> {
         loop {
             let mut line = String::new();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .unwrap_or_else(|e| panic!("trace read failed: {e}"));
-            if n == 0 {
-                return None;
+            if self.reader.read_line(&mut line)? == 0 {
+                return Ok(None);
             }
             if !line.trim().is_empty() {
-                return Some(line);
+                return Ok(Some(line));
             }
         }
     }
+}
+
+/// Parses one [`write_trace`] line as job `id`, arriving no earlier
+/// than `not_before`, and resolves its workload name through `resolve`.
+fn parse_line(
+    line: &str,
+    id: usize,
+    not_before: f64,
+    resolve: impl FnOnce(&str) -> Option<Workload>,
+) -> Result<JobSpec, String> {
+    let mut f = line.split_whitespace();
+    let name = f.next().ok_or("missing workload")?;
+    let mut int = |what: &str, radix: u32| {
+        let field = f.next().ok_or(format!("missing {what}"))?;
+        u64::from_str_radix(field, radix).map_err(|e| format!("bad {what}: {e}"))
+    };
+    let arrival_s = f64::from_bits(int("arrival bits", 16)?);
+    let slo_tightness = f64::from_bits(int("slo bits", 16)?);
+    let seed = int("seed", 10)?;
+    let class_idx = int("class index", 10)?;
+    let signature =
+        u8::try_from(int("signature", 10)?).map_err(|e| format!("bad signature: {e}"))?;
+    if let Some(extra) = f.next() {
+        return Err(format!("unexpected trailing field {extra:?}"));
+    }
+    let class = *usize::try_from(class_idx)
+        .ok()
+        .and_then(|i| JobClass::ALL.get(i))
+        .ok_or(format!("class index {class_idx} out of range"))?;
+    if !is_time(arrival_s) || arrival_s < not_before {
+        return Err(format!(
+            "arrival {arrival_s} must be finite and ≥ {not_before}"
+        ));
+    }
+    if !(slo_tightness > 0.0 && slo_tightness.is_finite()) {
+        return Err(format!(
+            "SLO tightness {slo_tightness} must be > 0 and finite"
+        ));
+    }
+    let workload = resolve(name).ok_or(format!("unknown workload {name:?}"))?;
+    Ok(JobSpec {
+        id: id as u32,
+        workload,
+        taxon: Taxon { class, signature },
+        arrival_s,
+        slo_tightness,
+        seed,
+    })
 }
 
 impl ArrivalCursor for TraceCursor {
@@ -746,8 +673,13 @@ impl ArrivalCursor for TraceCursor {
         if self.pos >= self.total {
             return None;
         }
-        let line = self.next_line()?;
-        let job = self.parse_line(&line, self.pos);
+        let job = match self.next_line() {
+            Ok(line) => parse_line(&line?, self.pos, 0.0, |name| {
+                self.pool.iter().find(|w| w.name == name).copied()
+            }),
+            Err(e) => Err(format!("read failed: {e}")),
+        }
+        .unwrap_or_else(|e| panic!("trace job {}: {e} (file changed since open)", self.pos));
         self.pos += 1;
         Some(job)
     }
@@ -782,7 +714,7 @@ impl ArrivalCursor for TraceCursor {
         self.reader = io::BufReader::new(file);
         self.pos = 0;
         for _ in 0..s.pos {
-            if self.next_line().is_none() {
+            if !matches!(self.next_line(), Ok(Some(_))) {
                 return Err(CheckpointError::Corrupt("trace file shrank before resume"));
             }
             self.pos += 1;
@@ -855,19 +787,6 @@ mod tests {
             "expected clustered arrivals, {small}/{} small gaps",
             gaps.len()
         );
-    }
-
-    #[test]
-    fn shaped_with_no_traffic_is_bit_identical() {
-        let p = ArrivalProcess::Poisson {
-            rate_jobs_per_s: 120.0,
-        };
-        let plain = p.generate(80, &pool(), InputSize::Test, (3.0, 6.0), 5);
-        let shaped = p.generate_shaped(80, &pool(), InputSize::Test, (3.0, 6.0), 5, &[]);
-        for (a, b) in plain.iter().zip(&shaped) {
-            assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
-            assert_eq!(a.seed, b.seed);
-        }
     }
 
     #[test]
@@ -959,6 +878,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid arrival stream: rate 0 jobs/s must be positive and finite")]
+    fn zero_rate_is_rejected() {
+        let p = ArrivalProcess::Poisson {
+            rate_jobs_per_s: 0.0,
+        };
+        p.generate(10, &pool(), InputSize::Test, (3.0, 5.0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid arrival stream: burst 0 must be at least 1")]
+    fn zero_burst_is_rejected() {
+        let p = ArrivalProcess::Bursty {
+            rate_jobs_per_s: 50.0,
+            burst: 0,
+            spread_s: 0.01,
+        };
+        p.generate(10, &pool(), InputSize::Test, (3.0, 5.0), 1);
+    }
+
+    #[test]
     fn ids_are_stream_positions() {
         let p = ArrivalProcess::Poisson {
             rate_jobs_per_s: 50.0,
@@ -991,49 +930,6 @@ mod tests {
             assert_eq!(got.seed, want.seed, "seed at {i}");
         }
         assert!(cursor.next_job().is_none(), "cursor overruns the stream");
-    }
-
-    #[test]
-    fn gen_cursor_matches_batch_poisson_and_bursty() {
-        let procs = [
-            ArrivalProcess::Poisson {
-                rate_jobs_per_s: 120.0,
-            },
-            ArrivalProcess::Bursty {
-                rate_jobs_per_s: 150.0,
-                burst: 8,
-                spread_s: 0.01,
-            },
-        ];
-        for p in procs {
-            let batch = p.generate(200, &pool(), InputSize::Test, (3.0, 6.0), 41);
-            let mut cur = GenCursor::new(p, 200, &pool(), InputSize::Test, (3.0, 6.0), 41, &[]);
-            assert_same_stream(&batch, &mut cur);
-        }
-    }
-
-    #[test]
-    fn gen_cursor_matches_batch_under_traffic_warps() {
-        let p = ArrivalProcess::Bursty {
-            rate_jobs_per_s: 150.0,
-            burst: 8,
-            spread_s: 0.01,
-        };
-        let traffic = [
-            TrafficClause::FlashCrowd {
-                from_frac: 0.4,
-                to_frac: 0.6,
-                factor: 6.0,
-            },
-            TrafficClause::Diurnal {
-                cycles: 2.0,
-                depth: 0.7,
-                steps: 16,
-            },
-        ];
-        let batch = p.generate_shaped(300, &pool(), InputSize::Test, (3.0, 6.0), 9, &traffic);
-        let mut cur = GenCursor::new(p, 300, &pool(), InputSize::Test, (3.0, 6.0), 9, &traffic);
-        assert_same_stream(&batch, &mut cur);
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Reference-model tests for the dense line tables behind
-//! [`PolicyCache`] and [`ServiceFeedback`]. Each oracle is the ordered
-//! `BTreeMap<(Taxon, &str), _>` implementation the dense tables
-//! replaced, kept verbatim in behaviour. Random op streams drive both
-//! side by side over every taxon the public type can hold (signatures
-//! past the base-3 range included) and over architecture names that
-//! include one text at two addresses; every decision, read, stat and
-//! encoded byte must agree after every op. Eviction ties come from a
-//! clock started just short of saturation, where every stamp is equal
-//! and the key order alone picks the victim.
+//! Reference-model tests: each oracle is the implementation a leaner
+//! one replaced, kept verbatim in behaviour.
+//!
+//! The dense line tables behind [`PolicyCache`] and [`ServiceFeedback`]
+//! run against the ordered `BTreeMap<(Taxon, &str), _>` implementation
+//! they replaced. Random op streams drive both side by side over every
+//! taxon the public type can hold (signatures past the base-3 range
+//! included) and over architecture names that include one text at two
+//! addresses; every decision, read, stat and encoded byte must agree
+//! after every op. Eviction ties come from a clock started just short
+//! of saturation, where every stamp is equal and the key order alone
+//! picks the victim.
+//!
+//! The arrival streams ([`arrival`] below) run against the eager
+//! generator `GenCursor` replaced: draw every time, sort, then warp.
 
 use crate::cache::{CacheDecision, CacheStats, PolicyCache};
 use crate::checkpoint::{enc_schedule, enc_snapshot, enc_taxon, Enc};
@@ -410,6 +415,245 @@ proptest! {
             prop_assert_eq!(fb.len(), oracle.cells.len());
             prop_assert_eq!(fb.mean_correction().to_bits(), oracle.mean_correction().to_bits());
             prop_assert_eq!(encoded(&fb), oracle.encoded());
+        }
+    }
+}
+
+/// The eager arrival generator against the one lazy one: every job a
+/// [`GenCursor`] pulls, and every job
+/// [`generate_shaped`](ArrivalProcess::generate_shaped) materialises,
+/// must match the oracle bit for bit.
+mod arrival {
+    use crate::arrival::{ArrivalCursor, ArrivalProcess, GenCursor};
+    use crate::chaos::{traffic_breakpoints, ChaosSchedule, TrafficClause};
+    use crate::job::{taxon_of, JobSpec, Taxon};
+    use astro_workloads::{InputSize, Workload};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Exponential variate with the given rate, by inversion.
+    fn exponential(rng: &mut SmallRng, rate: f64) -> f64 {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        -(1.0 - u).ln() / rate
+    }
+
+    /// Every arrival time in draw order, unsorted.
+    fn arrival_times(process: ArrivalProcess, n: usize, rng: &mut SmallRng) -> Vec<f64> {
+        let mut times = Vec::with_capacity(n);
+        match process {
+            ArrivalProcess::Poisson { rate_jobs_per_s } => {
+                let mut t = 0.0;
+                for _ in 0..n {
+                    t += exponential(rng, rate_jobs_per_s);
+                    times.push(t);
+                }
+            }
+            ArrivalProcess::Bursty {
+                rate_jobs_per_s,
+                burst,
+                spread_s,
+            } => {
+                let burst_rate = rate_jobs_per_s / burst as f64;
+                let mut t = 0.0;
+                while times.len() < n {
+                    t += exponential(rng, burst_rate);
+                    for _ in 0..burst.min(n - times.len()) {
+                        times.push(t + rng.gen_range(0.0..spread_s.max(1e-9)));
+                    }
+                }
+            }
+        }
+        times
+    }
+
+    /// The eager stream: draw all times, sort them, draw each job's
+    /// workload and SLO in sorted order, then move every time through
+    /// W⁻¹ of the clauses' cumulative-weight table.
+    fn oracle_stream(
+        process: ArrivalProcess,
+        n: usize,
+        pool: &[Workload],
+        slo_tightness: (f64, f64),
+        seed: u64,
+        traffic: &[TrafficClause],
+    ) -> Vec<JobSpec> {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xA1217_F1EE7);
+        let taxa: Vec<Taxon> = pool
+            .iter()
+            .map(|w| taxon_of(&(w.build)(InputSize::Test)))
+            .collect();
+        let mut arrivals = arrival_times(process, n, &mut rng);
+        arrivals.sort_by(f64::total_cmp);
+        let mut jobs: Vec<JobSpec> = arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(i, arrival_s)| {
+                let k = rng.gen_range(0..pool.len());
+                let (lo, hi) = slo_tightness;
+                let slo = if hi > lo { rng.gen_range(lo..hi) } else { lo };
+                JobSpec {
+                    id: i as u32,
+                    workload: pool[k],
+                    taxon: taxa[k],
+                    arrival_s,
+                    slo_tightness: slo,
+                    seed: seed
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(i as u64),
+                }
+            })
+            .collect();
+        let Some(horizon) = jobs.last().map(|j| j.arrival_s) else {
+            return jobs;
+        };
+        if traffic.is_empty() || horizon <= 0.0 {
+            return jobs;
+        }
+        let segs = traffic_breakpoints(traffic);
+        let mut cum = Vec::with_capacity(segs.len() + 1);
+        cum.push(0.0);
+        for j in 0..segs.len() {
+            let end = if j + 1 < segs.len() {
+                segs[j + 1].0
+            } else {
+                1.0
+            };
+            cum.push(cum[j] + segs[j].1 * (end - segs[j].0));
+        }
+        let total = *cum.last().unwrap();
+        let mut j = 0;
+        for job in &mut jobs {
+            let target = (job.arrival_s / horizon).clamp(0.0, 1.0) * total;
+            if target >= total {
+                job.arrival_s = horizon;
+                continue;
+            }
+            while j + 1 < segs.len() && cum[j + 1] <= target {
+                j += 1;
+            }
+            let q = segs[j].0 + (target - cum[j]) / segs[j].1;
+            job.arrival_s = (q * horizon).min(horizon);
+        }
+        jobs
+    }
+
+    fn pool() -> Vec<Workload> {
+        ["swaptions", "bfs"]
+            .iter()
+            .map(|n| astro_workloads::by_name(n).unwrap())
+            .collect()
+    }
+
+    /// Everything a job carries, bit-exact (floats as raw bits).
+    fn job_fp(j: &JobSpec) -> (u32, &'static str, Taxon, u64, u64, u64) {
+        (
+            j.id,
+            j.workload.name,
+            j.taxon,
+            j.arrival_s.to_bits(),
+            j.slo_tightness.to_bits(),
+            j.seed,
+        )
+    }
+
+    /// Asserts that the cursor and the batch path both emit the oracle
+    /// stream for this configuration.
+    fn assert_matches_oracle(
+        p: ArrivalProcess,
+        n: usize,
+        slo: (f64, f64),
+        seed: u64,
+        traffic: &[TrafficClause],
+    ) {
+        let want: Vec<_> = oracle_stream(p, n, &pool(), slo, seed, traffic)
+            .iter()
+            .map(job_fp)
+            .collect();
+        let batch: Vec<_> = p
+            .generate_shaped(n, &pool(), InputSize::Test, slo, seed, traffic)
+            .iter()
+            .map(job_fp)
+            .collect();
+        assert_eq!(batch, want, "generate_shaped diverged from the oracle");
+        let mut cursor = GenCursor::new(p, n, &pool(), InputSize::Test, slo, seed, traffic);
+        let pulled: Vec<_> = std::iter::from_fn(|| cursor.next_job())
+            .map(|j| job_fp(&j))
+            .collect();
+        assert_eq!(pulled, want, "GenCursor diverged from the oracle");
+        if traffic.is_empty() {
+            let plain: Vec<_> = p
+                .generate(n, &pool(), InputSize::Test, slo, seed)
+                .iter()
+                .map(job_fp)
+                .collect();
+            assert_eq!(plain, want, "generate diverged from the oracle");
+        }
+    }
+
+    /// Fixed Poisson and bursty streams, warped and not, plus the empty
+    /// stream.
+    #[test]
+    fn fixed_streams_match_the_eager_oracle() {
+        let poisson = ArrivalProcess::Poisson {
+            rate_jobs_per_s: 120.0,
+        };
+        let bursty = ArrivalProcess::Bursty {
+            rate_jobs_per_s: 150.0,
+            burst: 8,
+            spread_s: 0.01,
+        };
+        let both = ChaosSchedule::new()
+            .flash_crowd(0.4, 0.6, 6.0)
+            .diurnal(2.0, 0.7, 16);
+        assert_matches_oracle(poisson, 80, (3.0, 6.0), 5, &[]);
+        for p in [poisson, bursty] {
+            assert_matches_oracle(p, 200, (3.0, 6.0), 41, &[]);
+            assert_matches_oracle(p, 0, (3.0, 6.0), 41, &both.traffic);
+        }
+        assert_matches_oracle(bursty, 300, (3.0, 6.0), 9, &both.traffic);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The generator × warp grid of `tests/proptest_cursor.rs`.
+        #[test]
+        fn streams_match_the_eager_oracle_for_every_generator_and_warp(
+            kind in 0u8..2,
+            n in 1usize..160,
+            rate in 1_000.0f64..500_000.0,
+            burst in 1usize..64,
+            spread_grid in 0u8..4,
+            warp_bits in 0u8..4,
+            from_grid in 0u32..80,
+            len_grid in 1u32..21,
+            seed in 0u64..1_000,
+        ) {
+            let p = if kind == 0 {
+                ArrivalProcess::Poisson {
+                    rate_jobs_per_s: rate,
+                }
+            } else {
+                ArrivalProcess::Bursty {
+                    rate_jobs_per_s: rate,
+                    burst,
+                    // Down to 1 ns: bursts collapse onto near-identical
+                    // timestamps, where the merge heap's ties must
+                    // match the sort exactly.
+                    spread_s: [1e-9, 1e-6, 1e-3, 0.1][spread_grid as usize],
+                }
+            };
+            let mut chaos = ChaosSchedule::new();
+            if warp_bits & 1 != 0 {
+                let from = from_grid as f64 / 100.0;
+                let to = (from_grid + len_grid) as f64 / 100.0;
+                chaos = chaos.flash_crowd(from, to.min(1.0), 8.0);
+            }
+            if warp_bits & 2 != 0 {
+                chaos = chaos.diurnal(2.5, 0.8, 6);
+            }
+            assert_matches_oracle(p, n, (3.0, 8.0), seed, &chaos.traffic);
         }
     }
 }

@@ -143,13 +143,11 @@ fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                 check_value(f, bid, v)?;
             }
             match &ins.kind {
-                InstrKind::Call { callee, .. } => {
-                    if callee.0 as usize >= m.functions.len() {
-                        return Err(VerifyError::BadCallee {
-                            func: f.name.clone(),
-                            callee: callee.0,
-                        });
-                    }
+                InstrKind::Call { callee, .. } if callee.0 as usize >= m.functions.len() => {
+                    return Err(VerifyError::BadCallee {
+                        func: f.name.clone(),
+                        callee: callee.0,
+                    });
                 }
                 InstrKind::CallLib { callee, args }
                     if *callee == crate::libcall::LibCall::ThreadSpawn =>

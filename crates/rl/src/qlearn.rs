@@ -158,7 +158,7 @@ impl QAgent {
         if self.replay.len() >= self.cfg.warmup.max(1) {
             self.learn();
         }
-        if self.steps % self.cfg.target_sync == 0 {
+        if self.steps.is_multiple_of(self.cfg.target_sync) {
             self.target.copy_params_from(&self.net);
         }
     }

@@ -52,13 +52,13 @@ impl Matrix {
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let mut y = vec![0.0; self.rows];
-        for r in 0..self.rows {
+        for (r, yr) in y.iter_mut().enumerate() {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             let mut acc = 0.0;
             for (a, b) in row.iter().zip(x) {
                 acc += a * b;
             }
-            y[r] = acc;
+            *yr = acc;
         }
         y
     }
@@ -67,8 +67,7 @@ impl Matrix {
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
         let mut y = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            let xv = x[r];
+        for (r, &xv) in x.iter().enumerate() {
             if xv == 0.0 {
                 continue;
             }
@@ -84,8 +83,8 @@ impl Matrix {
     pub fn add_outer(&mut self, alpha: f64, u: &[f64], v: &[f64]) {
         assert_eq!(u.len(), self.rows);
         assert_eq!(v.len(), self.cols);
-        for r in 0..self.rows {
-            let s = alpha * u[r];
+        for (r, &ur) in u.iter().enumerate() {
+            let s = alpha * ur;
             if s == 0.0 {
                 continue;
             }

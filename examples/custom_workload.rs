@@ -6,6 +6,7 @@
 
 use astro::compiler::{extract_function_features, instrument_for_learning, PhaseMap};
 use astro::ir::{printer, FunctionBuilder, LibCall, MemBehavior, Module, Ty, Value};
+use std::f64::consts::PI;
 
 fn main() {
     let mut module = Module::new("custom");
@@ -23,7 +24,7 @@ fn main() {
     // A compute stage with a critical section.
     let mut crunch = FunctionBuilder::new("crunch", Ty::Void);
     crunch.counted_loop(50_000, |b| {
-        let x = b.fmul(Ty::F64, Value::float(3.14), Value::float(2.71));
+        let x = b.fmul(Ty::F64, Value::float(PI), Value::float(2.71));
         b.fadd(Ty::F64, x, x);
     });
     crunch.call_lib(LibCall::MutexLock, &[Value::int(0)]);
