@@ -270,13 +270,15 @@ fn bench_kernel(c: &mut Criterion) {
     });
 }
 
-/// The arrival-time hot path the PR 8 rewrite holds flat: one
-/// dispatcher decision over a dense 500-board fleet. `PhaseAware::pick`
-/// walks every placeable board twice (finish-time argmin, then the
-/// tie-band scan), reading each board's estimate through its
-/// architecture class, with zero allocation — the scratch vector
-/// inside the dispatcher is reused across calls. A 1M-job run makes
-/// this decision a million times, so ns here are seconds there.
+/// The arrival-time hot path: one dispatcher decision over a dense
+/// 500-board fleet with spread backlogs. `PhaseAware::pick` goes
+/// through the dispatch index every `ClusterState` maintains — the
+/// per-architecture ordered-heap heads and their head equal-finish
+/// groups, then the tie band over the class champions — with zero
+/// allocation. The ceiling sits far below a linear walk of 500
+/// boards, so a pick that falls back to scanning the fleet fails it.
+/// A 1M-job run makes this decision a million times, so ns here are
+/// seconds there.
 fn bench_dispatch_pick(c: &mut Criterion) {
     use astro_fleet::{
         ClusterSpec, ClusterState, DispatchMode, Dispatcher, JobClass, JobEstimates, JobSpec,
@@ -317,11 +319,11 @@ fn bench_dispatch_pick(c: &mut Criterion) {
 
 /// The indexed pick at 10× the dense bench's fleet: one `PhaseAware`
 /// decision over 5000 boards with spread backlogs filed in the
-/// maintained dispatch index. Where the dense bench walks every board
-/// twice, this touches the per-architecture ordered-heap heads plus the
-/// head equal-finish groups — O(log B) — so the number here should be
-/// flat in fleet size, not linear. Estimates are per architecture
-/// class, as the kernel builds them.
+/// maintained dispatch index. The pick touches the per-architecture
+/// ordered-heap heads plus the head equal-finish groups — O(log B) —
+/// so the number here should match the dense bench's, flat in fleet
+/// size, not linear. Estimates are per architecture class, as the
+/// kernel builds them.
 fn bench_dispatch_pick_indexed(c: &mut Criterion) {
     use astro_fleet::{
         ClusterSpec, ClusterState, DispatchMode, Dispatcher, JobClass, JobEstimates, JobSpec,
@@ -336,7 +338,6 @@ fn bench_dispatch_pick_indexed(c: &mut Criterion) {
         let x = ((b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / 16777216.0;
         state.seed_oracle_backlog(b, 10.0 + x * 30.0);
     }
-    state.rebuild_dispatch_index();
     let est = JobEstimates {
         service_s: vec![0.8, 1.2],
         energy_j: vec![2.5, 1.0],
@@ -375,7 +376,6 @@ fn bench_dispatch_index_repair(c: &mut Criterion) {
         let x = ((b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / 16777216.0;
         state.seed_oracle_backlog(b, 10.0 + x * 30.0);
     }
-    state.rebuild_dispatch_index();
     let mut i = 0u64;
     c.bench_function("dispatch_index_repair_5000_boards", |b| {
         b.iter(|| {

@@ -105,7 +105,7 @@ impl DispatcherKind {
     pub fn build(self) -> Box<dyn Dispatcher> {
         match self {
             DispatcherKind::LeastLoaded => Box::new(LeastLoaded),
-            DispatcherKind::EnergyAware => Box::new(EnergyAware::default()),
+            DispatcherKind::EnergyAware => Box::new(EnergyAware),
             DispatcherKind::PhaseAware => Box::new(PhaseAware::default()),
         }
     }
@@ -156,6 +156,33 @@ pub fn row<'a>(rows: &'a [(String, FleetOutcome)], label: &str) -> &'a FleetOutc
         .find(|(l, _)| l == label)
         .unwrap_or_else(|| panic!("no case labelled {label:?}"))
         .1
+}
+
+/// Bitwise fingerprint of a run: FNV-1a over every outcome's placement
+/// and float timeline bits plus the drop list, so a single last-ulp
+/// divergence anywhere in the run flips the digest.
+pub fn fingerprint(out: &FleetOutcome) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    };
+    for o in &out.outcomes {
+        fold(o.id as u64);
+        fold(o.board as u64);
+        fold(o.start_s.to_bits());
+        fold(o.finish_s.to_bits());
+        fold(o.service_s.to_bits());
+        fold(o.energy_j.to_bits());
+        fold(o.migrations as u64);
+    }
+    for d in &out.dropped {
+        fold(d.id as u64);
+        fold(d.reason as u64);
+    }
+    h
 }
 
 fn all_cases() -> Vec<Case> {

@@ -53,15 +53,24 @@ fn chaos_schedule(n_boards: usize, horizon: f64) -> ChaosSchedule {
     let rack_a: Vec<usize> = (0..n_boards).filter(|b| b % 10 < 2).collect();
     let rack_b: Vec<usize> = (0..n_boards).filter(|b| b % 10 == 2).collect();
     let blackout: Vec<usize> = (0..n_boards).filter(|b| b % 10 == 4).collect();
-    let mut chaos = ChaosSchedule::new()
-        // Correlated outages: rack A (20% of the fleet) dies early,
-        // rack B (10%) dies inside the flash crowd, when the
-        // survivors' queues are already deep.
-        .rack_outage(rack_a, 0.25 * horizon, 0.45 * horizon)
-        .rack_outage(rack_b, 0.50 * horizon, 0.65 * horizon)
-        // A blackout overlapping outage B: boards visible, healthy,
-        // and unplaceable — capacity loss the liveness bit cannot see.
-        .blackout(blackout, 0.55 * horizon, 0.62 * horizon)
+    // Correlated outages: rack A (20% of the fleet) dies early, rack B
+    // (10%) dies inside the flash crowd, when the survivors' queues are
+    // already deep. Then a blackout overlapping outage B: boards
+    // visible, healthy, and unplaceable — capacity loss the liveness
+    // bit cannot see. Fleets of four boards or fewer leave some of
+    // these sets empty, and a clause over no boards is malformed, so
+    // it is left out.
+    let mut chaos = ChaosSchedule::new();
+    if !rack_a.is_empty() {
+        chaos = chaos.rack_outage(rack_a, 0.25 * horizon, 0.45 * horizon);
+    }
+    if !rack_b.is_empty() {
+        chaos = chaos.rack_outage(rack_b, 0.50 * horizon, 0.65 * horizon);
+    }
+    if !blackout.is_empty() {
+        chaos = chaos.blackout(blackout, 0.55 * horizon, 0.62 * horizon);
+    }
+    chaos = chaos
         // A fleet-wide misprofile window: every estimate made in the
         // middle half of the run is 4x too low. Only the feedback
         // EWMA can learn the truth back from observed completions.
@@ -264,4 +273,19 @@ pub fn run(
         headline.metrics.slo_miss_rate(),
         baseline.metrics.slo_miss_rate()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::chaos_schedule;
+
+    /// The CLI accepts any fleet size from one board up; the composed
+    /// schedule must be well formed at every small size, where some
+    /// rack and blackout sets are empty.
+    #[test]
+    fn chaos_schedule_is_valid_for_small_fleets() {
+        for n in 1..=12 {
+            chaos_schedule(n, 1.0).validate(n);
+        }
+    }
 }

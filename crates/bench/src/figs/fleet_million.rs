@@ -19,10 +19,10 @@
 //! All printed simulation metrics are seed-deterministic; wall-clock
 //! timing varies with the machine.
 
-use crate::figs::fleet::{mean_cold_service_s, tenant_pool};
+use crate::figs::fleet::{fingerprint, mean_cold_service_s, tenant_pool};
 use astro_fleet::{
-    ArrivalProcess, BackendKind, ClusterSpec, FleetOutcome, FleetParams, FleetSim, FlightRecorder,
-    PhaseAware, PolicyCache, PolicyMode, Scenario, TraceLevel,
+    ArrivalProcess, BackendKind, ClusterSpec, FleetParams, FleetSim, FlightRecorder, PhaseAware,
+    PolicyCache, PolicyMode, Scenario, TraceLevel,
 };
 use astro_workloads::InputSize;
 use std::time::Instant;
@@ -66,32 +66,6 @@ const GATE_TOLERANCE: f64 = 0.30;
 /// bursts worth -35%); the floor this leaves, ~227k, still sits far
 /// above what any historical hot-path regression would produce.
 const PERF_GATE_TOLERANCE: f64 = 0.35;
-
-/// Bitwise fingerprint of a run: FNV-1a over every outcome's
-/// placement and float timeline bits, so a single last-ulp divergence
-/// anywhere in a million jobs changes the digest.
-fn fingerprint(out: &FleetOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    for o in &out.outcomes {
-        fold(o.id as u64);
-        fold(o.board as u64);
-        fold(o.start_s.to_bits());
-        fold(o.finish_s.to_bits());
-        fold(o.energy_j.to_bits());
-        fold(o.migrations as u64);
-    }
-    for d in &out.dropped {
-        fold(d.id as u64);
-        fold(d.reason as u64);
-    }
-    h
-}
 
 /// Run the million-job experiment: `n_jobs` over `n_boards` on
 /// `backend` with telemetry off, then a second leg with the flight

@@ -12,7 +12,7 @@
 //!   validator, no JSON dependency), holds enough spans to be useful,
 //!   and its sim timestamps are monotone;
 //! * the kernel's *streaming* p50/p95/p99
-//!   ([`FleetOutcome::stream`]) agree with the post-hoc
+//!   ([`FleetOutcome::stream`](astro_fleet::FleetOutcome::stream)) agree with the post-hoc
 //!   [`FleetMetrics`](astro_fleet::FleetMetrics) percentiles on the
 //!   same run to within one digest bucket (a factor of
 //!   [`DIGEST_GROWTH`]) — the contract that lets the resident kernel
@@ -24,41 +24,14 @@
 //! chaos edges), track 1 the shard advance windows, track 2 the
 //! completion stream. All timestamps are microseconds of *sim* time.
 
-use crate::figs::fleet::{mean_cold_service_s, tenant_pool, DispatcherKind};
+use crate::figs::fleet::{fingerprint, mean_cold_service_s, tenant_pool, DispatcherKind};
 use astro_fleet::{
-    ArrivalProcess, BackendKind, ChaosSchedule, ChurnEvent, ClusterSpec, FleetOutcome, FleetParams,
-    FleetSim, FlightRecorder, PolicyCache, PolicyMode, Scenario, TraceLevel, DIGEST_GROWTH,
+    ArrivalProcess, BackendKind, ChaosSchedule, ChurnEvent, ClusterSpec, FleetParams, FleetSim,
+    FlightRecorder, PolicyCache, PolicyMode, Scenario, TraceLevel, DIGEST_GROWTH,
 };
 use astro_workloads::InputSize;
 use std::path::Path;
 use std::time::Instant;
-
-/// Bitwise fingerprint of a run: FNV-1a over every outcome's placement
-/// and float timeline bits plus the drop list — one last-ulp divergence
-/// anywhere flips the digest.
-fn fingerprint(out: &FleetOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    for o in &out.outcomes {
-        fold(o.id as u64);
-        fold(o.board as u64);
-        fold(o.start_s.to_bits());
-        fold(o.finish_s.to_bits());
-        fold(o.service_s.to_bits());
-        fold(o.energy_j.to_bits());
-        fold(o.migrations as u64);
-    }
-    for d in &out.dropped {
-        fold(d.id as u64);
-        fold(d.reason as u64);
-    }
-    h
-}
 
 /// Run the flight-recorder figure: `n_jobs` over `n_boards` through
 /// the headline churn + preemption + feedback scenario with a light

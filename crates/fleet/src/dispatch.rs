@@ -90,6 +90,7 @@ pub trait Dispatcher {
 /// Smallest-key board among the placeable ones. Panics when no board is
 /// placeable — the kernel drops jobs before consulting a dispatcher in
 /// that case.
+#[cfg(any(test, feature = "pick_crosscheck"))]
 fn argmin_placeable(state: &ClusterState, key: impl Fn(usize) -> (f64, f64)) -> usize {
     state
         .placeable_boards()
@@ -104,7 +105,8 @@ fn argmin_placeable(state: &ClusterState, key: impl Fn(usize) -> (f64, f64)) -> 
 pub struct LeastLoaded;
 
 impl LeastLoaded {
-    /// The reference linear scan (the pre-index pick, verbatim).
+    /// The reference linear scan the indexed pick must match.
+    #[cfg(any(test, feature = "pick_crosscheck"))]
     fn pick_scan(&self, state: &ClusterState) -> usize {
         argmin_placeable(state, |b| (state.backlog_s(b), state.dispatched(b) as f64))
     }
@@ -180,36 +182,22 @@ impl Dispatcher for LeastLoaded {
     }
 
     fn pick(&mut self, state: &ClusterState, _job: &JobSpec, _est: &JobEstimates) -> usize {
-        match state.dispatch_index() {
-            Some(idx) => {
-                let b = self.pick_indexed(state, idx);
-                #[cfg(feature = "pick_crosscheck")]
-                assert_eq!(
-                    b,
-                    self.pick_scan(state),
-                    "least-loaded indexed pick diverged from the reference scan"
-                );
-                b
-            }
-            None => self.pick_scan(state),
-        }
+        let b = self.pick_indexed(state, state.dispatch_index());
+        #[cfg(feature = "pick_crosscheck")]
+        assert_eq!(
+            b,
+            self.pick_scan(state),
+            "least-loaded indexed pick diverged from the reference scan"
+        );
+        b
     }
 }
 
 /// Energy-aware: among live boards whose backlog is within one service
 /// time of the emptiest, take the one with the lowest predicted energy
 /// for this job. Trades a bounded amount of queueing for Joules.
-///
-/// Holds a reusable backlog scratch so a pick allocates nothing: the
-/// first pass captures every placeable board's backlog (and the fleet
-/// minimum), the second takes the argmin over the feasible set reading
-/// the captured values back. Construct with [`EnergyAware::default`].
-#[derive(Clone, Debug, Default)]
-pub struct EnergyAware {
-    /// Backlog estimate per board from the current pick's first pass.
-    /// Entries for unplaceable boards are stale and never read.
-    backlog: Vec<f64>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EnergyAware;
 
 impl EnergyAware {
     /// Indexed pick. The scan's key over the feasible set (boards
@@ -314,23 +302,20 @@ impl EnergyAware {
         best.expect("some board is up").2
     }
 
-    /// The reference linear scan (the pre-index pick, verbatim).
-    fn pick_scan(&mut self, state: &ClusterState, est: &JobEstimates) -> usize {
-        if self.backlog.len() != state.len() {
-            self.backlog.resize(state.len(), 0.0);
-        }
-        let mut min_backlog = f64::INFINITY;
-        for b in state.placeable_boards() {
-            let bl = state.backlog_s(b);
-            self.backlog[b] = bl;
-            min_backlog = min_backlog.min(bl);
-        }
+    /// The reference linear scan the indexed pick must match: the
+    /// fleet-minimum backlog, then the argmin over the feasible set.
+    #[cfg(any(test, feature = "pick_crosscheck"))]
+    fn pick_scan(&self, state: &ClusterState, est: &JobEstimates) -> usize {
+        let min_backlog = state
+            .placeable_boards()
+            .map(|b| state.backlog_s(b))
+            .fold(f64::INFINITY, f64::min);
         // Never empty: the minimum-backlog placeable board qualifies.
         // The key ends in `b`, so keys are unique and this argmin picks
         // the same board the old sort-free min-by did.
         let mut best: Option<(f64, f64, usize)> = None;
         for b in state.placeable_boards() {
-            let bl = self.backlog[b];
+            let bl = state.backlog_s(b);
             let svc = est.service_on(state, b);
             if bl <= min_backlog + svc {
                 let key = (est.energy_j[state.arch_class(b)], state.now_s + bl + svc, b);
@@ -349,19 +334,14 @@ impl Dispatcher for EnergyAware {
     }
 
     fn pick(&mut self, state: &ClusterState, _job: &JobSpec, est: &JobEstimates) -> usize {
-        match state.dispatch_index() {
-            Some(idx) => {
-                let b = self.pick_indexed(state, est, idx);
-                #[cfg(feature = "pick_crosscheck")]
-                assert_eq!(
-                    b,
-                    self.pick_scan(state, est),
-                    "energy-aware indexed pick diverged from the reference scan"
-                );
-                b
-            }
-            None => self.pick_scan(state, est),
-        }
+        let b = self.pick_indexed(state, est, state.dispatch_index());
+        #[cfg(feature = "pick_crosscheck")]
+        assert_eq!(
+            b,
+            self.pick_scan(state, est),
+            "energy-aware indexed pick diverged from the reference scan"
+        );
+        b
     }
 }
 
@@ -374,16 +354,10 @@ impl Dispatcher for EnergyAware {
 /// estimated finish is more than 2% of a service time behind the global
 /// best is out.
 ///
-/// Holds a reusable finish-estimate scratch so a pick allocates
-/// nothing: the first pass computes every placeable board's estimated
-/// finish once (finding the global best as it goes), the tie pass
-/// reads the captured values back instead of re-walking board queues.
-/// Construct with [`PhaseAware::default`].
+/// Holds a reusable per-architecture-class scratch so a pick allocates
+/// nothing. Construct with [`PhaseAware::default`].
 #[derive(Clone, Debug, Default)]
 pub struct PhaseAware {
-    /// Estimated finish per board from the current pick's first pass.
-    /// Entries for unplaceable boards are stale and never read.
-    finish: Vec<f64>,
     /// Per-architecture-class `(finish, board)` champions from the
     /// indexed pick's first pass, reused by its tie pass.
     champ: Vec<Option<(f64, usize)>>,
@@ -528,20 +502,16 @@ impl PhaseAware {
         best.expect("tie set contains the global best").1
     }
 
-    /// The reference two-pass scan (the pre-index pick, verbatim).
-    fn pick_scan(&mut self, state: &ClusterState, job: &JobSpec, est: &JobEstimates) -> usize {
-        if self.finish.len() != state.len() {
-            self.finish.resize(state.len(), 0.0);
-        }
-        // Pass 1: estimated finish per placeable board, captured once —
-        // the tie pass reads these back instead of re-deriving backlog.
-        // Strict `<` keeps the lowest-indexed board on equal finishes,
-        // matching the old (finish, b) lexicographic argmin.
+    /// The reference two-pass scan the indexed pick must match.
+    #[cfg(any(test, feature = "pick_crosscheck"))]
+    fn pick_scan(&self, state: &ClusterState, job: &JobSpec, est: &JobEstimates) -> usize {
+        // Pass 1: the global best finish. Strict `<` keeps the
+        // lowest-indexed board on equal finishes, matching the old
+        // (finish, b) lexicographic argmin.
         let mut overall = usize::MAX;
         let mut best_finish = f64::INFINITY;
         for b in state.placeable_boards() {
             let f = est.est_finish_s(state, b);
-            self.finish[b] = f;
             if f < best_finish {
                 best_finish = f;
                 overall = b;
@@ -554,7 +524,7 @@ impl PhaseAware {
         // keys are unique and this matches the old min-by exactly.
         let mut best: Option<((f64, f64, f64, f64), usize)> = None;
         for b in state.placeable_boards() {
-            let f = self.finish[b];
+            let f = est.est_finish_s(state, b);
             if f <= best_finish + tie_band {
                 let mismatch = match prefers_big {
                     Some(big) => (state.spec.big_rich(b) != big) as u8 as f64,
@@ -576,19 +546,14 @@ impl Dispatcher for PhaseAware {
     }
 
     fn pick(&mut self, state: &ClusterState, job: &JobSpec, est: &JobEstimates) -> usize {
-        match state.dispatch_index() {
-            Some(idx) => {
-                let b = self.pick_indexed(state, job, est, idx);
-                #[cfg(feature = "pick_crosscheck")]
-                assert_eq!(
-                    b,
-                    self.pick_scan(state, job, est),
-                    "phase-aware indexed pick diverged from the reference scan"
-                );
-                b
-            }
-            None => self.pick_scan(state, job, est),
-        }
+        let b = self.pick_indexed(state, job, est, state.dispatch_index());
+        #[cfg(feature = "pick_crosscheck")]
+        assert_eq!(
+            b,
+            self.pick_scan(state, job, est),
+            "phase-aware indexed pick diverged from the reference scan"
+        );
+        b
     }
 }
 
@@ -725,6 +690,7 @@ mod tests {
             for &b in &self.blackout {
                 st.add_blackout(b);
             }
+            st.rebuild_dispatch_index();
             st
         }
     }
@@ -753,7 +719,7 @@ mod tests {
         f.down = vec![0]; // the obviously best board is down
         for d in [
             &mut LeastLoaded as &mut dyn Dispatcher,
-            &mut EnergyAware::default(),
+            &mut EnergyAware,
             &mut PhaseAware::default(),
         ] {
             let pick = d.pick(&f.state(), &job(JobClass::CpuHeavy), &f.est);
@@ -768,7 +734,7 @@ mod tests {
         f.blackout = vec![0]; // best board is up but unplaceable
         for d in [
             &mut LeastLoaded as &mut dyn Dispatcher,
-            &mut EnergyAware::default(),
+            &mut EnergyAware,
             &mut PhaseAware::default(),
         ] {
             let pick = d.pick(&f.state(), &job(JobClass::CpuHeavy), &f.est);
@@ -783,13 +749,13 @@ mod tests {
         // XU4 boards (0, 2) cost 4 J, RK3399 boards (1, 3) 1.5 J.
         f.est.energy_j = vec![4.0, 1.5];
         assert_eq!(
-            EnergyAware::default().pick(&f.state(), &job(JobClass::Mixed), &f.est),
+            EnergyAware.pick(&f.state(), &job(JobClass::Mixed), &f.est),
             1
         );
         // Congest the cheap board far beyond a service time: excluded.
         f.busy[1] = 25.0;
         assert_eq!(
-            EnergyAware::default().pick(&f.state(), &job(JobClass::Mixed), &f.est),
+            EnergyAware.pick(&f.state(), &job(JobClass::Mixed), &f.est),
             3
         );
     }
@@ -956,22 +922,25 @@ mod tests {
             if !st.any_placeable() {
                 continue;
             }
-            let mut indexed = st.clone();
-            indexed.enable_dispatch_index();
             let per_board = PerBoard::new(&f.cluster, &f.est);
-            let mut energy = EnergyAware::default();
+            let mut energy = EnergyAware;
             let mut phase = PhaseAware::default();
             for class in JobClass::ALL {
                 let j = job(class);
-                for s in [&st, &indexed] {
+                let energy_ref = energy_aware_ref(&st, &per_board);
+                let phase_ref = phase_aware_ref(&st, &j, &per_board);
+                for b in [energy.pick(&st, &j, &f.est), energy.pick_scan(&st, &f.est)] {
                     assert_eq!(
-                        energy.pick(s, &j, &f.est),
-                        energy_aware_ref(&st, &per_board),
+                        b, energy_ref,
                         "energy-aware diverged (case {case}, class {class:?})"
                     );
+                }
+                for b in [
+                    phase.pick(&st, &j, &f.est),
+                    phase.pick_scan(&st, &j, &f.est),
+                ] {
                     assert_eq!(
-                        phase.pick(s, &j, &f.est),
-                        phase_aware_ref(&st, &j, &per_board),
+                        b, phase_ref,
                         "phase-aware diverged (case {case}, class {class:?})"
                     );
                 }
@@ -1013,7 +982,7 @@ mod tests {
                 };
                 let mut st = ClusterState::new(&cluster, mode);
                 st.now_s = 10.0;
-                st.enable_dispatch_index();
+                st.rebuild_dispatch_index();
                 let k = st.n_arch();
                 let est = JobEstimates {
                     service_s: (0..k).map(|_| 1.0 + (next() % 3) as f64 * 0.5).collect(),
@@ -1077,7 +1046,7 @@ mod tests {
                         }
                     }
                     assert_eq!(
-                        st.dispatch_index().unwrap().filed(),
+                        st.dispatch_index().filed(),
                         st.placeable_boards().count(),
                         "index filing out of sync with placeability ({mode:?}, case {case})"
                     );
@@ -1090,7 +1059,7 @@ mod tests {
                         LeastLoaded.pick_scan(&st),
                         "least-loaded diverged ({mode:?}, case {case})"
                     );
-                    let mut energy = EnergyAware::default();
+                    let mut energy = EnergyAware;
                     assert_eq!(
                         energy.pick(&st, &j, &est),
                         energy.pick_scan(&st, &est),
@@ -1134,7 +1103,7 @@ mod tests {
         let cluster = ClusterSpec::heterogeneous(n);
         let mut st = ClusterState::new(&cluster, DispatchMode::Online);
         st.now_s = 10.0;
-        st.enable_dispatch_index();
+        st.rebuild_dispatch_index();
         let lapsed = |now: f64, next: &mut dyn FnMut() -> u64| {
             // An in-flight whose estimate already lapsed: the board
             // files Stale keyed by the overrun estimate.
@@ -1194,7 +1163,7 @@ mod tests {
                     st.refresh_dispatch_index(b);
                 }
             }
-            max_stale = max_stale.max(st.dispatch_index().unwrap().stale_len());
+            max_stale = max_stale.max(st.dispatch_index().stale_len());
             if !st.any_placeable() {
                 continue;
             }
@@ -1206,7 +1175,7 @@ mod tests {
                     LeastLoaded.pick_scan(&st),
                     "least-loaded diverged (step {step})"
                 );
-                let mut energy = EnergyAware::default();
+                let mut energy = EnergyAware;
                 assert_eq!(
                     energy.pick(&st, &j, &est),
                     energy.pick_scan(&st, &est),
@@ -1235,7 +1204,7 @@ mod tests {
         for class in JobClass::ALL {
             for d in [
                 &mut LeastLoaded as &mut dyn Dispatcher,
-                &mut EnergyAware::default(),
+                &mut EnergyAware,
                 &mut PhaseAware::default(),
             ] {
                 let pick = d.pick(&f.state(), &job(class), &f.est);

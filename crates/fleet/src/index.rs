@@ -49,7 +49,10 @@
 //! equal-key group top-down ([`IndexedHeaps::walk`]), descending only
 //! below boards that are in the group.
 //!
-//! The classes are repaired *eagerly* at every mutation site (the
+//! Every [`ClusterState`](crate::state::ClusterState) builds the index
+//! at construction and keeps it for its whole life, whatever the fleet
+//! size: the indexed pick is each dispatcher's only pick path. The
+//! classes are repaired *eagerly* at every mutation site (the
 //! kernel calls [`refresh_dispatch_index`](crate::state::ClusterState::refresh_dispatch_index)
 //! wherever it touches a board) plus two prefix sweeps when the clock
 //! advances: ordered entries whose busy-until the clock has reached
@@ -62,8 +65,9 @@
 //! enumerate a small candidate set that provably contains the argmin,
 //! then compare candidates with the exact same floating-point
 //! expressions the reference linear scan uses — which is how the
-//! indexed picks reproduce the scan bit-for-bit (the `pick_crosscheck`
-//! feature asserts this on every pick). Head-group membership is
+//! indexed picks reproduce the scan bit-for-bit. The scans compile
+//! only for tests and under the `pick_crosscheck` feature, which
+//! asserts the equality on every pick. Head-group membership is
 //! decided on the filed busy-until bits, through the scan's own backlog
 //! expression ([`backlog_at`](crate::state::ClusterState::backlog_at)):
 //! eager repair keeps a filed value equal to the board's live
@@ -72,14 +76,6 @@
 
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeSet;
-
-/// Fleets below this size keep the index disabled and dispatch via
-/// the reference scan: walking a couple dozen boards is cheaper than
-/// maintaining the orderings on every board-local event, and the two
-/// paths pick identically, so the threshold is a pure perf knob (the
-/// `fleet_chaos` quick leg, 20 boards of heavy churn, regressed ~20%
-/// paying repairs it could never amortise).
-pub(crate) const INDEX_MIN_BOARDS: usize = 32;
 
 /// Stale sets at or below this size are walked exactly per pick
 /// instead of going through the cached [`StaleView`]: collecting and
@@ -314,10 +310,6 @@ fn sift_down(h: &mut [(u64, u32)], slot: &mut [u32], mut i: usize) {
 /// keeps the heaps consistent and answers ordered queries.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DispatchIndex {
-    /// Is the index live? Off by default: states built by tests and
-    /// benches mutate boards directly, so dispatchers fall back to the
-    /// reference scan unless the owner opts in and maintains it.
-    pub(crate) enabled: bool,
     /// Current class of each board (`class[b]` mirrors heap membership).
     class: Vec<BoardClass>,
     /// Zero-class boards by `(dispatched bits, board)`, one group.
@@ -346,10 +338,9 @@ pub(crate) struct DispatchIndex {
 }
 
 impl DispatchIndex {
-    /// Reset to an empty, enabled index over `n` boards in `n_arch`
+    /// Reset to an empty index over `n` boards in `n_arch`
     /// architecture classes.
     pub(crate) fn reset(&mut self, n: usize, n_arch: usize) {
-        self.enabled = true;
         self.class = vec![BoardClass::None; n];
         self.zero = IndexedHeaps::new(n, 1);
         self.zero_arch = IndexedHeaps::new(n, n_arch);

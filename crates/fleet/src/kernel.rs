@@ -698,10 +698,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             }
         }
 
-        let mut state = ClusterState::new(sim.cluster, scenario.dispatch);
-        // Indexed argmin dispatch: the kernel maintains the index at
-        // every board mutation below, so picks stop scanning O(boards).
-        state.rebuild_dispatch_index();
+        let state = ClusterState::new(sim.cluster, scenario.dispatch);
         let mut feedback = scenario.feedback.then(ServiceFeedback::default);
         // The admission tables: workloads interned, replay calibrations
         // recorded (earlier runs of this simulator are cache hits) and

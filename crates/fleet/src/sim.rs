@@ -276,8 +276,12 @@ impl<'a> FleetSim<'a> {
     }
 }
 
-/// Deterministic string hash (FNV-1a): profile/training seeds must not
-/// depend on process-level hasher state.
+/// Deterministic string hash: profile/training seeds must not depend
+/// on process-level hasher state. FNV-1a's offset basis and fold, but
+/// with the multiplier `0x1000_0000_01b3`, not the FNV prime
+/// `0x100_0000_01b3` that [`crate::checkpoint::fnv1a`] uses — so the
+/// two are not interchangeable: every golden run's seeds derive from
+/// these bits.
 pub(crate) fn fnv(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {

@@ -440,12 +440,13 @@ impl BoardState {
 
 /// The cluster as the kernel and dispatchers see it at one instant.
 ///
-/// Placeability — the one predicate every dispatcher scans per
-/// arrival — is mirrored into a dense `Vec<bool>` maintained at
-/// liveness/blackout edges, so the scan walks a flat byte array
-/// instead of striding through [`BoardState`] structs; live counts
-/// make [`ClusterState::any_placeable`] and [`ClusterState::any_up`]
-/// O(1). The state also owns the crate's one board→architecture-class
+/// Placeability is mirrored into a dense `Vec<bool>` maintained at
+/// liveness/blackout edges, so [`ClusterState::placeable_boards`]
+/// walks a flat byte array instead of striding through
+/// [`BoardState`] structs; live counts make
+/// [`ClusterState::any_placeable`] and [`ClusterState::any_up`] O(1).
+/// Dispatchers pick through the dispatch index the state maintains.
+/// The state also owns the crate's one board→architecture-class
 /// map ([`ClusterState::arch_class`]).
 #[derive(Clone, Debug)]
 pub struct ClusterState<'a> {
@@ -453,9 +454,13 @@ pub struct ClusterState<'a> {
     pub spec: &'a ClusterSpec,
     /// Which backlog estimate [`ClusterState::est_busy_until_s`] serves.
     pub mode: DispatchMode,
-    /// The virtual clock, seconds.
+    /// The virtual clock, seconds. After writing it directly, call
+    /// [`ClusterState::rebuild_dispatch_index`] before the next pick.
     pub now_s: f64,
-    /// Per-board live state, dispatch index order.
+    /// Per-board live state, in board order. After editing a board
+    /// directly, call [`ClusterState::rebuild_dispatch_index`] (or
+    /// [`ClusterState::refresh_dispatch_index`] on that board) before
+    /// the next pick.
     pub boards: Vec<BoardState>,
     /// Dense mirror of `up && blackouts == 0`, maintained by
     /// [`ClusterState::set_up`] / the blackout mutators.
@@ -469,10 +474,8 @@ pub struct ClusterState<'a> {
     /// Lowest-indexed board of every class.
     arch_first: Vec<usize>,
     /// Incrementally maintained argmin index over placeable boards
-    /// (see [`crate::index`]). Disabled unless the owner opts in with
-    /// [`ClusterState::rebuild_dispatch_index`] and repairs it at every
-    /// board mutation — the kernel does; hand-built states usually
-    /// leave it off and dispatchers fall back to the reference scan.
+    /// (see [`crate::index`]), built by [`ClusterState::new`] and
+    /// repaired at every board mutation.
     index: DispatchIndex,
 }
 
@@ -492,7 +495,7 @@ impl<'a> ClusterState<'a> {
                 u16::try_from(a).expect("fewer than 65536 architectures")
             })
             .collect();
-        ClusterState {
+        let mut state = ClusterState {
             spec,
             mode,
             now_s: 0.0,
@@ -503,7 +506,9 @@ impl<'a> ClusterState<'a> {
             arch_of,
             arch_first,
             index: DispatchIndex::default(),
-        }
+        };
+        state.rebuild_dispatch_index();
+        state
     }
 
     /// Architecture class of board `b`: the slot holding `b`'s values
@@ -528,32 +533,20 @@ impl<'a> ClusterState<'a> {
         self.arch_first[a]
     }
 
-    /// Enable the dispatch index and (re)build it from the current
-    /// board state. After this, every board mutation made outside
-    /// [`ClusterState`]'s own mutators must be followed by
+    /// Re-file every board in the dispatch index from the live board
+    /// state. Call it after editing the `pub` fields
+    /// [`now_s`](ClusterState::now_s) or
+    /// [`boards`](ClusterState::boards) directly. Otherwise the
+    /// contract the event kernel upholds applies: a board mutation made
+    /// outside [`ClusterState`]'s own mutators is followed by
     /// [`ClusterState::refresh_dispatch_index`] on the touched board,
-    /// and every clock move must go through the kernel's advance path —
-    /// the contract the event kernel upholds. Indexed picks rely on
-    /// estimates being constant within an architecture class, which
-    /// holds by construction: a
+    /// and the clock moves only through the advance path. Indexed
+    /// picks rely on estimates being constant within an architecture
+    /// class, which holds by construction: a
     /// [`JobEstimates`](crate::dispatch::JobEstimates) has one slot per
     /// class, read through [`ClusterState::arch_class`] — the same map
     /// the index files boards by.
-    ///
-    /// Fleets smaller than `INDEX_MIN_BOARDS` (32, in `crate::index`)
-    /// keep the index disabled — a linear scan over a few dozen boards
-    /// is cheaper than maintaining the orderings, and both paths pick
-    /// identically, so this is purely a performance threshold.
     pub fn rebuild_dispatch_index(&mut self) {
-        if self.len() >= crate::index::INDEX_MIN_BOARDS {
-            self.enable_dispatch_index();
-        }
-    }
-
-    /// Unconditionally enable and (re)build the index, regardless of
-    /// fleet size. Tests use this to exercise the indexed paths on
-    /// small hand-built clusters.
-    pub(crate) fn enable_dispatch_index(&mut self) {
         self.index.reset(self.len(), self.n_arch());
         for b in 0..self.len() {
             self.refresh_dispatch_index(b);
@@ -570,15 +563,10 @@ impl<'a> ClusterState<'a> {
         self.refresh_dispatch_index(b);
     }
 
-    /// The dispatch index, when enabled (dispatchers consult this to
-    /// choose the indexed pick path).
+    /// The dispatch index every dispatcher picks through.
     #[inline]
-    pub(crate) fn dispatch_index(&self) -> Option<&DispatchIndex> {
-        if self.index.enabled {
-            Some(&self.index)
-        } else {
-            None
-        }
+    pub(crate) fn dispatch_index(&self) -> &DispatchIndex {
+        &self.index
     }
 
     /// The index's stale-class view at the current clock, or `None`
@@ -634,12 +622,9 @@ impl<'a> ClusterState<'a> {
 
     /// Re-file board `b` in the dispatch index after any mutation that
     /// can move its busy-until estimate, dispatch count, in-flight
-    /// state or placeability. No-op while the index is disabled.
+    /// state or placeability.
     #[inline]
     pub fn refresh_dispatch_index(&mut self, b: usize) {
-        if !self.index.enabled {
-            return;
-        }
         let class = self.classify_board(b);
         self.index.set_class(b, self.arch_class(b), class);
     }
@@ -652,9 +637,6 @@ impl<'a> ClusterState<'a> {
     /// swept at most once per insertion.
     pub(crate) fn advance_now(&mut self, time_s: f64) {
         self.now_s = self.now_s.max(time_s);
-        if !self.index.enabled {
-            return;
-        }
         let now_bits = self.now_s.to_bits();
         while let Some(b) = self.index.ordered_lapsed(now_bits) {
             self.refresh_dispatch_index(b);
@@ -723,11 +705,7 @@ impl<'a> ClusterState<'a> {
             self.n_placeable += self.placeable[b] as usize;
             self.n_up += s.up as usize;
         }
-        if self.index.enabled {
-            self.enable_dispatch_index();
-        } else {
-            self.rebuild_dispatch_index();
-        }
+        self.rebuild_dispatch_index();
     }
 
     /// Number of boards (up or down).

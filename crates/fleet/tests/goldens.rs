@@ -204,13 +204,13 @@ fn golden_energy_aware_shape() {
             let mut recorder = FlightRecorder::new(TraceLevel::Full);
             sim.run_traced(
                 &jobs,
-                &mut EnergyAware::default(),
+                &mut EnergyAware,
                 &mut cache,
                 &scenario,
                 &mut recorder,
             )
         } else {
-            sim.run(&jobs, &mut EnergyAware::default(), &mut cache, &scenario)
+            sim.run(&jobs, &mut EnergyAware, &mut cache, &scenario)
         };
         assert_eq!(
             fingerprint(&out),

@@ -31,7 +31,7 @@ fn pool() -> Vec<Workload> {
 fn dispatcher(pick: u8) -> Box<dyn Dispatcher> {
     match pick {
         0 => Box::new(LeastLoaded),
-        1 => Box::new(EnergyAware::default()),
+        1 => Box::new(EnergyAware),
         _ => Box::new(PhaseAware::default()),
     }
 }
