@@ -16,22 +16,39 @@
 //! *few items of very uneven cost* can leave workers idle behind an
 //! unlucky chunk — callers in that regime (fig10's seven benchmarks)
 //! get one item per worker anyway whenever `threads ≥ n`.
-//!
-//! The implementation is [`astro_fleet::chunked_map`] — one mapper
-//! shared by the fleet layer's serial path (`workers == 1`) and this
-//! harness's parallel path, so both contracts can never drift.
 
 /// Run `job(i)` for `i ∈ 0..n` across up to `threads` workers and
 /// return the results in index order.
 ///
 /// `job` must be `Sync` because multiple workers call it concurrently
-/// (each call gets a distinct index).
+/// (each call gets a distinct index). Results are identical whatever
+/// the worker count.
 pub fn parallel_map<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    astro_fleet::chunked_map(n, threads, job)
+    assert!(threads > 0, "parallel_map needs at least one worker");
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let workers = threads.min(n.max(1));
+    let chunk = n.div_ceil(workers).max(1);
+
+    std::thread::scope(|s| {
+        for (w, slots) in results.chunks_mut(chunk).enumerate() {
+            let job = &job;
+            s.spawn(move || {
+                let base = w * chunk;
+                for (off, slot) in slots.iter_mut().enumerate() {
+                    *slot = Some(job(base + off));
+                }
+            });
+        }
+    });
+
+    results
+        .into_iter()
+        .map(|r| r.expect("every index produced"))
+        .collect()
 }
 
 /// Default worker count: physical parallelism minus one, at least one.

@@ -118,11 +118,9 @@ impl LeastLoaded {
     /// class (backlog order is busy-until order, so the least backlog
     /// is the least over the per-architecture heads, and each class's
     /// boards at that backlog are a prefix of its order because
-    /// `x ↦ (x - now).max(0)` is monotone), and
-    /// (c) the head equal-backlog group of the stale view (sorted by
-    /// exact backlog bits at the current clock), or every stale board
-    /// when the set is small. Candidates are then compared with the
-    /// exact scan key.
+    /// `x ↦ (x - now).max(0)` is monotone), and (c) every stale board,
+    /// walked exactly. Candidates are then compared with the exact scan
+    /// key.
     fn pick_indexed(&self, state: &ClusterState, idx: &DispatchIndex) -> usize {
         let mut best: Option<(f64, f64, usize)> = None;
         let consider = |best: &mut Option<(f64, f64, usize)>, b: usize| {
@@ -148,29 +146,8 @@ impl LeastLoaded {
                 hit
             });
         }
-        match state.stale_view() {
-            None => {
-                for b in idx.stale_iter() {
-                    consider(&mut best, b);
-                }
-            }
-            Some(view) => {
-                // Sorted by exact backlog bits: the argmin's backlog
-                // is the head's, and equal backlogs are contiguous
-                // (bit order is numeric order on non-negative values),
-                // so the head group covers every dispatched/board
-                // tie-break candidate.
-                let mut it = view.all().iter();
-                if let Some(&(bl0, b0)) = it.next() {
-                    consider(&mut best, b0 as usize);
-                    for &(bl, b) in it {
-                        if bl != bl0 {
-                            break;
-                        }
-                        consider(&mut best, b as usize);
-                    }
-                }
-            }
+        for b in idx.stale_iter() {
+            consider(&mut best, b);
         }
         best.expect("at least one board is placeable").2
     }
@@ -209,32 +186,18 @@ impl EnergyAware {
     /// ordered heap (or its lowest-indexed zero-class board, which is
     /// always feasible since its backlog is zero). The fleet-minimum
     /// backlog itself is an order-independent `f64::min` fold, so it
-    /// is reconstructed exactly from the class heads. Stale boards go
-    /// through the per-clock view (per-architecture head equal-finish
-    /// groups, with the same head-infeasibility cutoff as the ordered
-    /// class) or, for small sets, an exact walk; candidates compare
-    /// with the exact scan key.
+    /// is reconstructed exactly from the class heads and a walk over
+    /// every stale board. Every stale board is then a candidate too;
+    /// candidates compare with the exact scan key.
     fn pick_indexed(&self, state: &ClusterState, est: &JobEstimates, idx: &DispatchIndex) -> usize {
-        let stale_view = state.stale_view();
         let mut min_backlog = if idx.has_zero() { 0.0 } else { f64::INFINITY };
         for a in 0..state.n_arch() {
             if let Some(busy) = idx.ordered_min_busy(a) {
                 min_backlog = min_backlog.min(state.backlog_at(busy));
             }
         }
-        match &stale_view {
-            None => {
-                for b in idx.stale_iter() {
-                    min_backlog = min_backlog.min(state.backlog_s(b));
-                }
-            }
-            Some(view) => {
-                // The min over the stale class is the view head's
-                // exact value (an `f64::min` fold is order-free).
-                if let Some(&(bl0, _)) = view.all().first() {
-                    min_backlog = min_backlog.min(f64::from_bits(bl0));
-                }
-            }
+        for b in idx.stale_iter() {
+            min_backlog = min_backlog.min(state.backlog_s(b));
         }
         let mut best: Option<(f64, f64, usize)> = None;
         let consider = |best: &mut Option<(f64, f64, usize)>, b: usize| {
@@ -268,36 +231,8 @@ impl EnergyAware {
                 }
             }
         }
-        match &stale_view {
-            None => {
-                for b in idx.stale_iter() {
-                    consider(&mut best, b);
-                }
-            }
-            Some(view) => {
-                for a in 0..state.n_arch() {
-                    let svc = est.service_s[a];
-                    let mut it = view.arch(a).iter();
-                    if let Some(&(bl0, b0)) = it.next() {
-                        let bl0 = f64::from_bits(bl0);
-                        // Backlog is non-decreasing along the view
-                        // order and energy/service are per-class
-                        // constants, so the class winner is in the
-                        // head equal-finish group — and when the head
-                        // is infeasible, so is every later board.
-                        if bl0 <= min_backlog + svc {
-                            let f0 = state.now_s + bl0 + svc;
-                            consider(&mut best, b0 as usize);
-                            for &(bl, b) in it {
-                                if state.now_s + f64::from_bits(bl) + svc != f0 {
-                                    break;
-                                }
-                                consider(&mut best, b as usize);
-                            }
-                        }
-                    }
-                }
-            }
+        for b in idx.stale_iter() {
+            consider(&mut best, b);
         }
         best.expect("some board is up").2
     }
@@ -381,13 +316,11 @@ impl PhaseAware {
     /// Pass 2's key `(mismatch, cold, finish, board)` is constant per
     /// class in its first two terms, so each class's tie-band winner
     /// is its pass-1 champion when that champion makes the band — no
-    /// other class member can. Stale boards join through the per-clock
-    /// view: within a class their finish is monotone in backlog too,
-    /// so each class's stale winner is in the head equal-finish group
-    /// of its view ordering and folds into the class champion, which
-    /// makes pass 2's champion argument cover them unchanged. Small
-    /// stale sets are walked exactly in both passes instead. All
-    /// comparisons use the exact scan expressions.
+    /// other class member can. Stale boards stay out of the champions:
+    /// both passes walk every stale board exactly, pass 1 folding its
+    /// `(finish, board)` into the global best and pass 2 testing it
+    /// against the tie band with the full key. All comparisons use the
+    /// exact scan expressions.
     fn pick_indexed(
         &mut self,
         state: &ClusterState,
@@ -395,7 +328,6 @@ impl PhaseAware {
         est: &JobEstimates,
         idx: &DispatchIndex,
     ) -> usize {
-        let stale_view = state.stale_view();
         let na = state.n_arch();
         if self.champ.len() != na {
             self.champ.resize(na, None);
@@ -423,31 +355,6 @@ impl PhaseAware {
                     hit
                 });
             }
-            if let Some(view) = &stale_view {
-                // Fold the class's stale winner into its champion:
-                // finish is monotone in backlog within the class, so
-                // it lives in the head equal-finish group, and the
-                // keys within the group share `f0` — the group min is
-                // the lowest board index.
-                let mut it = view.arch(a).iter();
-                if let Some(&(_, b0)) = it.next() {
-                    let b0 = b0 as usize;
-                    let f0 = est.est_finish_s(state, b0);
-                    let mut k = (f0, b0);
-                    for &(_, b) in it {
-                        let b = b as usize;
-                        if est.est_finish_s(state, b) != f0 {
-                            break;
-                        }
-                        if b < k.1 {
-                            k = (f0, b);
-                        }
-                    }
-                    if c.map(|o| k < o).unwrap_or(true) {
-                        c = Some(k);
-                    }
-                }
-            }
             self.champ[a] = c;
             if let Some(k) = c {
                 if overall.map(|o| k < o).unwrap_or(true) {
@@ -455,12 +362,10 @@ impl PhaseAware {
                 }
             }
         }
-        if stale_view.is_none() {
-            for b in idx.stale_iter() {
-                let k = (est.est_finish_s(state, b), b);
-                if overall.map(|o| k < o).unwrap_or(true) {
-                    overall = Some(k);
-                }
+        for b in idx.stale_iter() {
+            let k = (est.est_finish_s(state, b), b);
+            if overall.map(|o| k < o).unwrap_or(true) {
+                overall = Some(k);
             }
         }
         let (best_finish, overall_b) = overall.expect("at least one board is placeable");
@@ -485,17 +390,12 @@ impl PhaseAware {
                 }
             }
         }
-        if stale_view.is_none() {
-            // With the view active, stale candidates already folded
-            // into the per-class champions above — pass 2's
-            // constant-(mismatch, cold) argument covers them.
-            for b in idx.stale_iter() {
-                let f = est.est_finish_s(state, b);
-                if f <= thresh {
-                    let key = full_key(b, f);
-                    if best.map(|(k, _)| key < k).unwrap_or(true) {
-                        best = Some((key, b));
-                    }
+        for b in idx.stale_iter() {
+            let f = est.est_finish_s(state, b);
+            if f <= thresh {
+                let key = full_key(b, f);
+                if best.map(|(k, _)| key < k).unwrap_or(true) {
+                    best = Some((key, b));
                 }
             }
         }
@@ -1081,15 +981,12 @@ mod tests {
         );
     }
 
-    /// Floods the Stale class far past `STALE_SCAN_MAX` — the regime a
-    /// systematic-underestimation chaos clause creates (every in-flight
-    /// estimate lapsed with work still queued) — then churns queues,
-    /// dispatch counts, liveness and the clock while checking every
-    /// indexed pick against its reference scan, bit for bit. Back-to-
-    /// back picks at an unchanged clock reuse the cached stale view;
-    /// enqueues between picks invalidate it through the revision bump
-    /// (backlog moves while the lapse key does not); clock advances
-    /// rebuild it outright.
+    /// Floods the Stale class — the regime a systematic-underestimation
+    /// chaos clause creates (every in-flight estimate lapsed with work
+    /// still queued), here to a peak of more than 32 of 48 boards —
+    /// then churns queues, dispatch counts, liveness and the clock
+    /// while checking every indexed pick, whose stale walk then covers
+    /// most of the fleet, against its reference scan, bit for bit.
     #[test]
     fn indexed_picks_match_scan_with_flooded_stale_class() {
         let mut lcg = 0x6c62_272e_07bb_0142u64;
@@ -1106,7 +1003,7 @@ mod tests {
         st.rebuild_dispatch_index();
         let lapsed = |now: f64, next: &mut dyn FnMut() -> u64| {
             // An in-flight whose estimate already lapsed: the board
-            // files Stale keyed by the overrun estimate.
+            // files Stale.
             let svc = 0.5 + (next() % 4) as f64 * 0.5;
             let mut f = ifl_for_churn(now - 2.0 * svc, svc);
             debug_assert!(f.est_finish_s < now);
@@ -1114,8 +1011,8 @@ mod tests {
             f
         };
         // Seed: every board gets queued work; two thirds also carry a
-        // lapsed in-flight (distinct lapse keys), the rest sit idle
-        // with a queue (lapse key 0).
+        // lapsed in-flight, the rest sit idle with a queue — the whole
+        // fleet starts Stale.
         for b in 0..n {
             for _ in 0..1 + next() % 3 {
                 st.boards[b].enqueue(qj_for_churn(0.5 + (next() % 4) as f64 * 0.5));
@@ -1133,7 +1030,7 @@ mod tests {
         };
         let mut max_stale = 0usize;
         let mut checked = 0usize;
-        for step in 0..400 {
+        for step in 0..800 {
             let b = (next() % n as u64) as usize;
             match next() % 6 {
                 0 => {
@@ -1168,30 +1065,27 @@ mod tests {
                 continue;
             }
             let j = job(JobClass::ALL[(next() % JobClass::ALL.len() as u64) as usize]);
-            // Two rounds per step: the second reuses the cached view.
-            for _ in 0..2 {
-                assert_eq!(
-                    LeastLoaded.pick(&st, &j, &est),
-                    LeastLoaded.pick_scan(&st),
-                    "least-loaded diverged (step {step})"
-                );
-                let mut energy = EnergyAware;
-                assert_eq!(
-                    energy.pick(&st, &j, &est),
-                    energy.pick_scan(&st, &est),
-                    "energy-aware diverged (step {step})"
-                );
-                let mut phase = PhaseAware::default();
-                assert_eq!(
-                    phase.pick(&st, &j, &est),
-                    phase.pick_scan(&st, &j, &est),
-                    "phase-aware diverged (step {step})"
-                );
-                checked += 3;
-            }
+            assert_eq!(
+                LeastLoaded.pick(&st, &j, &est),
+                LeastLoaded.pick_scan(&st),
+                "least-loaded diverged (step {step})"
+            );
+            let mut energy = EnergyAware;
+            assert_eq!(
+                energy.pick(&st, &j, &est),
+                energy.pick_scan(&st, &est),
+                "energy-aware diverged (step {step})"
+            );
+            let mut phase = PhaseAware::default();
+            assert_eq!(
+                phase.pick(&st, &j, &est),
+                phase.pick_scan(&st, &j, &est),
+                "phase-aware diverged (step {step})"
+            );
+            checked += 3;
         }
         assert!(
-            max_stale > 2 * crate::index::STALE_SCAN_MAX,
+            max_stale > 32,
             "stale flood degenerated: peak {max_stale} boards"
         );
         assert!(checked > 2000, "flood sweep degenerated: {checked} picks");

@@ -26,28 +26,22 @@
 //!   lapsed while work is still queued (or, defensively, an idle board
 //!   with queued work): its busy-until is genuinely clock-dependent
 //!   (`now + Σ queued`), so no clock-free ordering over it can be
-//!   maintained incrementally. Stale boards are bucketed in an ordered
-//!   set keyed by lapse time, and picks are served from a cached
-//!   [`StaleView`] — per-(clock, revision) global and per-architecture
-//!   orderings by *exact* backlog bits — so the head equal-key groups
-//!   dispatchers walk are the same ones they walk in the ordered
-//!   class. The view is rebuilt lazily when the clock has moved or any
-//!   stale board was refiled since the last pick; in steady state the
-//!   class is near-empty (boards enter it only when a service estimate
-//!   overran and feedback shrinks it again), and under a systematic-
-//!   underestimation chaos clause — where most of the fleet goes stale
-//!   — bursty arrivals at shared timestamps amortise one rebuild over
-//!   many picks instead of degrading every pick to five linear scans.
-//!   Small stale sets (≤ [`STALE_SCAN_MAX`]) skip the view and keep
-//!   the exact per-pick walk: sorting a handful of boards costs more
-//!   than scanning them.
+//!   maintained incrementally. Every pick walks all stale boards,
+//!   evaluating each board's exact backlog: each dispatcher folds the
+//!   walk with an order-free argmin whose key ends in the board index,
+//!   so visit order cannot change a pick. In steady state the class is near-empty (boards enter it
+//!   only when a service estimate overran and feedback shrinks it
+//!   again); under a systematic-underestimation chaos clause it can
+//!   hold most of the fleet, and the walk stays O(stale boards) per
+//!   pick.
 //!
-//! Zero and Ordered filings live in [`IndexedHeaps`]: flat binary
-//! min-heaps over `(key bits, board)` with a board→slot map, so a
-//! refile re-keys the board in place with one sift per heap and
-//! allocates nothing. Dispatchers read class heads and walk a head
+//! Every class lives in [`IndexedHeaps`]: flat binary min-heaps over
+//! `(key bits, board)` with a board→slot map, so a refile re-keys the
+//! board in place with one sift per heap and allocates nothing.
+//! Dispatchers read Zero and Ordered class heads and walk a head
 //! equal-key group top-down ([`IndexedHeaps::walk`]), descending only
-//! below boards that are in the group.
+//! below boards that are in the group; the stale heap (every key `0`)
+//! is only a slot-mapped set and is read whole.
 //!
 //! Every [`ClusterState`](crate::state::ClusterState) builds the index
 //! at construction and keeps it for its whole life, whatever the fleet
@@ -74,16 +68,6 @@
 //! busy-until, the invariant the ordering itself rests on, so a walk
 //! reads no board state until it accepts a candidate.
 
-use std::cell::{Ref, RefCell};
-use std::collections::BTreeSet;
-
-/// Stale sets at or below this size are walked exactly per pick
-/// instead of going through the cached [`StaleView`]: collecting and
-/// sorting a handful of boards costs more than evaluating them
-/// directly, and small sets are the steady state (boards only go
-/// stale when a service estimate overran).
-pub(crate) const STALE_SCAN_MAX: usize = 16;
-
 /// Which class a board is filed under (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BoardClass {
@@ -102,51 +86,8 @@ pub(crate) enum BoardClass {
         /// must demote once the clock passes it (online mode only).
         ifl_bits: Option<u64>,
     },
-    /// Busy-until depends on the clock: bucketed by lapse time and
-    /// served through the cached [`StaleView`].
-    Stale {
-        /// Bit pattern of the in-flight finish estimate that lapsed
-        /// (`0` for an idle board with queued work) — the bucket key.
-        /// Identical keys still invalidate the view on refile: the
-        /// board's backlog may have moved even though its lapse time
-        /// did not.
-        lapse_bits: u64,
-    },
-}
-
-/// Cached orderings over the stale class, valid for one `(clock,
-/// revision)` pair. Stale backlogs are clock-dependent (`fold(now) −
-/// now` — the bits genuinely change as `now` moves), so the view is
-/// rebuilt from exact per-board backlog bits whenever the clock has
-/// advanced or any stale board was refiled, and reused verbatim across
-/// the picks in between (bursty arrivals at one timestamp, the hot
-/// adversarial pattern). Since backlogs are non-negative and finite,
-/// bit order *is* numeric order, and dispatchers walk the same head
-/// equal-key groups they walk in the ordered class.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct StaleView {
-    /// Clock bits the view was built at.
-    now_bits: u64,
-    /// `stale_rev` the view was built at.
-    rev: u64,
-    /// Every stale board by `(backlog bits, board)`, ascending.
-    by_bl: Vec<(u64, u32)>,
-    /// Stale boards per architecture class, same order.
-    by_bl_arch: Vec<Vec<(u64, u32)>>,
-}
-
-impl StaleView {
-    /// All stale boards, ascending `(backlog bits, board)`.
-    #[inline]
-    pub(crate) fn all(&self) -> &[(u64, u32)] {
-        &self.by_bl
-    }
-
-    /// Stale boards of architecture class `a`, same order.
-    #[inline]
-    pub(crate) fn arch(&self, a: usize) -> &[(u64, u32)] {
-        &self.by_bl_arch[a]
-    }
+    /// Busy-until depends on the clock: walked exactly on every pick.
+    Stale,
 }
 
 /// Slot-map sentinel: the board is filed in no heap of the family.
@@ -324,17 +265,9 @@ pub(crate) struct DispatchIndex {
     /// their in-flight finish estimate, by `(estimate bits, board)`,
     /// one group.
     inflight: IndexedHeaps,
-    /// Stale-class boards by `(lapse bits, board)` — ordered by when
-    /// their in-flight estimate lapsed, so rebuild order (and the
-    /// fallback exact walk) is deterministic.
-    stale: BTreeSet<(u64, u32)>,
-    /// Bumped whenever any board enters, leaves or refiles within the
-    /// stale class; part of the [`StaleView`] cache key.
-    stale_rev: u64,
-    /// Cached per-(clock, revision) stale orderings, rebuilt lazily on
-    /// first use after an invalidation (interior mutability: picks
-    /// hold `&ClusterState`).
-    stale_view: RefCell<StaleView>,
+    /// Stale-class boards, one group, every key `0`: the heap is only
+    /// a slot-mapped set, walked whole by [`stale_iter`](Self::stale_iter).
+    stale: IndexedHeaps,
 }
 
 impl DispatchIndex {
@@ -346,26 +279,14 @@ impl DispatchIndex {
         self.zero_arch = IndexedHeaps::new(n, n_arch);
         self.ordered = IndexedHeaps::new(n, n_arch);
         self.inflight = IndexedHeaps::new(n, 1);
-        self.stale = BTreeSet::new();
-        // Keep the revision monotone across resets so a view cached
-        // before a rebuild can never alias a fresh (clock, revision)
-        // pair.
-        self.stale_rev += 1;
+        self.stale = IndexedHeaps::new(n, 1);
     }
 
     /// Re-file board `b`, of architecture class `a`, under `class`:
     /// each heap re-keys, files or drops the board in place (a board
     /// that stays Ordered moves with one sift per heap).
     pub(crate) fn set_class(&mut self, b: usize, a: usize, class: BoardClass) {
-        let old = self.class[b];
-        // Any refile touching the stale class invalidates the cached
-        // view — including an identical reclassification: a queue
-        // mutation moves a stale board's backlog without moving its
-        // lapse key, and the view orders by backlog.
-        if matches!(class, BoardClass::Stale { .. }) || matches!(old, BoardClass::Stale { .. }) {
-            self.stale_rev += 1;
-        }
-        if class == old {
+        if class == self.class[b] {
             // Identical classification files identically.
             return;
         }
@@ -385,12 +306,8 @@ impl DispatchIndex {
         };
         self.ordered.set(a, bu, busy);
         self.inflight.set(0, bu, ifl);
-        if let BoardClass::Stale { lapse_bits } = old {
-            self.stale.remove(&(lapse_bits, bu));
-        }
-        if let BoardClass::Stale { lapse_bits } = class {
-            self.stale.insert((lapse_bits, bu));
-        }
+        self.stale
+            .set(0, bu, (class == BoardClass::Stale).then_some(0));
         self.class[b] = class;
     }
 
@@ -450,58 +367,11 @@ impl DispatchIndex {
         self.ordered.walk(a, |bits, b| f(f64::from_bits(bits), b));
     }
 
-    /// Stale-class boards, ascending `(lapse time, board)` — the exact
-    /// per-pick walk for small sets (and the deterministic rebuild
-    /// order for the view).
+    /// Every stale-class board, in no particular order: callers fold
+    /// the walk with an order-free argmin.
     #[inline]
     pub(crate) fn stale_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.stale.iter().map(|&(_, b)| b as usize)
-    }
-
-    /// The cached stale orderings for the current clock, or `None`
-    /// when the stale set is small enough (≤ [`STALE_SCAN_MAX`]) that
-    /// the caller should walk [`stale_iter`](Self::stale_iter)
-    /// exactly. `backlog_bits` must return board `b`'s exact current
-    /// backlog bits (the same value the pick's key expressions read);
-    /// it is only invoked on a rebuild — when the clock has moved or a
-    /// stale board was refiled since the view was last built.
-    /// `arch_of` is the board→class map the boards were filed by.
-    pub(crate) fn stale_view(
-        &self,
-        now_bits: u64,
-        backlog_bits: impl Fn(usize) -> u64,
-        arch_of: &[u16],
-    ) -> Option<Ref<'_, StaleView>> {
-        if self.stale.len() <= STALE_SCAN_MAX {
-            return None;
-        }
-        {
-            let v = self.stale_view.borrow();
-            if v.now_bits == now_bits && v.rev == self.stale_rev {
-                return Some(v);
-            }
-        }
-        let mut v = self.stale_view.borrow_mut();
-        v.now_bits = now_bits;
-        v.rev = self.stale_rev;
-        v.by_bl.clear();
-        let n_arch = self.ordered.groups();
-        if v.by_bl_arch.len() != n_arch {
-            v.by_bl_arch.resize(n_arch, Vec::new());
-        }
-        for arch in &mut v.by_bl_arch {
-            arch.clear();
-        }
-        for &(_, b) in &self.stale {
-            v.by_bl.push((backlog_bits(b as usize), b));
-        }
-        v.by_bl.sort_unstable();
-        for i in 0..v.by_bl.len() {
-            let (bits, b) = v.by_bl[i];
-            v.by_bl_arch[arch_of[b as usize] as usize].push((bits, b));
-        }
-        drop(v);
-        Some(self.stale_view.borrow())
+        self.stale.heaps[0].iter().map(|&(_, b)| b as usize)
     }
 
     /// Filed entries across every class (diagnostics / tests).
@@ -521,86 +391,7 @@ impl DispatchIndex {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// Two architecture classes, alternating by parity: the index and
-    /// the board→class map its callers pass in.
-    fn index(n: usize) -> (DispatchIndex, Vec<u16>) {
-        let mut idx = DispatchIndex::default();
-        idx.reset(n, 2);
-        (idx, (0..n).map(|b| (b % 2) as u16).collect())
-    }
-
-    /// The view only engages past `STALE_SCAN_MAX`, orders by exact
-    /// backlog bits globally and per class, and is reused verbatim
-    /// while `(clock, revision)` is unchanged.
-    #[test]
-    fn stale_view_engages_sorts_and_caches() {
-        let n = STALE_SCAN_MAX + 4;
-        let (mut idx, arch_of) = index(n);
-        let stale = |b: usize| BoardClass::Stale {
-            lapse_bits: b as u64,
-        };
-        for b in 0..STALE_SCAN_MAX {
-            idx.set_class(b, b % 2, stale(b));
-        }
-        // At the threshold: callers must walk the exact iterator.
-        assert!(idx.stale_view(1, |_| 0, &arch_of).is_none());
-        for b in STALE_SCAN_MAX..n {
-            idx.set_class(b, b % 2, stale(b));
-        }
-        assert_eq!(idx.stale_len(), n);
-        // Backlog descending in board index → the view must re-sort.
-        let bl = |b: usize| (n - b) as u64;
-        let view = idx.stale_view(1, bl, &arch_of).expect("past the threshold");
-        let all: Vec<(u64, u32)> = view.all().to_vec();
-        assert_eq!(all.len(), n);
-        assert!(all.windows(2).all(|w| w[0] <= w[1]), "sorted by backlog");
-        assert_eq!(all[0], (1, (n - 1) as u32), "deepest board files first");
-        for a in 0..2 {
-            assert!(view.arch(a).iter().all(|&(_, b)| b as usize % 2 == a));
-            assert!(view.arch(a).windows(2).all(|w| w[0] <= w[1]));
-        }
-        drop(view);
-        // Same clock, same revision: the rebuild closure must not run.
-        let cached = idx
-            .stale_view(1, |_| panic!("cache hit must not rebuild"), &arch_of)
-            .expect("cached");
-        assert_eq!(cached.all(), &all[..]);
-        drop(cached);
-        // A clock move alone invalidates (stale backlogs are
-        // clock-dependent).
-        let moved = idx.stale_view(2, |b| b as u64, &arch_of).expect("rebuilt");
-        assert_eq!(moved.all()[0], (0, 0));
-        drop(moved);
-        // A refile under the *same* lapse key still invalidates: the
-        // board's backlog may have moved even though its key did not.
-        idx.set_class(3, 1, BoardClass::Stale { lapse_bits: 3 });
-        let rebuilt = idx
-            .stale_view(2, |b| (n - b) as u64, &arch_of)
-            .expect("rebuilt");
-        assert_eq!(rebuilt.all()[0], (1, (n - 1) as u32));
-        drop(rebuilt);
-        // Leaving the class shrinks the set below the threshold + 1;
-        // dropping to the threshold disengages the view entirely.
-        for b in 0..4 {
-            idx.set_class(b, b % 2, BoardClass::None);
-        }
-        assert_eq!(idx.stale_len(), n - 4);
-        assert!(idx.stale_view(2, |_| 0, &arch_of).is_none());
-    }
-
-    /// The stale set itself stays ordered by `(lapse time, board)` so
-    /// the fallback exact walk and rebuild order are deterministic.
-    #[test]
-    fn stale_set_orders_by_lapse_time() {
-        let (mut idx, _) = index(6);
-        for (b, lapse) in [(4usize, 7u64), (1, 3), (5, 3), (0, 9)] {
-            idx.set_class(b, b % 2, BoardClass::Stale { lapse_bits: lapse });
-        }
-        let walked: Vec<usize> = idx.stale_iter().collect();
-        assert_eq!(walked, vec![1, 5, 4, 0]);
-        assert_eq!(idx.filed(), 4);
-    }
+    use std::collections::BTreeSet;
 
     /// Every structural invariant of a heap family against a sorted-set
     /// model: heap order, the slot map round-tripping both ways, and the
@@ -726,7 +517,7 @@ mod tests {
                     1 if zero_ok == 1 => BoardClass::Zero { disp_bits: k1 },
                     2 => BoardClass::Ordered { busy_bits: k1, ifl_bits: None },
                     3 => BoardClass::Ordered { busy_bits: k1, ifl_bits: Some(k2) },
-                    4 => BoardClass::Stale { lapse_bits: k1 },
+                    4 => BoardClass::Stale,
                     _ => BoardClass::None,
                 };
                 idx.set_class(b, a, c);
@@ -806,8 +597,11 @@ mod tests {
                     let want = inflight.first().filter(|&&(k, _)| k < now).map(|&(_, b)| b as usize);
                     prop_assert_eq!(idx.inflight_lapsed(now), want);
                 }
-                let stale = class.iter().filter(|c| matches!(c, BoardClass::Stale { .. })).count();
-                prop_assert_eq!(idx.filed(), zero.len() + ordered.len() + stale);
+                let stale: Vec<usize> = (0..n).filter(|&b| class[b] == BoardClass::Stale).collect();
+                let mut walked: Vec<usize> = idx.stale_iter().collect();
+                walked.sort_unstable();
+                prop_assert_eq!(&walked, &stale);
+                prop_assert_eq!(idx.filed(), zero.len() + ordered.len() + stale.len());
             }
         }
     }

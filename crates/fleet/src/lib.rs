@@ -83,7 +83,7 @@ pub use feedback::{FeedbackStats, ServiceFeedback};
 pub use job::{classify_module, taxon_of, JobClass, JobOutcome, JobSpec, Taxon};
 pub use kernel::{ChurnEvent, Event, EventKind, EventQueue, KernelStats, ResidentKernel, Scenario};
 pub use metrics::{percentile, FleetMetrics, FleetOutcome, StreamSummary, STREAM_WINDOW};
-pub use sim::{chunked_map, FleetParams, FleetSim, PolicyMode};
+pub use sim::{FleetParams, FleetSim, PolicyMode};
 pub use state::{
     BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, InFlight, QueuedJob,
 };

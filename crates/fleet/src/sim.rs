@@ -122,39 +122,6 @@ impl FleetParams {
     }
 }
 
-/// Run `f(0..n)` across up to `workers` OS threads and return the
-/// results in index order. One contiguous chunk per worker, no shared
-/// index, no result lock; `workers == 1` degenerates to a plain
-/// sequential map, so serial and parallel callers share one code path
-/// and one contract: results identical whatever the worker count.
-pub fn chunked_map<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(workers > 0, "chunked_map needs at least one worker");
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let workers = workers.min(n.max(1));
-    let chunk = n.div_ceil(workers).max(1);
-
-    std::thread::scope(|s| {
-        for (w, slots) in results.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                let base = w * chunk;
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(f(base + off));
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every index produced"))
-        .collect()
-}
-
 /// The fleet simulator, bound to a cluster.
 pub struct FleetSim<'a> {
     /// The boards.
@@ -636,15 +603,5 @@ mod tests {
             &Scenario::online(PolicyMode::Cold),
         );
         assert!(out.metrics.slo_misses <= no_preempt.metrics.slo_misses);
-    }
-
-    #[test]
-    fn chunked_map_matches_serial_map() {
-        let f = |i: usize| i * 3 + 1;
-        let serial: Vec<usize> = (0..17).map(f).collect();
-        for workers in [1, 2, 3, 8, 32] {
-            assert_eq!(chunked_map(17, workers, f), serial);
-        }
-        assert!(chunked_map::<usize, _>(0, 4, f).is_empty());
     }
 }

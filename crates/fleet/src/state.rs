@@ -21,10 +21,10 @@
 //!   bursts, estimate error and board churn.
 
 use crate::cluster::ClusterSpec;
-use crate::index::{BoardClass, DispatchIndex, StaleView};
+use crate::index::{BoardClass, DispatchIndex};
 use crate::job::{JobOutcome, JobSpec, Taxon};
 use astro_core::schedule::StaticSchedule;
-use std::cell::{Cell, Ref};
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// What backlog estimate dispatchers observe.
@@ -569,18 +569,6 @@ impl<'a> ClusterState<'a> {
         &self.index
     }
 
-    /// The index's stale-class view at the current clock, or `None`
-    /// when the stale set is small enough to walk exactly (see
-    /// [`DispatchIndex::stale_view`]).
-    #[inline]
-    pub(crate) fn stale_view(&self) -> Option<Ref<'_, StaleView>> {
-        self.index.stale_view(
-            self.now_s.to_bits(),
-            |b| self.backlog_s(b).to_bits(),
-            &self.arch_of,
-        )
-    }
-
     /// Classify board `b` for the dispatch index from its live state
     /// (see [`crate::index`] for the class invariants).
     fn classify_board(&self, b: usize) -> BoardClass {
@@ -609,13 +597,7 @@ impl<'a> ClusterState<'a> {
                 },
                 // A lapsed in-flight estimate (or an idle board with
                 // queued work) folds from `now`: clock-dependent.
-                // Bucketed by lapse time (0 for idle-with-queue) so
-                // the stale set keeps a deterministic order for the
-                // cached view to rebuild from.
-                Some(f) => BoardClass::Stale {
-                    lapse_bits: f.est_finish_s.to_bits(),
-                },
-                None => BoardClass::Stale { lapse_bits: 0 },
+                _ => BoardClass::Stale,
             },
         }
     }

@@ -152,13 +152,11 @@ fn deep_queue_churn_chaos_stress_on(cluster: &ClusterSpec) {
 /// every admission corrupts all service estimates far below reality,
 /// with feedback disabled so nothing ever corrects them — every
 /// in-flight estimate lapses while work is still queued, herding most
-/// of the fleet into the index's Stale class at once (the regime that
-/// used to degrade every pick to linear stale scans). The bucketed
-/// stale view must keep the accounting balanced, and picks equal to
-/// the reference scan on every single pick under the
-/// `pick_crosscheck` CI leg. Deep bursty queues keep boards stale for
-/// long stretches; the burst's shared timestamps are exactly the
-/// pattern the per-(clock, revision) view cache amortises.
+/// of the fleet into the index's Stale class at once, so every pick's
+/// exact stale walk covers most of the fleet. The accounting must stay
+/// balanced, and picks equal to the reference scan on every single
+/// pick under the `pick_crosscheck` CI leg. Deep bursty queues keep
+/// boards stale for long stretches.
 #[test]
 fn systematic_underestimation_floods_stale_class() {
     let cluster = ClusterSpec::heterogeneous(96);
