@@ -196,42 +196,6 @@ fn bench_executor(c: &mut Criterion) {
     });
 }
 
-/// Push/pop cost of the fleet kernel's control queue: the per-event
-/// overhead every monitor tick and churn or chaos edge pays. Arrivals
-/// stream from a cursor and completions live in their own heap, so
-/// neither goes through this queue; it prices the control plane's
-/// scheduled events only.
-fn bench_event_queue(c: &mut Criterion) {
-    use astro_fleet::{EventKind, EventQueue};
-
-    // Steady-state mix: the queue holds a window of pending events and
-    // each pop schedules a successor, as each monitor tick schedules
-    // the next.
-    c.bench_function("event_queue_push_pop_steady_1k_window", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut t = 0.0f64;
-            for i in 0..1024u32 {
-                t += 0.37;
-                q.push(t, EventKind::BoardDown(i % 50));
-            }
-            for i in 0..8192u32 {
-                let ev = q.pop().expect("window never drains");
-                let kind = if i % 2 == 0 {
-                    EventKind::MonitorTick
-                } else {
-                    EventKind::BoardUp(i % 50)
-                };
-                q.push(ev.time_s + 1.13, kind);
-            }
-            while let Some(ev) = q.pop() {
-                black_box(ev);
-            }
-            black_box(q.popped)
-        })
-    });
-}
-
 fn bench_kernel(c: &mut Criterion) {
     // The whole kernel end to end at a benchable scale: 512 jobs over
     // 16 boards on the replay backend. Every arrival exercises the
@@ -493,7 +457,6 @@ criterion_group!(
     bench_machine,
     bench_executor,
     bench_runner,
-    bench_event_queue,
     bench_kernel,
     bench_dispatch_pick,
     bench_dispatch_pick_indexed,

@@ -170,15 +170,6 @@ impl ReplayExecutor {
         cal
     }
 
-    /// Is `(workload, arch)` already calibrated?
-    pub fn is_calibrated(&self, workload: &str, arch: &str) -> bool {
-        self.cache
-            .read()
-            .expect("calibration cache poisoned")
-            .get(workload)
-            .is_some_and(|m| m.contains_key(arch))
-    }
-
     /// Current accounting snapshot.
     pub fn stats(&self) -> ReplayStats {
         ReplayStats {

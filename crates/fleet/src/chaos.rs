@@ -29,13 +29,13 @@
 //! generators by [`ArrivalProcess::generate_shaped`](crate::arrival::ArrivalProcess::generate_shaped).
 //!
 //! **Determinism.** A schedule is plain data; compilation is a pure
-//! function; the compiled events are pushed onto the control queue in
-//! clause order, after churn, so ties at shared timestamps resolve by
-//! push sequence: churn < chaos (clause order) < arrival < monitor
-//! tick — pinned. Throttle and blackout state changes happen *only* at
-//! control events, so board speed is constant between any two control
-//! timestamps and a completion advance (see [`crate::shard`]) never
-//! sees it move. See DESIGN.md "Chaos engine".
+//! function; the kernel lays the compiled events onto its control
+//! timeline in clause order, after churn, and stable-sorts it by time,
+//! so ties at shared timestamps resolve churn < chaos (clause order) <
+//! arrival < monitor tick — pinned. Throttle and blackout state
+//! changes happen *only* at control events, so board speed is constant
+//! between any two control timestamps and a completion advance (see
+//! [`crate::shard`]) never sees it move. See DESIGN.md "Chaos engine".
 
 use crate::job::JobClass;
 use crate::kernel::EventKind;
@@ -272,12 +272,6 @@ impl ChaosSchedule {
         self
     }
 
-    /// Does the schedule contain any kernel-side clause? (Traffic
-    /// clauses act at stream generation, not inside the kernel.)
-    pub fn is_active(&self) -> bool {
-        !self.clauses.is_empty()
-    }
-
     /// Panic on malformed clauses: out-of-range boards, empty racks,
     /// inverted or non-finite windows, throttle factors < 1,
     /// non-positive misprofile factors, traffic fractions outside
@@ -387,9 +381,8 @@ impl ChaosSchedule {
     }
 
     /// Compile the kernel-side clauses: per-clause throttle factors,
-    /// misprofile windows, the control events to push (in pinned
-    /// clause order) and zeroed per-clause accounting. Validates
-    /// first.
+    /// misprofile windows, the control events (in pinned clause order)
+    /// and zeroed per-clause accounting. Validates first.
     pub(crate) fn compile(&self, n_boards: usize) -> CompiledChaos {
         self.validate(n_boards);
         let mut compiled = CompiledChaos {
@@ -491,8 +484,10 @@ impl ChaosSchedule {
         compiled
     }
 
-    /// The clause the compiled event at `(clause)` index refers to —
-    /// used by rack-outage accounting in reports.
+    /// Clause `i`, in schedule order (the index compiled events carry
+    /// and [`ChaosStats::clauses`] follows): the `fleet_chaos` report
+    /// prints each clause through it, and the chaos property tests
+    /// count rack-outage boards with it.
     pub fn clause(&self, i: usize) -> &ChaosClause {
         &self.clauses[i]
     }
@@ -514,7 +509,7 @@ pub(crate) struct MisprofileWindow {
 }
 
 /// A [`ChaosSchedule`] lowered to what the kernel consumes: control
-/// events in pinned push order, per-clause throttle factors (so
+/// events in clause order, per-clause throttle factors (so
 /// [`EventKind`] stays `Copy` — events carry a clause index, not a
 /// float), misprofile windows and zeroed accounting.
 pub(crate) struct CompiledChaos {
@@ -522,8 +517,9 @@ pub(crate) struct CompiledChaos {
     pub factors: Vec<f64>,
     /// Estimate-corruption windows.
     pub misprofiles: Vec<MisprofileWindow>,
-    /// Control events, in the order they must be pushed (clause
-    /// order — the pinned tie-break at shared timestamps).
+    /// Control events in clause order, unsorted: the kernel appends
+    /// them after churn and stable-sorts the whole timeline by time,
+    /// so this order is the tie-break at shared timestamps.
     pub events: Vec<(f64, EventKind)>,
     /// Zeroed accounting with per-clause labels filled in.
     pub stats: ChaosStats,
@@ -674,7 +670,6 @@ mod tests {
             .diurnal(2.0, 0.5, 8);
         assert_eq!(s.clauses.len(), 4);
         assert_eq!(s.traffic.len(), 2);
-        assert!(s.is_active());
         assert_eq!(s.clause(1).kind(), "throttle");
         s.validate(4);
         let c = s.compile(4);
@@ -685,7 +680,6 @@ mod tests {
         assert_eq!(c.stats.clauses.len(), 4);
         assert_eq!(c.stats.clauses[0].events, 4, "outage events pre-accounted");
         assert_eq!(c.stats.max_slowdown, 1.0);
-        assert!(!ChaosSchedule::new().is_active());
     }
 
     #[test]

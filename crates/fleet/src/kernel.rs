@@ -9,29 +9,32 @@
 //! * **The control plane** (this module) owns every decision that
 //!   reads global state: arrivals from the [`ArrivalCursor`]
 //!   (dispatcher invoked *now* against the live [`ClusterState`]),
-//!   [`EventKind::MonitorTick`] (preemptive redispatch of predicted
-//!   SLO-missers), [`EventKind::BoardDown`] / [`EventKind::BoardUp`]
-//!   churn and the chaos window edges, the last three scheduled on an
-//!   [`EventQueue`]. It runs sequentially, in one deterministic (time,
-//!   seed-order) sequence, because online dispatch observes every
-//!   board at once.
+//!   monitor ticks (preemptive redispatch of predicted SLO-missers),
+//!   [`EventKind::BoardDown`] / [`EventKind::BoardUp`] churn and the
+//!   chaos window edges. Churn and chaos edges are all known before
+//!   the first step, so they form one timeline sorted once at
+//!   construction; the only control event scheduled at run time is
+//!   the next monitor tick. It runs sequentially, in one deterministic
+//!   (time, schedule-order) sequence, because online dispatch observes
+//!   every board at once.
 //! * **The execution plane** ([`crate::shard`]) owns everything that
 //!   is board-local: completion chains — a board finishing a job and
 //!   starting its next — in one completion heap that advances to each
 //!   control timestamp, folding each completion as it pops.
 //!
 //! Everything stays seed-deterministic: control events at equal
-//! timestamps pop in push order, every service time is a pure function
-//! of the request, and completions pop in `(finish_s, id)` order, a
-//! key of the simulation alone. So the order-sensitive state folded
-//! from them (feedback EWMAs, streaming sums) does not depend on how
-//! the heap was filled, and a checkpoint restore that rebuilds it from
-//! the in-flight jobs resumes bit-identically. [`DispatchMode::Oracle`]
-//! reproduces the original batch planner's placements through this
-//! same loop, so historical comparisons stay meaningful;
-//! [`DispatchMode::Online`] is the live-feedback upgrade, and
-//! [`Scenario::with_feedback`] closes the loop further by correcting
-//! profiled estimates with observed service times.
+//! timestamps resolve churn < chaos < arrival < tick, every service
+//! time is a pure function of the request, and completions pop in
+//! `(finish_s, id)` order, a key of the simulation alone. So the
+//! order-sensitive state folded from them (feedback EWMAs, streaming
+//! sums) does not depend on how the heap was filled, and a checkpoint
+//! restore that rebuilds it from the in-flight jobs resumes
+//! bit-identically. [`DispatchMode::Oracle`] reproduces the original
+//! batch planner's placements through this same loop, so historical
+//! comparisons stay meaningful; [`DispatchMode::Online`] is the
+//! live-feedback upgrade, and [`Scenario::with_feedback`] closes the
+//! loop further by correcting profiled estimates with observed service
+//! times.
 
 use crate::admission::AdmissionTable;
 use crate::arrival::ArrivalCursor;
@@ -47,14 +50,11 @@ use crate::sim::{FleetSim, PolicyMode};
 use crate::state::{BoardState, ClusterState, DispatchMode, DropReason, DroppedJob, QueuedJob};
 use crate::telemetry::{FlightRecorder, WindowSample};
 use astro_core::schedule::StaticSchedule;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// What happens at an event's timestamp.
+/// A fleet state change on the control timeline: a churn edge or a
+/// chaos window edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// Periodic observation point (preemption scans run here).
-    MonitorTick,
     /// Board churn: the board stops accepting work and its queue is
     /// redistributed (the in-flight job drains).
     BoardDown(u32),
@@ -93,231 +93,103 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Is this a fleet *state change* (churn or chaos window edge)?
-    /// State changes beat arrivals at equal timestamps — the pinned
-    /// control tie order churn < chaos < arrival < monitor tick.
-    fn is_state_change(self) -> bool {
-        matches!(
-            self,
-            EventKind::BoardDown(_)
-                | EventKind::BoardUp(_)
-                | EventKind::ThrottleStart { .. }
-                | EventKind::ThrottleEnd { .. }
-                | EventKind::BlackoutStart { .. }
-                | EventKind::BlackoutEnd { .. }
-        )
-    }
+/// The control plane's schedule: every churn and chaos edge, fixed
+/// before the first step, plus the one monitor tick pending at a time.
+struct Timeline {
+    /// `(time_s, push index, kind)`: the churn events, then the
+    /// compiled chaos events, stable-sorted by time, so equal
+    /// timestamps keep that order (churn < chaos, clause order within).
+    edges: Vec<(f64, u64, EventKind)>,
+    /// Edges processed.
+    pos: usize,
+    /// The pending monitor tick.
+    tick_s: Option<f64>,
 }
 
-/// One scheduled event.
-#[derive(Clone, Copy, Debug)]
-pub struct Event {
-    /// Virtual timestamp, seconds.
-    pub time_s: f64,
-    /// Push order — the deterministic tie-breaker at equal timestamps.
-    pub seq: u64,
-    /// What to do.
-    pub kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_s.total_cmp(&other.time_s) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    /// Min-first: earliest timestamp, then earliest push.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time_s
-            .total_cmp(&self.time_s)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// The control plane's pending-event queue (churn, chaos edges and
-/// monitor ticks): a binary heap popping the earliest timestamp first,
-/// ties broken by push order so processing is deterministic whatever
-/// the float values.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
-    /// Events ever pushed.
-    pub pushed: u64,
-    /// Events ever popped.
-    pub popped: u64,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Schedule `kind` at `time_s`.
-    pub fn push(&mut self, time_s: f64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pushed += 1;
-        self.heap.push(Event { time_s, seq, kind });
-    }
-
-    /// Earliest event, earliest push first at equal times.
-    pub fn pop(&mut self) -> Option<Event> {
-        let ev = self.heap.pop();
-        if ev.is_some() {
-            self.popped += 1;
-        }
-        ev
-    }
-
-    /// The earliest pending event, without popping it.
-    pub fn peek(&self) -> Option<&Event> {
-        self.heap.peek()
-    }
-
-    /// Pop the earliest event only if it is strictly before `to_s`.
-    pub fn pop_before(&mut self, to_s: f64) -> Option<Event> {
-        match self.heap.peek() {
-            Some(ev) if ev.time_s < to_s => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Is anything pending?
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl EventQueue {
-    /// Serialises the queue for a checkpoint: `next_seq` (so pushes
-    /// after a restore keep globally unique tie-breakers), the lifetime
-    /// counters, and every pending event ordered by (time, seq) — the
-    /// deterministic pop order itself, so the encoding is canonical
-    /// whatever heap shape produced it.
-    pub(crate) fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.next_seq);
-        enc.u64(self.pushed);
-        enc.u64(self.popped);
-        let mut entries: Vec<Event> = self.heap.iter().copied().collect();
-        entries.sort_by(|a, b| a.time_s.total_cmp(&b.time_s).then(a.seq.cmp(&b.seq)));
-        enc.usize(entries.len());
-        for ev in &entries {
-            enc.f64(ev.time_s);
-            enc.u64(ev.seq);
-            match ev.kind {
-                EventKind::MonitorTick => enc.u8(0),
-                EventKind::BoardDown(b) => {
-                    enc.u8(1);
-                    enc.u32(b);
-                }
-                EventKind::BoardUp(b) => {
-                    enc.u8(2);
-                    enc.u32(b);
-                }
-                EventKind::ThrottleStart { board, clause } => {
-                    enc.u8(3);
-                    enc.u32(board);
-                    enc.u32(clause);
-                }
-                EventKind::ThrottleEnd { board, clause } => {
-                    enc.u8(4);
-                    enc.u32(board);
-                    enc.u32(clause);
-                }
-                EventKind::BlackoutStart { board, clause } => {
-                    enc.u8(5);
-                    enc.u32(board);
-                    enc.u32(clause);
-                }
-                EventKind::BlackoutEnd { board, clause } => {
-                    enc.u8(6);
-                    enc.u32(board);
-                    enc.u32(clause);
-                }
+impl Timeline {
+    /// Pops the edge or tick due before the next arrival (`None` = no
+    /// arrival left), ties resolved churn < chaos < arrival < tick: an
+    /// edge wins when no later than both, a tick only when strictly
+    /// before the arrival.
+    fn pop(&mut self, arrival_s: Option<f64>) -> Option<(f64, ControlAction)> {
+        if let Some(&(t, _, kind)) = self.edges.get(self.pos) {
+            if arrival_s.is_none_or(|a| t <= a) && self.tick_s.is_none_or(|tick| t <= tick) {
+                self.pos += 1;
+                return Some((t, ControlAction::Edge(kind)));
             }
         }
+        let t = self.tick_s.filter(|&t| arrival_s.is_none_or(|a| t < a))?;
+        self.tick_s = None;
+        Some((t, ControlAction::Tick))
     }
 
-    /// Rebuilds a control queue from [`EventQueue::encode`]d bytes.
-    /// Every event is validated — finite non-negative timestamp, seq
-    /// below `next_seq`, board and clause indices in range, and only
-    /// control-plane kinds (arrivals stream through the cursor and
-    /// completions live in the completion queue, never here).
-    pub(crate) fn decode(
+    /// Serialises the pending control events in the checkpoint v3
+    /// layout, which frames them as a priority queue: a push counter
+    /// and lifetime push/pop counters, then every pending event in
+    /// (time, push order). All of it derives from the position, the
+    /// pending tick and the `ticks` processed: edges count as pushed
+    /// first, then every tick, so the pending tick is the last push.
+    fn encode(&self, enc: &mut Enc, ticks: u64) {
+        let pushed = self.edges.len() as u64 + ticks + self.tick_s.is_some() as u64;
+        enc.u64(pushed); // the next push sequence number
+        enc.u64(pushed);
+        enc.u64(self.pos as u64 + ticks);
+        let rest = &self.edges[self.pos..];
+        enc.usize(rest.len() + self.tick_s.is_some() as usize);
+        // An edge at the tick's own time was pushed earlier, so the
+        // tick sorts before the first edge strictly later than it.
+        let at = self
+            .tick_s
+            .map_or(rest.len(), |t| rest.partition_point(|e| e.0 <= t));
+        for &edge in &rest[..at] {
+            enc_edge(enc, edge);
+        }
+        if let Some(t) = self.tick_s {
+            enc.f64(t);
+            enc.u64(pushed - 1);
+            enc.u8(0);
+        }
+        for &edge in &rest[at..] {
+            enc_edge(enc, edge);
+        }
+    }
+
+    /// Reads a [`Timeline::encode`]d section against this timeline's
+    /// own edges: the pending edges must be exactly `edges[pos..]`, bit
+    /// for bit; at most one tick may be pending, only when `ticking`,
+    /// and never before `now_s`; and every counter must be the one
+    /// `encode` derives. Returns the position, the pending tick and the
+    /// ticks processed, which the caller checks against the kernel
+    /// counters.
+    fn decode(
+        &self,
         dec: &mut Dec<'_>,
-        n_boards: usize,
-        n_clauses: usize,
-    ) -> Result<EventQueue, CheckpointError> {
+        ticking: bool,
+        now_s: f64,
+    ) -> Result<(usize, Option<f64>, u64), CheckpointError> {
+        let corrupt = |what| Err(CheckpointError::Corrupt(what));
         let next_seq = dec.u64()?;
         let pushed = dec.u64()?;
         let popped = dec.u64()?;
         let n = dec.count(17)?;
-        let mut q = EventQueue {
-            heap: BinaryHeap::with_capacity(n),
-            next_seq,
-            pushed,
-            popped,
-        };
+        let mut rest = Vec::with_capacity(n);
+        let mut tick = None;
         for _ in 0..n {
             let time_s = dec.f64()?;
-            if !time_s.is_finite() || time_s < 0.0 {
-                return Err(CheckpointError::Corrupt(
-                    "event timestamp is not finite and non-negative",
-                ));
-            }
             let seq = dec.u64()?;
-            if seq >= next_seq {
-                return Err(CheckpointError::Corrupt(
-                    "event seq at or past the queue's next_seq",
-                ));
-            }
             let tag = dec.u8()?;
             let kind = match tag {
-                0 => EventKind::MonitorTick,
-                1 | 2 => {
-                    let b = dec.u32()?;
-                    if b as usize >= n_boards {
-                        return Err(CheckpointError::Corrupt(
-                            "churn event board index out of range",
-                        ));
+                0 => {
+                    if tick.is_some() || !ticking {
+                        return corrupt("monitor tick pending where the scenario has none");
                     }
-                    if tag == 1 {
-                        EventKind::BoardDown(b)
-                    } else {
-                        EventKind::BoardUp(b)
-                    }
+                    tick = Some((time_s, seq));
+                    continue;
                 }
+                1 => EventKind::BoardDown(dec.u32()?),
+                2 => EventKind::BoardUp(dec.u32()?),
                 3..=6 => {
-                    let board = dec.u32()?;
-                    let clause = dec.u32()?;
-                    if board as usize >= n_boards {
-                        return Err(CheckpointError::Corrupt(
-                            "chaos event board index out of range",
-                        ));
-                    }
-                    if clause as usize >= n_clauses {
-                        return Err(CheckpointError::Corrupt(
-                            "chaos event clause index out of range",
-                        ));
-                    }
+                    let (board, clause) = (dec.u32()?, dec.u32()?);
                     match tag {
                         3 => EventKind::ThrottleStart { board, clause },
                         4 => EventKind::ThrottleEnd { board, clause },
@@ -325,11 +197,49 @@ impl EventQueue {
                         _ => EventKind::BlackoutEnd { board, clause },
                     }
                 }
-                _ => return Err(CheckpointError::Corrupt("control event tag out of range")),
+                _ => return corrupt("control event tag out of range"),
             };
-            q.heap.push(Event { time_s, seq, kind });
+            rest.push((time_s, seq, kind));
         }
-        Ok(q)
+        let Some(pos) = self.edges.len().checked_sub(rest.len()) else {
+            return corrupt("more pending control edges than the scenario schedules");
+        };
+        let same = |a: &(f64, u64, EventKind), b: &(f64, u64, EventKind)| {
+            a.0.to_bits() == b.0.to_bits() && a.1 == b.1 && a.2 == b.2
+        };
+        if !rest.iter().zip(&self.edges[pos..]).all(|(a, b)| same(a, b)) {
+            return corrupt("pending control edges are not the scenario's churn/chaos schedule");
+        }
+        let ticks = next_seq.checked_sub(self.edges.len() as u64 + tick.is_some() as u64);
+        let Some(ticks) = ticks.filter(|&t| pushed == next_seq && popped == pos as u64 + t) else {
+            return corrupt("control counters inconsistent with the pending events");
+        };
+        if let Some((t, seq)) = tick {
+            if seq != next_seq - 1 || !t.is_finite() || t < now_s {
+                return corrupt("pending monitor tick is not the last push or predates the clock");
+            }
+        }
+        Ok((pos, tick.map(|(t, _)| t), ticks))
+    }
+}
+
+/// One pending edge in the v3 control-event layout: time, push index,
+/// kind tag (`1..=6`; `0` is the monitor tick) and its indices.
+fn enc_edge(enc: &mut Enc, (time_s, seq, kind): (f64, u64, EventKind)) {
+    enc.f64(time_s);
+    enc.u64(seq);
+    let (tag, board, clause) = match kind {
+        EventKind::BoardDown(b) => (1, b, None),
+        EventKind::BoardUp(b) => (2, b, None),
+        EventKind::ThrottleStart { board, clause } => (3, board, Some(clause)),
+        EventKind::ThrottleEnd { board, clause } => (4, board, Some(clause)),
+        EventKind::BlackoutStart { board, clause } => (5, board, Some(clause)),
+        EventKind::BlackoutEnd { board, clause } => (6, board, Some(clause)),
+    };
+    enc.u8(tag);
+    enc.u32(board);
+    if let Some(c) = clause {
+        enc.u32(c);
     }
 }
 
@@ -608,25 +518,27 @@ pub struct ResidentKernel<'a, 'r> {
     outcomes: Option<Vec<JobOutcome>>,
     dropped: Vec<DroppedJob>,
     scratch: EstScratch,
-    ctrl: EventQueue,
+    timeline: Timeline,
     open: usize,
     pending: Option<JobSpec>,
     wall_run: Option<std::time::Instant>,
     finished: bool,
 }
 
-/// What one [`ResidentKernel::step`] decided to do: pop a queued
-/// control event, or admit the job the cursor has buffered.
+/// What one [`ResidentKernel::step`] decided to do: apply a timeline
+/// edge, run the monitor tick, or admit the job the cursor has
+/// buffered.
 enum ControlAction {
-    Ctl(EventKind),
+    Edge(EventKind),
+    Tick,
     Arrive(JobSpec),
 }
 
 impl<'a, 'r> ResidentKernel<'a, 'r> {
-    /// Validates the scenario against `sim`'s cluster, compiles the
-    /// chaos schedule, builds every per-run table and seeds the
-    /// control queue — everything the old batch loop did before its
-    /// first event. Executes nothing: drive with
+    /// Validates the scenario against `sim`'s cluster, lays churn and
+    /// the compiled chaos schedule onto the control timeline, builds
+    /// every per-run table — everything the old batch loop did before
+    /// its first event. Executes nothing: drive with
     /// [`ResidentKernel::step`] or [`ResidentKernel::run`].
     pub(crate) fn new(
         sim: &'r FleetSim<'a>,
@@ -652,50 +564,54 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             assert!(ev.time_s >= 0.0, "churn events cannot predate the run");
         }
 
-        // Compile the chaos schedule (validating clause shapes), then
-        // reject inconsistent liveness sequences outright: replaying
-        // the merged churn + rack-outage events in their exact pop
-        // order (time, then push order — churn before chaos), a
+        // Compile the chaos schedule (validating clause shapes) and
+        // lay churn, then chaos, onto one timeline; the stable sort
+        // keeps that push order at equal timestamps.
+        let chaos = scenario.chaos.compile(n_boards);
+        let chaos_stats = chaos.stats.clone();
+        let churn = scenario.churn.iter().map(|ev| {
+            let b = ev.board as u32;
+            let kind = if ev.up {
+                EventKind::BoardUp(b)
+            } else {
+                EventKind::BoardDown(b)
+            };
+            (ev.time_s, kind)
+        });
+        let mut edges: Vec<(f64, u64, EventKind)> = churn
+            .chain(chaos.events.iter().copied())
+            .enumerate()
+            .map(|(i, (t, kind))| (t, i as u64, kind))
+            .collect();
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Reject inconsistent liveness sequences outright: replaying
+        // the merged churn + rack-outage edges in timeline order, a
         // BoardUp for a board that is already up, or a BoardDown for
         // one already down, is a schedule bug, not a scenario. It used
         // to be silently absorbed (`up = true` is idempotent), which
         // let e.g. a mistyped board index skew every later decision
         // without a trace.
-        let chaos = scenario.chaos.compile(n_boards);
-        let chaos_stats = chaos.stats.clone();
-        {
-            let mut seq: Vec<(f64, bool, usize)> = scenario
-                .churn
-                .iter()
-                .map(|ev| (ev.time_s, ev.up, ev.board))
-                .collect();
-            for (t, kind) in &chaos.events {
-                match kind {
-                    EventKind::BoardDown(b) => seq.push((*t, false, *b as usize)),
-                    EventKind::BoardUp(b) => seq.push((*t, true, *b as usize)),
-                    _ => {}
-                }
+        let mut up = vec![true; n_boards];
+        for &(t, _, kind) in &edges {
+            let (b, to_up) = match kind {
+                EventKind::BoardDown(b) => (b as usize, false),
+                EventKind::BoardUp(b) => (b as usize, true),
+                _ => continue,
+            };
+            if to_up {
+                assert!(
+                    !up[b],
+                    "inconsistent churn/chaos schedule: board {b} is brought up at {t} s \
+                     without a preceding BoardDown"
+                );
+            } else {
+                assert!(
+                    up[b],
+                    "inconsistent churn/chaos schedule: board {b} is taken down at {t} s \
+                     while already down"
+                );
             }
-            // Stable sort: equal timestamps keep push order, exactly
-            // as the control queue will pop them.
-            seq.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut up = vec![true; n_boards];
-            for (t, to_up, b) in seq {
-                if to_up {
-                    assert!(
-                        !up[b],
-                        "inconsistent churn/chaos schedule: board {b} is brought up at {t} s \
-                         without a preceding BoardDown"
-                    );
-                } else {
-                    assert!(
-                        up[b],
-                        "inconsistent churn/chaos schedule: board {b} is taken down at {t} s \
-                         while already down"
-                    );
-                }
-                up[b] = to_up;
-            }
+            up[b] = to_up;
         }
 
         let state = ClusterState::new(sim.cluster, scenario.dispatch);
@@ -715,30 +631,13 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         // Per-arrival scratch, refilled in place (no per-event allocs).
         let scratch = EstScratch::new(state.n_arch());
 
-        // The control queue: churn first (so a down-at-t beats an
-        // arrival at the same t), then the compiled chaos events in
-        // clause order, then the first monitor tick. Arrivals are
-        // consumed from the (sorted) stream through a cursor, which
-        // preserves the same tie order the sequential kernel's seeding
-        // produced — pinned: churn < chaos < arrival < tick at equal
-        // timestamps (within churn and within chaos, push order).
-        let mut ctrl = EventQueue::new();
-        for ev in &scenario.churn {
-            ctrl.push(
-                ev.time_s,
-                if ev.up {
-                    EventKind::BoardUp(ev.board as u32)
-                } else {
-                    EventKind::BoardDown(ev.board as u32)
-                },
-            );
-        }
-        for &(t, kind) in &chaos.events {
-            ctrl.push(t, kind);
-        }
-        if scenario.monitor_interval_s > 0.0 {
-            ctrl.push(scenario.monitor_interval_s, EventKind::MonitorTick);
-        }
+        // Arrivals are consumed from the (sorted) stream through a
+        // cursor and merged against the timeline in `next_control`.
+        let timeline = Timeline {
+            edges,
+            pos: 0,
+            tick_s: (scenario.monitor_interval_s > 0.0).then_some(scenario.monitor_interval_s),
+        };
         // Jobs not yet completed or dropped. The cursor knows its
         // stream length up front even though specs materialise lazily.
         let open = cursor.total();
@@ -768,7 +667,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             outcomes,
             dropped: Vec::new(),
             scratch,
-            ctrl,
+            timeline,
             open,
             pending: None,
             wall_run,
@@ -841,38 +740,30 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.stats.events += 1;
         match act {
             ControlAction::Arrive(job) => self.on_arrival(job),
-            ControlAction::Ctl(EventKind::MonitorTick) => self.on_tick(),
-            ControlAction::Ctl(EventKind::BoardDown(b)) => self.on_board_down(b as usize),
-            ControlAction::Ctl(EventKind::BoardUp(b)) => self.on_board_up(b as usize),
-            ControlAction::Ctl(edge) => self.on_chaos_edge(edge),
+            ControlAction::Tick => self.on_tick(),
+            ControlAction::Edge(EventKind::BoardDown(b)) => self.on_board_down(b as usize),
+            ControlAction::Edge(EventKind::BoardUp(b)) => self.on_board_up(b as usize),
+            ControlAction::Edge(edge) => self.on_chaos_edge(edge),
         }
         true
     }
 
-    /// The next control event: the earlier of the arrival cursor and
-    /// the control queue, ties resolved churn < chaos < arrival < tick
-    /// (the order the sequential kernel's seeding produced). The
-    /// cursor is consuming, so the peeked job waits in a one-slot
+    /// The next control event: a three-way merge of the timeline's
+    /// next edge, its pending tick and the arrival cursor, ties
+    /// resolved churn < chaos < arrival < tick (see [`Timeline::pop`]).
+    /// The cursor is consuming, so the peeked job waits in a one-slot
     /// buffer until this decides to admit it.
     fn next_control(&mut self) -> Option<(f64, ControlAction)> {
         if self.pending.is_none() {
             self.pending = self.cursor.next_job();
         }
-        let take_ctrl = match (&self.pending, self.ctrl.peek()) {
-            (_, None) => false,
-            (None, Some(_)) => true,
-            (Some(j), Some(e)) => {
-                e.time_s < j.arrival_s || (e.time_s == j.arrival_s && e.kind.is_state_change())
-            }
-        };
-        if take_ctrl {
-            self.ctrl
-                .pop()
-                .map(|e| (e.time_s, ControlAction::Ctl(e.kind)))
-        } else {
+        let ctl = self
+            .timeline
+            .pop(self.pending.as_ref().map(|j| j.arrival_s));
+        ctl.or_else(|| {
             let job = self.pending.take()?;
             Some((job.arrival_s, ControlAction::Arrive(job)))
-        }
+        })
     }
 
     /// Drives [`ResidentKernel::step`] until the run completes.
@@ -1112,8 +1003,8 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
     }
 
     /// Serialises the complete mid-run state to a versioned,
-    /// checksummed byte buffer: cursor position, virtual clock, control
-    /// queue, per-board queues and in-flight jobs, every counter, the
+    /// checksummed byte buffer: cursor position, virtual clock, pending
+    /// control events, per-board queues and in-flight jobs, every counter, the
     /// policy cache, feedback EWMAs, chaos accounting, the streaming
     /// aggregate and any retained outcomes. A kernel built over the same
     /// configuration that [`ResidentKernel::restore`]s these bytes
@@ -1139,7 +1030,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             }
         }
         enc.f64(self.state.now_s);
-        self.ctrl.encode(&mut enc);
+        self.timeline.encode(&mut enc, self.stats.ticks);
         enc_kernel_stats(&mut enc, &self.stats);
         for b in &self.state.boards {
             b.encode(&mut enc);
@@ -1199,8 +1090,14 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                 "virtual clock is not finite and non-negative",
             ));
         }
-        let ctrl = EventQueue::decode(&mut dec, n_boards, n_clauses)?;
+        let ticking = self.scenario.monitor_interval_s > 0.0;
+        let (pos, tick_s, ticks) = self.timeline.decode(&mut dec, ticking, now_s)?;
         let stats = dec_kernel_stats(&mut dec)?;
+        if stats.ticks != ticks {
+            return Err(CheckpointError::Corrupt(
+                "control counters disagree with the kernel's tick count",
+            ));
+        }
         let arch_keys = self.sim.cluster.arch_keys();
         // Queued jobs must name workloads this kernel interned (the
         // registry check in decode is necessary, not sufficient: the
@@ -1278,7 +1175,8 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.pending = pending;
         self.state.now_s = now_s;
         self.state.restore_boards(boards);
-        self.ctrl = ctrl;
+        self.timeline.pos = pos;
+        self.timeline.tick_s = tick_s;
         self.completions = shard::completion_queue(&self.state.boards);
         self.stats = stats;
         self.chaos_stats = chaos_stats;
@@ -1408,10 +1306,7 @@ impl ResidentKernel<'_, '_> {
             self.telemetry.on_tick(sample);
         }
         if self.open > 0 {
-            self.ctrl.push(
-                now_s + self.scenario.monitor_interval_s,
-                EventKind::MonitorTick,
-            );
+            self.timeline.tick_s = Some(now_s + self.scenario.monitor_interval_s);
         }
     }
 
@@ -1470,8 +1365,8 @@ impl ResidentKernel<'_, '_> {
                 self.state.remove_blackout(board as usize);
                 ("blackout end", board, clause)
             }
-            EventKind::MonitorTick | EventKind::BoardDown(_) | EventKind::BoardUp(_) => {
-                unreachable!("ticks and churn have handlers of their own")
+            EventKind::BoardDown(_) | EventKind::BoardUp(_) => {
+                unreachable!("churn has handlers of its own")
             }
         };
         self.stats.chaos_events += 1;
@@ -1823,44 +1718,6 @@ impl ResidentKernel<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_queue_orders_by_time_then_push() {
-        let mut q = EventQueue::new();
-        q.push(2.0, EventKind::MonitorTick);
-        q.push(1.0, EventKind::BoardUp(0));
-        q.push(1.0, EventKind::BoardDown(3));
-        q.push(0.5, EventKind::BoardDown(1));
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop().unwrap().kind, EventKind::BoardDown(1));
-        let a = q.pop().unwrap();
-        let b = q.pop().unwrap();
-        // Equal timestamps pop in push order.
-        assert_eq!(a.kind, EventKind::BoardUp(0));
-        assert_eq!(b.kind, EventKind::BoardDown(3));
-        assert!(a.seq < b.seq);
-        assert_eq!(q.pop().unwrap().kind, EventKind::MonitorTick);
-        assert!(q.pop().is_none());
-        assert_eq!(q.pushed, 4);
-        assert_eq!(q.popped, 4);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_before_is_strict() {
-        let mut q = EventQueue::new();
-        q.push(1.0, EventKind::BoardDown(0));
-        q.push(2.0, EventKind::BoardUp(0));
-        assert!(q.pop_before(1.0).is_none(), "strictly-before must exclude");
-        assert_eq!(q.pop_before(1.5).unwrap().kind, EventKind::BoardDown(0));
-        assert!(q.pop_before(1.5).is_none());
-        assert_eq!(q.peek().unwrap().time_s, 2.0);
-        assert_eq!(
-            q.pop_before(f64::INFINITY).unwrap().kind,
-            EventKind::BoardUp(0)
-        );
-        assert!(q.is_empty());
-    }
 
     #[test]
     fn scenario_builders_compose() {
@@ -2234,5 +2091,104 @@ mod tests {
             }
             assert_eq!(k.checkpoint(), good, "a refused image must not apply");
         }
+    }
+
+    /// The pending control events of an image must be the tail of the
+    /// resuming kernel's own churn/chaos timeline, and its control
+    /// counters the ones that timeline derives. An image taken under a
+    /// different schedule (same label and sizes, so the header matches)
+    /// or with its `popped` counter bumped is refused, sealed checksum
+    /// or not, and the refusal leaves the kernel untouched.
+    #[test]
+    fn restore_rejects_a_foreign_control_timeline() {
+        let cluster = ClusterSpec::heterogeneous(6);
+        // Same clauses and label; only the throttle window ends later.
+        let foreign = ckpt_scenario().with_chaos(
+            ChaosSchedule::new()
+                .throttle(2, 2.0, 0.001, 0.0065)
+                .blackout(vec![3], 0.002, 0.005),
+        );
+        let image = {
+            let sim = FleetSim::new(&cluster, ckpt_params());
+            let mut cursor = ckpt_cursor();
+            let mut dispatcher = PhaseAware::default();
+            let mut cache = PolicyCache::new(8);
+            let mut telemetry = FlightRecorder::off();
+            let mut k = sim.resident(
+                &mut cursor,
+                &mut dispatcher,
+                &mut cache,
+                &foreign,
+                &mut telemetry,
+                false,
+            );
+            for _ in 0..40 {
+                assert!(k.step());
+            }
+            assert!(
+                k.timeline.pos < k.timeline.edges.len(),
+                "fixture must checkpoint with the throttle end pending"
+            );
+            k.checkpoint()
+        };
+
+        let scenario = ckpt_scenario();
+        let sim = FleetSim::new(&cluster, ckpt_params());
+        let mut cursor = ckpt_cursor();
+        let mut dispatcher = PhaseAware::default();
+        let mut cache = PolicyCache::new(8);
+        let mut telemetry = FlightRecorder::off();
+        let mut k = sim.resident(
+            &mut cursor,
+            &mut dispatcher,
+            &mut cache,
+            &scenario,
+            &mut telemetry,
+            false,
+        );
+        for _ in 0..40 {
+            assert!(k.step());
+        }
+        let good = k.checkpoint();
+        assert_eq!(
+            k.restore(&image),
+            Err(CheckpointError::Corrupt(
+                "pending control edges are not the scenario's churn/chaos schedule"
+            ))
+        );
+        assert_eq!(k.checkpoint(), good, "a refused image must not apply");
+
+        // The control section opens with next_seq, pushed and popped;
+        // bump popped and re-seal.
+        let tick = k.timeline.tick_s.is_some() as u64;
+        let pushed = k.timeline.edges.len() as u64 + k.stats.ticks + tick;
+        let popped = k.timeline.pos as u64 + k.stats.ticks;
+        let counters: Vec<u8> = [pushed, pushed, popped]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let payload = &good[..good.len() - 8];
+        let at = payload
+            .windows(counters.len())
+            .position(|w| w == counters.as_slice())
+            .expect("control counters appear in the image")
+            + 16;
+        let mut bumped = payload.to_vec();
+        bumped[at..at + 8].copy_from_slice(&(popped + 1).to_le_bytes());
+        assert_eq!(
+            k.restore(&checkpoint::seal(bumped)),
+            Err(CheckpointError::Corrupt(
+                "control counters inconsistent with the pending events"
+            ))
+        );
+        assert_eq!(k.checkpoint(), good, "a refused image must not apply");
+
+        k.restore(&good).expect("the kernel's own image restores");
+        k.run();
+        let out = k.finish();
+        assert_eq!(
+            out.kernel.arrivals,
+            out.kernel.completions + out.kernel.dropped
+        );
     }
 }

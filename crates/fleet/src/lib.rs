@@ -81,7 +81,7 @@ pub use cluster::ClusterSpec;
 pub use dispatch::{Dispatcher, EnergyAware, JobEstimates, LeastLoaded, PhaseAware};
 pub use feedback::{FeedbackStats, ServiceFeedback};
 pub use job::{classify_module, taxon_of, JobClass, JobOutcome, JobSpec, Taxon};
-pub use kernel::{ChurnEvent, Event, EventKind, EventQueue, KernelStats, ResidentKernel, Scenario};
+pub use kernel::{ChurnEvent, EventKind, KernelStats, ResidentKernel, Scenario};
 pub use metrics::{percentile, FleetMetrics, FleetOutcome, StreamSummary, STREAM_WINDOW};
 pub use sim::{FleetParams, FleetSim, PolicyMode};
 pub use state::{

@@ -4,8 +4,9 @@
 //! windows dictate, a whole-fleet blackout drops arrivals and churn
 //! orphans through the existing `NoBoardUp` path, misprofile windows
 //! feed the EWMA repair loop,
-//! and incoherent liveness schedules are rejected with a pinned
-//! message.
+//! incoherent liveness schedules are rejected with a pinned
+//! message, and a chaos edge, an arrival and a monitor tick at one
+//! timestamp run in the pinned order edge < arrival < tick.
 
 use astro_fleet::{
     ArrivalProcess, ChaosSchedule, ChurnEvent, ClusterSpec, DropReason, FleetParams, FleetSim,
@@ -236,4 +237,35 @@ fn double_down_is_rejected_across_churn_and_chaos() {
         }])
         .with_chaos(ChaosSchedule::new().rack_outage(vec![0], 0.7, 0.9));
     run(&jobs, &scenario);
+}
+
+/// The pinned control tie order at one shared timestamp: a chaos edge,
+/// a job arrival and a monitor tick all at t = 1 s (ticks every 0.5 s,
+/// so the second lands exactly there) run edge first, then the
+/// arrival's dispatch, then the tick, as the full trace records them.
+#[test]
+fn edge_then_arrival_then_tick_at_a_shared_timestamp() {
+    let jobs = vec![job(0, 1.0)];
+    let mut scenario = Scenario::oracle(PolicyMode::Cold)
+        .with_chaos(ChaosSchedule::new().throttle(0, 2.0, 1.0, 5.0));
+    scenario.monitor_interval_s = 0.5;
+    let cluster = ClusterSpec::heterogeneous(1);
+    let sim = FleetSim::new(&cluster, FleetParams::new(3));
+    let mut cache = PolicyCache::new(0);
+    let mut telemetry = FlightRecorder::new(TraceLevel::Full);
+    let out = sim.run_traced(
+        &jobs,
+        &mut LeastLoaded,
+        &mut cache,
+        &scenario,
+        &mut telemetry,
+    );
+    assert_eq!(out.outcomes.len(), 1);
+    let at_1s: Vec<&str> = telemetry
+        .events()
+        .iter()
+        .filter(|e| e.ts_us == 1e6 && e.tid == 0)
+        .map(|e| e.cat)
+        .collect();
+    assert_eq!(at_1s, ["chaos", "dispatch", "tick"]);
 }
