@@ -799,11 +799,11 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         self.state.now_s
     }
 
-    /// Consumes the drained kernel: exit invariants, final sorts and
-    /// [`FleetOutcome`] assembly. Metrics come from the retained
-    /// outcomes when retention is on (exact percentiles, id-order
-    /// energy sum), from the streaming aggregate otherwise (exact
-    /// counters and sums, digest percentiles).
+    /// Consumes the drained kernel: exit invariants, the retained
+    /// outcomes put in id order, and [`FleetOutcome`] assembly. Metrics
+    /// come from the retained outcomes when retention is on (exact
+    /// percentiles, id-order energy sum), from the streaming aggregate
+    /// otherwise (exact counters and sums, digest percentiles).
     pub fn finish(mut self) -> FleetOutcome {
         assert!(
             self.finished,
@@ -835,7 +835,7 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
         let busy_s = self.state.boards.iter().map(|s| s.busy_s);
         let (mut metrics, outcomes) = match self.outcomes {
             Some(mut kept) => {
-                kept.sort_by_key(|o| o.id);
+                order_by_id(&mut kept);
                 let m = FleetMetrics::from_outcomes(&kept, busy_s, self.train_energy_j);
                 (m, kept)
             }
@@ -863,6 +863,35 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
             kernel: self.stats,
             chaos: self.chaos_stats,
             stream: self.stream.summary(),
+        }
+    }
+}
+
+/// Puts `kept` in ascending id order, duplicate ids in their slice
+/// order: what a stable sort by id gives, without moving the records
+/// through one. The `(id, index)` keys sort unstably at 8 B a record,
+/// become each record's destination rank, and the ranks are applied in
+/// place; every swap puts at least one record in its final slot.
+pub(crate) fn order_by_id(kept: &mut [JobOutcome]) {
+    assert!(
+        u32::try_from(kept.len()).is_ok(),
+        "more retained outcomes than a u32 index holds"
+    );
+    let mut keys: Vec<u64> = kept
+        .iter()
+        .enumerate()
+        .map(|(i, o)| u64::from(o.id) << 32 | i as u64)
+        .collect();
+    keys.sort_unstable();
+    let mut dest = vec![0u32; kept.len()];
+    for (rank, key) in keys.iter().enumerate() {
+        dest[*key as u32 as usize] = rank as u32;
+    }
+    for i in 0..kept.len() {
+        while dest[i] as usize != i {
+            let j = dest[i] as usize;
+            kept.swap(i, j);
+            dest.swap(i, j);
         }
     }
 }
@@ -1145,7 +1174,9 @@ impl<'a, 'r> ResidentKernel<'a, 'r> {
                         "retained outcome count disagrees with the completion counter",
                     ));
                 }
-                let mut kept = Vec::with_capacity(n);
+                // Reserve the whole stream, as `new` does, so the
+                // resumed run never regrows the vector.
+                let mut kept = Vec::with_capacity(self.cursor.total());
                 for _ in 0..n {
                     kept.push(checkpoint::dec_outcome(&mut dec, n_boards)?);
                 }
@@ -1890,6 +1921,42 @@ mod tests {
             k.finish()
         };
         assert_eq!(ckpt_fingerprint(&reference), ckpt_fingerprint(&resumed));
+    }
+
+    /// A restored retained run reserves the whole stream, as a fresh
+    /// one does, so the rest of the run never regrows the vector.
+    #[test]
+    fn restore_reserves_the_whole_stream_for_retained_outcomes() {
+        let cluster = ClusterSpec::heterogeneous(6);
+        let scenario = ckpt_scenario();
+        let sim = FleetSim::new(&cluster, ckpt_params());
+        let mut cursor = ckpt_cursor();
+        let mut dispatcher = PhaseAware::default();
+        let mut cache = PolicyCache::new(8);
+        let mut telemetry = FlightRecorder::off();
+        let mut k = sim.resident(
+            &mut cursor,
+            &mut dispatcher,
+            &mut cache,
+            &scenario,
+            &mut telemetry,
+            true,
+        );
+        for _ in 0..40 {
+            assert!(k.step(), "fixture must checkpoint mid-run");
+        }
+        let bytes = k.checkpoint();
+        let kept = k.outcomes.as_ref().map_or(0, Vec::len);
+        assert!(0 < kept && kept < k.cursor.total(), "fixture is mid-stream");
+        k.restore(&bytes).expect("restore succeeds");
+        let reserved = k.outcomes.as_ref().map_or(0, Vec::capacity);
+        assert!(
+            reserved >= k.cursor.total(),
+            "restore reserved {reserved} outcomes of a {}-job stream",
+            k.cursor.total()
+        );
+        k.run();
+        assert_eq!(k.finish().outcomes.len(), 60);
     }
 
     #[test]

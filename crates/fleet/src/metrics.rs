@@ -13,8 +13,14 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), q)]
+}
+
+/// Index of the nearest-rank `q`-th percentile among `len > 0` sorted
+/// values.
+fn nearest_rank(len: usize, q: f64) -> usize {
+    let rank = ((q / 100.0) * len as f64).ceil() as usize;
+    rank.clamp(1, len) - 1
 }
 
 /// Aggregated fleet statistics for one scenario.
@@ -51,31 +57,53 @@ pub struct FleetMetrics {
 }
 
 impl FleetMetrics {
-    /// Aggregate outcomes (any order) plus per-board busy seconds.
+    /// Aggregate outcomes plus per-board busy seconds.
     /// `extra_energy_j` covers energy spent outside job runs (training).
+    ///
+    /// One pass folds makespan, SLO misses and the energy sum and
+    /// gathers the latency and SLO-ratio vectors; the latencies are
+    /// then sorted in place and the p99 ratio selected. Every field
+    /// but the energy sum is independent of slice order. The energy
+    /// sum is a left fold in slice order, so its bits depend on it:
+    /// the kernel passes its outcomes in id order.
     pub fn from_outcomes(
         outcomes: &[JobOutcome],
         board_busy_s: impl IntoIterator<Item = f64>,
         extra_energy_j: f64,
     ) -> Self {
-        let makespan_s = outcomes.iter().map(|o| o.finish_s).fold(0.0, f64::max);
-        let mut latencies: Vec<f64> = outcomes.iter().map(|o| o.latency_s()).collect();
-        latencies.sort_by(f64::total_cmp);
-        // A non-positive SLO is a deadline that can never be met: it
-        // must sort as the *worst* ratio in the fleet, not silently map
-        // to 0.0 (which used to score it as the best). Arrival-stream
-        // construction rejects non-positive tightness outright, so this
-        // arm only fires for hand-built outcomes — and now fails loud.
-        let mut slo_ratios: Vec<f64> = outcomes.iter().map(slo_ratio).collect();
-        slo_ratios.sort_by(f64::total_cmp);
+        let n = outcomes.len();
+        let mut latencies = Vec::with_capacity(n);
+        let mut slo_ratios = Vec::with_capacity(n);
+        let mut makespan_s: f64 = 0.0;
+        // `-0.0` is the start `Sum for f64` folds from, so the bits
+        // match `.sum()` even for an all-`-0.0` slice.
+        let mut energy_j = -0.0;
+        let mut slo_misses = 0;
+        for o in outcomes {
+            makespan_s = makespan_s.max(o.finish_s);
+            energy_j += o.energy_j;
+            slo_misses += usize::from(!o.slo_met());
+            latencies.push(o.latency_s());
+            slo_ratios.push(slo_ratio(o));
+        }
+        // Values that tie under `total_cmp` share their bits, so the
+        // unstable sort yields the stable sort's vector exactly.
+        latencies.sort_unstable_by(f64::total_cmp);
+        let p99_slo_ratio = if n == 0 {
+            0.0
+        } else {
+            *slo_ratios
+                .select_nth_unstable_by(nearest_rank(n, 99.0), f64::total_cmp)
+                .1
+        };
         FleetMetrics::assemble(
-            outcomes.len(),
+            n,
             makespan_s,
             latencies.iter().sum::<f64>(),
-            outcomes.iter().map(|o| o.energy_j).sum::<f64>() + extra_energy_j,
+            energy_j + extra_energy_j,
             [50.0, 95.0, 99.0].map(|q| percentile(&latencies, q)),
-            outcomes.iter().filter(|o| !o.slo_met()).count(),
-            percentile(&slo_ratios, 99.0),
+            slo_misses,
+            p99_slo_ratio,
             board_busy_s,
         )
     }
@@ -83,7 +111,7 @@ impl FleetMetrics {
     /// The one place a [`FleetMetrics`] is built, for retained outcomes
     /// and the streaming aggregate alike.
     #[allow(clippy::too_many_arguments)]
-    fn assemble(
+    pub(crate) fn assemble(
         jobs: usize,
         makespan_s: f64,
         sum_latency_s: f64,
@@ -152,7 +180,7 @@ pub const STREAM_WINDOW: usize = 4096;
 
 /// Latency as a fraction of the job's SLO. A non-positive SLO can never
 /// be met, so it scores as the worst ratio (`INFINITY`): the retained
-/// percentile sorts it last and the digest clamps it into its top
+/// percentile ranks it last and the digest clamps it into its top
 /// bucket.
 fn slo_ratio(o: &JobOutcome) -> f64 {
     if o.slo_s > 0.0 {

@@ -13,6 +13,10 @@
 //!
 //! The arrival streams ([`arrival`] below) run against the eager
 //! generator `GenCursor` replaced: draw every time, sort, then warp.
+//!
+//! The retained run's finish ([`finish`] below) runs against the sorts
+//! it replaced: a stable sort of the records by id, then metrics over
+//! two stable-sorted vectors.
 
 use crate::cache::{CacheDecision, CacheStats, PolicyCache};
 use crate::checkpoint::{enc_schedule, enc_snapshot, enc_taxon, Enc};
@@ -654,6 +658,208 @@ mod arrival {
                 chaos = chaos.diurnal(2.5, 0.8, 6);
             }
             assert_matches_oracle(p, n, (3.0, 8.0), seed, &chaos.traffic);
+        }
+    }
+}
+
+/// The key permutation and the fused metrics pass against the sorts
+/// they replaced: every record in the same slot and every
+/// [`FleetMetrics`](crate::metrics::FleetMetrics) field with the same
+/// bits.
+mod finish {
+    use crate::job::{JobClass, JobOutcome};
+    use crate::kernel::order_by_id;
+    use crate::metrics::{percentile, FleetMetrics};
+    use proptest::prelude::*;
+
+    /// `from_outcomes` as it was: three passes and two stable sorts.
+    fn oracle_metrics(
+        outcomes: &[JobOutcome],
+        board_busy_s: impl IntoIterator<Item = f64>,
+        extra_energy_j: f64,
+    ) -> FleetMetrics {
+        let slo_ratio = |o: &JobOutcome| {
+            if o.slo_s > 0.0 {
+                o.latency_s() / o.slo_s
+            } else {
+                f64::INFINITY
+            }
+        };
+        let makespan_s = outcomes.iter().map(|o| o.finish_s).fold(0.0, f64::max);
+        let mut latencies: Vec<f64> = outcomes.iter().map(|o| o.latency_s()).collect();
+        latencies.sort_by(f64::total_cmp);
+        let mut slo_ratios: Vec<f64> = outcomes.iter().map(slo_ratio).collect();
+        slo_ratios.sort_by(f64::total_cmp);
+        FleetMetrics::assemble(
+            outcomes.len(),
+            makespan_s,
+            latencies.iter().sum::<f64>(),
+            outcomes.iter().map(|o| o.energy_j).sum::<f64>() + extra_energy_j,
+            [50.0, 95.0, 99.0].map(|q| percentile(&latencies, q)),
+            outcomes.iter().filter(|o| !o.slo_met()).count(),
+            percentile(&slo_ratios, 99.0),
+            board_busy_s,
+        )
+    }
+
+    /// Every field, floats as raw bits. The exhaustive destructuring
+    /// makes a field added later a compile error here.
+    fn metric_bits(m: &FleetMetrics) -> Vec<u64> {
+        let FleetMetrics {
+            jobs,
+            makespan_s,
+            throughput_jps,
+            mean_latency_s,
+            p50_s,
+            p95_s,
+            p99_s,
+            slo_misses,
+            p99_slo_ratio,
+            total_energy_j,
+            board_util,
+            feedback,
+        } = m;
+        let mut bits = vec![*jobs as u64, *slo_misses as u64];
+        bits.extend(
+            [
+                makespan_s,
+                throughput_jps,
+                mean_latency_s,
+                p50_s,
+                p95_s,
+                p99_s,
+                p99_slo_ratio,
+                total_energy_j,
+                &feedback.sum_abs_rel_err,
+            ]
+            .map(|x| x.to_bits()),
+        );
+        bits.extend([feedback.samples, feedback.rejected, feedback.mispredicts]);
+        bits.extend(board_util.iter().map(|u| u.to_bits()));
+        bits
+    }
+
+    /// Everything a record carries, floats as raw bits.
+    fn record_bits(o: &JobOutcome) -> (u32, &'static str, JobClass, usize, u32, [u64; 7]) {
+        (
+            o.id,
+            o.workload,
+            o.class,
+            o.board,
+            o.migrations,
+            [
+                o.arrival_s,
+                o.start_s,
+                o.finish_s,
+                o.service_s,
+                o.energy_j,
+                o.slo_s,
+                o.latency_s(),
+            ]
+            .map(f64::to_bits),
+        )
+    }
+
+    /// Few arrivals and latencies, so equal codes give latencies with
+    /// equal bits (ties), `-0.0` included; the inexact ones make the
+    /// latency sum depend on the order it is taken in.
+    const ARRIVALS: [f64; 3] = [0.0, 0.25, 1.5];
+    const LATENCIES: [f64; 7] = [0.0, 0.1, 0.5, 1.0, 1.0, 3.3, 1e-9];
+    /// Positive SLOs; 1.0 and 0.5 tie ratios across latencies.
+    const SLOS: [f64; 5] = [1.5, 1.0, 0.5, 2.0, 0.75];
+    /// Values whose sum depends on the order it is taken in, `-0.0`
+    /// and subnormals.
+    const ENERGIES: [f64; 7] = [0.1, 0.7, 1e16, 1e-17, -0.0, 5e-324, f64::MIN_POSITIVE / 4.0];
+
+    /// Raw draws for `len` records: (draw, latency, SLO, energy codes).
+    fn records(len: std::ops::Range<usize>) -> BoxedStrategy<Vec<(u32, u8, u8, u8)>> {
+        prop::collection::vec((0u32..1 << 20, 0u8..7, 0u8..5, 0u8..7), len)
+    }
+
+    /// Builds outcomes from raw draws. `id_mode` picks the id shape:
+    /// 0 heavy duplicates, 1 sparse gappy ids, 2 a shuffled dense
+    /// range, 3 ids at the top of the `u32` range. One record in about
+    /// `impossible` gets a zero or negative SLO, which scores an
+    /// `INFINITY` ratio (none when 0); rare ones leave the p99 ratio
+    /// finite, so its rank is checked too.
+    fn outcomes(id_mode: u8, impossible: u32, raw: &[(u32, u8, u8, u8)]) -> Vec<JobOutcome> {
+        let mut shuffled: Vec<usize> = (0..raw.len()).collect();
+        shuffled.sort_by_key(|&i| raw[i].0);
+        raw.iter()
+            .enumerate()
+            .map(|(i, &(draw, lat, slo, energy))| {
+                let id = match id_mode {
+                    0 => draw % 4,
+                    1 => draw,
+                    2 => shuffled[i] as u32,
+                    _ => u32::MAX - draw % 6,
+                };
+                let arrival_s = ARRIVALS[draw as usize % ARRIVALS.len()];
+                let latency = LATENCIES[lat as usize % LATENCIES.len()];
+                // A zero latency at zero arrival finishes at -0.0.
+                let finish_s = if latency == 0.0 && arrival_s == 0.0 && draw % 2 == 0 {
+                    -0.0
+                } else {
+                    arrival_s + latency
+                };
+                JobOutcome {
+                    id,
+                    workload: ["w0", "w1"][draw as usize % 2],
+                    class: JobClass::Mixed,
+                    board: draw as usize % 3,
+                    arrival_s,
+                    start_s: arrival_s,
+                    finish_s,
+                    service_s: latency,
+                    energy_j: ENERGIES[energy as usize % ENERGIES.len()],
+                    slo_s: if impossible > 0 && draw % impossible == 0 {
+                        [0.0, -1.0][(draw / impossible) as usize % 2]
+                    } else {
+                        SLOS[slo as usize % SLOS.len()]
+                    },
+                    // The generation index: duplicate ids stay told apart.
+                    migrations: i as u32,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn finish_matches_the_sorting_oracle(
+            id_mode in 0u8..4,
+            impossible in 0u32..40,
+            raw in prop_oneof![records(0..3), records(0..80), records(100..400)],
+            busy in prop::collection::vec(0.0f64..10.0, 0..4),
+            extra in 0u8..3,
+        ) {
+            let extra_energy_j = [0.0, -0.0, 0.5][extra as usize];
+            let kept = outcomes(id_mode, impossible, &raw);
+
+            let mut want = kept.clone();
+            want.sort_by_key(|o| o.id);
+            let mut got = kept.clone();
+            order_by_id(&mut got);
+            prop_assert_eq!(
+                got.iter().map(record_bits).collect::<Vec<_>>(),
+                want.iter().map(record_bits).collect::<Vec<_>>()
+            );
+
+            // In id order, as the kernel passes them, and in generation
+            // order: the energy sum's bits follow the slice order, the
+            // rest ignore it.
+            for slice in [&want, &kept] {
+                prop_assert_eq!(
+                    metric_bits(&FleetMetrics::from_outcomes(
+                        slice,
+                        busy.iter().copied(),
+                        extra_energy_j
+                    )),
+                    metric_bits(&oracle_metrics(slice, busy.iter().copied(), extra_energy_j))
+                );
+            }
         }
     }
 }
